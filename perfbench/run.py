@@ -8,10 +8,12 @@ initial-stress amplitude from ``--seed`` within +-2 % of the shipped value
 and runs it in-process through ``stagdyn.cli.main(["run", cfg, ...])``, the
 path a user takes: config parse and build, the auto-tau stability estimate,
 the step loop with the energy log, and snapshots.  Load model: closed
-loop, one client, one process, one thread (BLAS pinned to 1).  Simulations
-repeat until ``--seconds`` have passed; every one is read back and checked
-(see ``outputs.py``), and the best of them is reported (see
-``end_to_end``).
+loop, one client, one process, one thread (BLAS pinned to 1, malloc
+thresholds fixed: see ``pin_malloc``).  Simulations repeat until
+``--seconds`` have passed; every one is read back and checked (see
+``outputs.py``).  The first is a warm-up; the medians of the others are
+reported, with every time taken at a reference host speed measured
+alongside the program (see ``gauge.py`` and ``end_to_end``).
 
 ``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` alternates
 untraced and traced simulations, wraps the public functions of each module
@@ -21,11 +23,36 @@ object with the keys ``correct``, ``attempted``, ``failed`` and
 ``metrics``; the lines above it are for people.
 """
 
+import ctypes
 import os
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
     os.environ[_var] = "1"
+
+
+def pin_malloc():
+    """Fix glibc's malloc thresholds before numpy allocates anything.
+
+    By default glibc serves large blocks with mmap, raises that threshold
+    as such blocks are freed and trims the heap top past twice it, so how
+    often a freed field array goes back to the kernel, to be faulted in
+    again by the next step, depends on the process's allocation history.
+    On the 2D workload that flips between runs of the same code (about 740
+    or 1550 page faults a step, a fifth of the step time on a small VM).
+    Fixed thresholds keep freed arrays in the heap for reuse: every run
+    then allocates the same way, with almost no faults.  Returns whether
+    the pin took (it needs glibc)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    return bool(mallopt(m_mmap_threshold, 32 << 20)
+                and mallopt(m_trim_threshold, 256 << 20))
+
+
+MALLOC_PINNED = pin_malloc()
 
 import argparse
 import gc
@@ -46,6 +73,7 @@ sys.dont_write_bytecode = True
 
 import numpy as np  # noqa: E402  (after the BLAS pin)
 
+from gauge import Gauge  # noqa: E402
 from layers import Probe, Tracer  # noqa: E402
 from outputs import (  # noqa: E402
     check_energy_log,
@@ -73,7 +101,8 @@ LADDER_SECONDS = 0.3
 
 @dataclass
 class Workload:
-    """A shipped config, resized; ``check`` names the physics check."""
+    """A shipped config, resized; ``check`` names the physics check and
+    ``gauge`` the host-speed kernel that resembles the workload."""
 
     name: str
     config: str
@@ -82,6 +111,7 @@ class Workload:
     t_end: float
     snapshot_every: int
     check: str
+    gauge: str
     text: str = ""
     values: dict = field(default_factory=dict)
 
@@ -126,10 +156,12 @@ class Workload:
 # Why each workload exists is recorded in BENCHMARK.json.
 WORKLOADS = {
     w.name: w for w in (
-        Workload("plate2d", "viscoplastic_2d.cfg", 128, 128, 2.0, 25, ""),
-        Workload("seepage1d", "biot_seepage_1d.cfg", 50, 1, 15.0, 200, "mass"),
+        Workload("plate2d", "viscoplastic_2d.cfg", 128, 128, 2.0, 25, "",
+                 "array"),
+        Workload("seepage1d", "biot_seepage_1d.cfg", 50, 1, 15.0, 200, "mass",
+                 "small"),
         Workload("fracture1d", "damage_1d.cfg", 256, 1, 5.0, 200,
-                 "irreversible"),
+                 "irreversible", "small"),
     )
 }
 
@@ -184,6 +216,8 @@ class Sim:
     wall_s: float = 0.0
     loop_s: float = 0.0
     latencies_us: list = field(default_factory=list)
+    stamps_ns: list = field(default_factory=list)  # start, setup end, steps
+    end_ns: int = 0
     snapshot_bytes: list = field(default_factory=list)
     out_dir: Path = None
 
@@ -238,7 +272,8 @@ def simulate(stagdyn, wl, amplitude, case_dir, probe, tracer=None,
               setup_s=(setup_end - t0) * 1e-9, wall_s=(t1 - t0) * 1e-9,
               loop_s=(stamps[-1] - setup_end) * 1e-9,
               latencies_us=[(b - a) * 1e-3
-                            for a, b in zip(stamps, stamps[1:])])
+                            for a, b in zip(stamps, stamps[1:])],
+              stamps_ns=[t0] + stamps, end_ns=t1)
 
     eta = float(wl.get("integrator", "eta", 0.1))
     tol = float(wl.get("integrator", "energy_tolerance", 1e-9))
@@ -277,38 +312,59 @@ def tail(samples):
     return sorted(samples)[n - TAIL_BEYOND - 1], 100.0 * (n - TAIL_BEYOND) / n
 
 
-def end_to_end(wl, sims):
-    """Best of the run's N simulations, as interference on a shared host
-    only ever adds time and arrives in bursts that outlast a simulation.
+def end_to_end(wl, timed, gauge):
+    """Medians over the timed simulations, every time taken at the
+    reference host speed (see ``gauge.py``).
 
-    ``setup_s`` and ``wall_s`` take the best simulation.  Step latencies
-    take the best of the N simulations at each step index (every simulation
-    runs the same steps); the median, the tail and the loop throughput
-    ``DOFs x steps / sum of step latencies`` come from that series.
+    Per simulation: ``setup_s`` runs from the call of ``cli.main`` to the
+    end of the last stability estimate before the first step, ``wall_s``
+    to the return of ``cli.main``; the step latencies give the median, the
+    tail and the loop throughput ``DOFs x steps / loop time``.  The tail is
+    printed but not gated: it spreads between runs as wide as the bound on
+    the 2D workload, whose tail steps write snapshots.  Setup and
+    wall are converted at the host speed measured inside them, each step
+    at the speed measured around it; an interval too short to hold enough
+    gauge calls takes the whole run's.
     """
-    good = [s for s in sims if s.ok]
+    good = [s for s in timed if s.ok]
+    if not good:
+        raise SystemExit(f"error: no timed simulation of {wl.name} passed")
     dofs = sum(wl.sizes().values())
-    n = min(len(s.latencies_us) for s in good)
-    steps = [min(col) for col in zip(*(s.latencies_us[:n] for s in good))]
-    tail_us, pct = tail(steps)
+    run_speed = gauge.speed(good[0].stamps_ns[0], good[-1].end_ns)
+    per = {k: [] for k in ("setup_s", "wall_s", "step_p50_us", "step_tail_us",
+                           "dof_steps_per_s", "speed")}
+    for sim in good:
+        start, setup_end, *steps = sim.stamps_ns
+        lat = [gauge.step_at_reference(a, b, run_speed) * 1e6
+               for a, b in zip([setup_end] + steps, steps)]
+        tail_us, pct = tail(lat)
+        per["setup_s"].append(gauge.at_reference(start, setup_end, run_speed))
+        per["wall_s"].append(gauge.at_reference(start, sim.end_ns, run_speed))
+        per["step_p50_us"].append(statistics.median(lat))
+        per["step_tail_us"].append(tail_us)
+        per["dof_steps_per_s"].append(dofs * len(lat) / (sum(lat) * 1e-6))
+        per["speed"].append(gauge.speed(start, sim.end_ns, run_speed))
+    med = {k: statistics.median(v) for k, v in per.items()}
     metrics = {
-        "setup_s": (min(s.setup_s for s in good), "s"),
-        "wall_s": (min(s.wall_s for s in good), "s"),
-        "step_p50_us": (statistics.median(steps), "us"),
-        "dof_steps_per_s": (dofs * n / (sum(steps) * 1e-6), "1/s"),
+        "setup_s": (med["setup_s"], "s"),
+        "wall_s": (med["wall_s"], "s"),
+        "step_p50_us": (med["step_p50_us"], "us"),
+        "dof_steps_per_s": (med["dof_steps_per_s"], "1/s"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                         / 1024.0, "MB"),
     }
-    best = f"best of {len(good)} simulations"
+    n = f"median of {len(good)} simulations"
+    timed_as = {k: statistics.median(getattr(s, k) for s in good)
+                for k in ("setup_s", "wall_s")}
     notes = {
-        "setup_s": best,
-        "wall_s": best,
-        # The tail is printed but not gated: on a shared host it follows
-        # interference more than the program.
-        "step_p50_us": f"{n} steps, each the {best}; tail p{pct:.2f} = "
-                       f"{tail_us:.6g} us with {TAIL_BEYOND} steps beyond",
-        "dof_steps_per_s": f"{dofs} DOFs x {n} steps / summed step "
-                           f"latencies, each the {best}",
+        "setup_s": f"{n}; {timed_as['setup_s']:.6g} s as timed",
+        "wall_s": f"{n}; {timed_as['wall_s']:.6g} s as timed, host at "
+                  f"{med['speed']:.4g} x reference speed",
+        "step_p50_us": f"{n} of {len(lat)} steps; tail p{pct:.2f} = "
+                       f"{med['step_tail_us']:.6g} us, {TAIL_BEYOND} steps "
+                       "beyond",
+        "dof_steps_per_s": f"{n}: {dofs} DOFs x {len(lat)} steps / loop "
+                           "time",
         "peak_rss_mb": "ru_maxrss of this process",
     }
     return metrics, notes
@@ -461,6 +517,7 @@ def environment(stagdyn, wl):
         "numpy": np.__version__,
         "kernel_backend": stagdyn.kernels.get_backend(),
         "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+        "malloc_pinned": MALLOC_PINNED,
         "largest_field_bytes": 8 * max(sizes.values()),
         "ladder_field_bytes": {n: 8 * (2 * n * n + (n + 1) * (n + 1))
                                for n in LADDER},
@@ -483,14 +540,15 @@ def measure(stagdyn, wl, seed, seconds, trace):
     run_dir = RUNS / f"{wl.name}-{os.getpid()}"
     shutil.rmtree(run_dir, ignore_errors=True)
     tracer = Tracer() if trace else None
+    gauge = None if trace else Gauge(wl.gauge)
     untraced, traced = [], []
     try:
         ladder = stencil_ladder(stagdyn) if trace else {}
         start = perf_counter()
-        with Probe().installed() as probe:
+        with Probe().installed() as probe, gauge or nullcontext():
             i, took = 0, []
             # start another simulation only if half a typical one fits
-            while (i < (2 if trace else 1) or perf_counter() - start
+            while (i < 2 or perf_counter() - start
                    + 0.5 * statistics.median(took) <= seconds):
                 t0 = perf_counter()
                 amp = shipped * (1.0 + rng.uniform(-AMPLITUDE_BAND,
@@ -515,8 +573,8 @@ def measure(stagdyn, wl, seed, seconds, trace):
     if trace:
         tracer.check_required()
         metrics, notes = per_layer(wl, tracer, traced, untraced, ladder)
-    else:
-        metrics, notes = end_to_end(wl, sims)
+    else:  # the first simulation is a warm-up
+        metrics, notes = end_to_end(wl, untraced[1:], gauge)
     return {
         "correct": failed == 0,
         "attempted": len(sims),
