@@ -1,12 +1,15 @@
 """Headless invariant suite behind the ``check`` subcommand.
 
 Mirrors the core property tests without requiring pytest: each check
-asserts a structural invariant of the discretization, the solvers or the
-integrator on small deterministic instances.
+verifies a structural invariant of the discretization, the solvers or the
+integrator on small deterministic instances.  Checks raise
+:class:`CheckFailure` explicitly instead of using ``assert``, so they
+still run under ``python -O``.
 """
 
 import numpy as np
 
+from .errors import StagdynError
 from .grid import Grid, build
 from .integrator import (
     IntegratorConfig,
@@ -29,6 +32,15 @@ from .oracle import (
 )
 
 
+class CheckFailure(StagdynError):
+    """An invariant of the check suite does not hold."""
+
+
+def _require(ok, message):
+    if not ok:
+        raise CheckFailure(message)
+
+
 def _disc_1d(nx=24, h=1.0 / 24.0, c=1.0, bc=("dirichlet", "dirichlet")):
     return build(Grid(dim=1, nx=nx, h=h, bc=bc), 1.0, {"modulus": c})
 
@@ -45,7 +57,8 @@ def check_adjointness(rng):
             s = rng.standard_normal(d.n_s)
             lhs = d.sdot(s, d.apply_E(v))
             rhs = float(np.sum(d.apply_E_adjoint(s) * v))
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
+            _require(abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs)),
+                     f"<s, E v> = {lhs:.17g} but <E* s, v> = {rhs:.17g}")
 
 
 def check_laplacian_stress(rng):
@@ -53,9 +66,12 @@ def check_laplacian_stress(rng):
         a = rng.standard_normal(d.n_s)
         b = rng.standard_normal(d.n_s)
         la = d.laplacian_stress(a)
-        assert d.sdot(la, a) <= 1e-12
-        assert abs(d.sdot(la, b) - d.sdot(a, d.laplacian_stress(b))) <= 1e-12 * max(
-            1.0, abs(d.sdot(la, b)))
+        _require(d.sdot(la, a) <= 1e-12, "stress laplacian not negative "
+                 "semidefinite")
+        lab = d.sdot(la, b)
+        _require(abs(lab - d.sdot(a, d.laplacian_stress(b)))
+                 <= 1e-12 * max(1.0, abs(lab)),
+                 "stress laplacian not symmetric")
 
 
 def check_gradients(rng):
@@ -66,7 +82,8 @@ def check_gradients(rng):
                          capillarity=0.05),
             DamageMaterial(eps0=0.3, eps=0.1, g_c=1.0, viscosity=0.4)]
     for m in mats:
-        assert gradient_check(m, d, samples=2, seed=int(rng.integers(1 << 30))) <= 1e-6
+        err = gradient_check(m, d, samples=2, seed=int(rng.integers(1 << 30)))
+        _require(err <= 1e-6, f"{m.name}: gradient error {err:.3e}")
 
 
 def check_prox_scans(rng):
@@ -78,7 +95,8 @@ def check_prox_scans(rng):
         tau = float(rng.uniform(0.05, 0.4))
         z, _ = m.internal_step(d, sigma, zk, tau)
         ref = scan_internal_objective(m, d, sigma, zk, tau, 1)
-        assert abs(z[1] - ref) < 1e-6
+        _require(abs(z[1] - ref) < 1e-6,
+                 f"return map {z[1]:.9g} vs scanned minimizer {ref:.9g}")
 
 
 def check_elastic_conservation(rng):
@@ -91,7 +109,7 @@ def check_elastic_conservation(rng):
     cfg = IntegratorConfig(tau=0.9 * tau_max, t_end=500 * 0.9 * tau_max)
     _, ledgers = run_simulation(d, m, no_loading(d), cfg, st)
     drift = max(abs(l.total - e0) for l in ledgers)
-    assert drift <= 1e-10 * e0
+    _require(drift <= 1e-10 * e0, f"energy drift {drift:.3e}")
 
 
 def check_energy_inequality(rng):
@@ -107,8 +125,11 @@ def check_energy_inequality(rng):
         tau_max, _ = max_stable_timestep(d, m, m.z_init(d), 0.1)
         cfg = IntegratorConfig(tau=tau_max, t_end=150 * tau_max)
         _, ledgers = run_simulation(d, m, no_loading(d), cfg, st)
-        assert max(abs(l.residual) for l in ledgers) <= 1e-9 * e0
-        assert min(l.stability_coeff for l in ledgers) >= 0.1 - 1e-12
+        res = max(abs(l.residual) for l in ledgers)
+        _require(res <= 1e-9 * e0, f"{m.name}: energy residual {res:.3e}")
+        a_min = min(l.stability_coeff for l in ledgers)
+        _require(a_min >= 0.1 - 1e-12,
+                 f"{m.name}: stability coefficient {a_min:.9g} < eta")
 
 
 def check_biot_mass_conservation(rng):
@@ -118,8 +139,9 @@ def check_biot_mass_conservation(rng):
     total0 = d.zdot(z, np.ones_like(z))
     for _ in range(30):
         z, _ = m.internal_step(d, rng.standard_normal(d.n_s), z, 0.05)
-    assert abs(d.zdot(z, np.ones_like(z)) - total0) <= 1e-10 * max(
-        1.0, abs(total0))
+    drift = abs(d.zdot(z, np.ones_like(z)) - total0)
+    _require(drift <= 1e-10 * max(1.0, abs(total0)),
+             f"diffusant mass drift {drift:.3e}")
 
 
 def check_damage_structure(rng):
@@ -129,9 +151,9 @@ def check_damage_structure(rng):
     for _ in range(50):
         sigma = 0.6 * rng.standard_normal(d.n_s)
         nxt, _ = m.internal_step(d, sigma, alpha, 0.05)
-        assert np.all(nxt <= alpha + 1e-12)
+        _require(np.all(nxt <= alpha + 1e-12), "damage healed")
         alpha = nxt
-    assert np.all(alpha >= -1e-12)
+    _require(np.all(alpha >= -1e-12), "damage below zero")
 
 
 def check_cfl_estimator(rng):
@@ -139,7 +161,8 @@ def check_cfl_estimator(rng):
     m = ElasticMaterial()
     _, lam = max_stable_timestep(d, m, m.z_init(d), 0.0)
     lam_ref = dense_generalized_rayleigh(d, m, m.z_init(d))
-    assert abs(lam - lam_ref) <= 1e-5 * lam_ref
+    _require(abs(lam - lam_ref) <= 1e-5 * lam_ref,
+             f"power iteration {lam:.9g} vs dense {lam_ref:.9g}")
 
 
 def check_radial_return(rng):
@@ -152,7 +175,8 @@ def check_radial_return(rng):
         got = prox_radial_return(trial, sy, fac)
         ref = brute_force_prox(
             lambda x: sy * abs(x) + 0.5 * fac * x * x - trial * x, -6.0, 6.0)
-        assert abs(got - ref) < 1e-6
+        _require(abs(got - ref) < 1e-6,
+                 f"radial return {got:.9g} vs scanned minimizer {ref:.9g}")
 
 
 ALL_CHECKS = [

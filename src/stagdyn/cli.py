@@ -128,20 +128,18 @@ def cmd_run(args):
         sdio.write_snapshot(path, sdio.snapshot_fields(st, disc, fields),
                             disc.dim)
 
-    ledgers = []
     try:
         with sdio.EnergyLogWriter(log_path) as log:
             if every:
                 snap(state)
 
             def on_step(st, ledger):
-                ledgers.append(ledger)
                 log.write(ledger)
                 if every and st.k % every == 0:
                     snap(st)
 
-            final, _ = run_simulation(disc, material, loading, icfg, state,
-                                      on_step=on_step)
+            _, ledgers = run_simulation(disc, material, loading, icfg, state,
+                                        on_step=on_step)
     except (CflViolationError, InstabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CFL

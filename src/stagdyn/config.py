@@ -416,10 +416,17 @@ def resolve_tau(cfg, disc, material, state):
 
 
 def integrator_config(cfg, disc, material, state, skip_cfl_check=False):
+    """Integrator settings of a config.
+
+    With tau = auto, tau is the bound estimated at the initial state, so
+    the run's initial CFL check is skipped rather than estimated again;
+    ``cfl_recheck_every`` rechecks still run.
+    """
     tau = resolve_tau(cfg, disc, material, state)
     it = cfg.integrator
     return IntegratorConfig(
         tau=tau, t_end=it["t_end"], eta=it["eta"],
         cfl_recheck_every=it["cfl_recheck_every"],
         enforce_energy_inequality=it["enforce_energy_inequality"],
-        energy_tol=it["energy_tolerance"], skip_cfl_check=skip_cfl_check)
+        energy_tol=it["energy_tolerance"],
+        skip_cfl_check=skip_cfl_check or it["tau"] == "auto")

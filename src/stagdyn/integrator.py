@@ -53,7 +53,18 @@ ENERGY_BLOWUP_FACTOR = 1e6
 
 @dataclass
 class State:
-    """Discrete fields at one time level (plus leap-frog bookkeeping)."""
+    """Discrete fields at one time level (plus leap-frog bookkeeping).
+
+    ``energy`` and ``dphi_mid`` are values the step that produced this
+    state already computed, carried so the next energy audit need not
+    recompute them: ``energy`` is E^k = 1/2 <M v^k, v^{k-1}> +
+    Phi(Sigma^k, z^k) and ``dphi_mid`` is dPhi_s(Sigma^k, (z^k +
+    z^{k-1})/2).  Both are None on states not made by :func:`advance`
+    (initial states, and every :meth:`copy`, which drops them), and the
+    audit then computes them afresh.  A caller that edits ``v``,
+    ``sigma`` or ``z`` of an advanced state in place must edit a copy or
+    set both to None first, or the next ledger uses stale values.
+    """
 
     u: np.ndarray
     v: np.ndarray
@@ -62,6 +73,8 @@ class State:
     k: int = 0
     v_prev: np.ndarray = None
     z_prev: np.ndarray = None
+    energy: Optional[float] = None
+    dphi_mid: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.v_prev is None:
@@ -128,7 +141,8 @@ class IntegratorConfig:
 
     ``eta`` is the CFL safety margin in (0, 1): the fraction of the stored
     energy guaranteed to survive the staggered kinetic split at every step.
-    ``cfl_recheck_every = 0`` disables rechecking.  When
+    ``cfl_recheck_every = 0`` disables rechecking; ``skip_cfl_check``
+    skips only the check before the first step.  When
     ``enforce_energy_inequality`` is set, a step whose ledger residual
     exceeds ``energy_tol * max(1, |E0|)`` raises.
     """
@@ -205,15 +219,20 @@ def step_velocity(state, sigma_next, z_next, disc, material, loading, cfg):
     The true stress is evaluated at the internal-variable midpoint
     (z' + z)/2, the same time level as the updated proto-stress, which
     keeps the update centered (second order) for coupled materials.
+
+    Returns ``(v_next, u_next, s_true, dphi_mid)`` with ``dphi_mid`` the
+    stress-side gradient dPhi_s(Sigma', (z' + z)/2) behind ``s_true =
+    C* I* dphi_mid``; the energy audit reuses it.
     """
     z_mid = 0.5 * (z_next + state.z) if z_next.size else z_next
-    s_true = material.true_stress(disc, sigma_next, z_mid)
+    dphi_mid = material.dphi_dsigma(disc, sigma_next, z_mid)
+    s_true = disc.apply_C_adjoint(disc.apply_I(dphi_mid))
     force = loading.body_force - disc.apply_E_adjoint(s_true)
     dv = (cfg.tau / disc.mass) * force
     dv[~disc.v_active] = 0.0
     v_next = state.v + dv
     u_next = state.u + cfg.tau * v_next
-    return v_next, u_next, s_true
+    return v_next, u_next, s_true, dphi_mid
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +243,8 @@ def _kinetic_pair(disc, va, vb):
     return 0.5 * float(np.sum(disc.mass * va * vb))
 
 
-def stability_coefficient(disc, material, sigma, z, tau, fallback=1.0):
+def stability_coefficient(disc, material, sigma, z, tau, fallback=1.0,
+                          phi=None):
     """Positivity coefficient of the staggered energy at one state.
 
     With F = 0 the staggered energy splits exactly as
@@ -234,9 +254,11 @@ def stability_coefficient(disc, material, sigma, z, tau, fallback=1.0):
 
     because v' - v = -tau M^-1 E*S contributes T((v'-v)/2) =
     (tau^2/8) <E*S, M^-1 E*S> to the kinetic split.  a >= eta is
-    guaranteed whenever tau <= max_stable_timestep(eta).
+    guaranteed whenever tau <= max_stable_timestep(eta).  ``phi``, when
+    given, is Phi(sigma, z) already evaluated by the caller.
     """
-    phi = material.phi(disc, sigma, z)
+    if phi is None:
+        phi = material.phi(disc, sigma, z)
     if phi <= 0.0:
         return fallback
     s_true = material.true_stress(disc, sigma, z)
@@ -253,6 +275,10 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
     the scheme (midpoint-in-z true stress); it vanishes to round-off when
     the dissipation potential is smooth away from zero and is <= 0 (up to
     solver tolerance) otherwise.
+
+    Values carried on the states (``prev.energy``, ``prev.dphi_mid``,
+    ``nxt.dphi_mid``) are used as they are; missing ones are computed
+    here by the same operations, so the ledger does not depend on which.
     """
     tau = cfg.tau
     k = prev.k
@@ -266,7 +292,9 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
     else:
         diss = 0.0
     dsig = nxt.sigma - prev.sigma
-    dphi_mid_next = material.dphi_dsigma(disc, nxt.sigma, z_mid_next)
+    dphi_mid_next = nxt.dphi_mid
+    if dphi_mid_next is None:
+        dphi_mid_next = material.dphi_dsigma(disc, nxt.sigma, z_mid_next)
 
     if k == 0:
         # exact half-step bootstrap identity, anchored at the physical
@@ -284,12 +312,16 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
         correction = 0.5 * tau * disc.sdot(s_gap, disc.apply_E(prev.v))
         residual = (kinetic + phi_next) - energy_prev + diss - work - correction
     else:
-        energy_prev = _kinetic_pair(disc, prev.v, prev.v_prev) + material.phi(
-            disc, prev.sigma, prev.z)
+        energy_prev = prev.energy
+        if energy_prev is None:
+            energy_prev = _kinetic_pair(disc, prev.v, prev.v_prev) + (
+                material.phi(disc, prev.sigma, prev.z))
         work = tau * float(np.sum(loading.body_force * prev.v))
-        if has_z:
-            z_mid_prev = 0.5 * (prev.z + prev.z_prev)
+        dphi_mid_prev = prev.dphi_mid
+        if dphi_mid_prev is None:
+            z_mid_prev = 0.5 * (prev.z + prev.z_prev) if has_z else prev.z
             dphi_mid_prev = material.dphi_dsigma(disc, prev.sigma, z_mid_prev)
+        if has_z:
             # jump of the stress-side gradient away from the z^k anchor,
             # for both half-level stresses entering the velocity average
             jump = 0.5 * (dphi_mid_next
@@ -298,7 +330,6 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
                            - material.dphi_dsigma(disc, prev.sigma, prev.z))
             correction = disc.sdot(jump, dsig)
         else:
-            dphi_mid_prev = material.dphi_dsigma(disc, prev.sigma, prev.z)
             correction = 0.0
         dg = loading.d_increment(k, tau)
         if dg is not None:
@@ -307,7 +338,8 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
         residual = ((kinetic + phi_next) - energy_prev + diss - work
                     + correction)
 
-    a_coeff = stability_coefficient(disc, material, nxt.sigma, nxt.z, tau)
+    a_coeff = stability_coefficient(disc, material, nxt.sigma, nxt.z, tau,
+                                    phi=phi_next)
     return EnergyLedger(
         step=k, time=(k + 1) * tau, kinetic=kinetic, stored=phi_next,
         dissipated_step=diss, external_work_step=work,
@@ -322,16 +354,17 @@ def advance(state, disc, material, loading, cfg):
     """One full staggered step; returns (new state, ledger)."""
     sigma_next = step_sigma(state, disc, loading, cfg)
     z_next, info = step_internal(state, sigma_next, material, disc, cfg)
-    v_next, u_next, _ = step_velocity(state, sigma_next, z_next, disc,
-                                      material, loading, cfg)
+    v_next, u_next, _, dphi_mid = step_velocity(state, sigma_next, z_next,
+                                                disc, material, loading, cfg)
     nxt = State(u=u_next, v=v_next, sigma=sigma_next, z=z_next,
                 k=state.k + 1, v_prev=state.v.copy(),
-                z_prev=state.z.copy())
+                z_prev=state.z.copy(), dphi_mid=dphi_mid)
     for name, arr in (("proto-stress", sigma_next), ("internal", z_next),
                       ("velocity", v_next)):
         _require_finite(name, arr)
     ledger = energy_audit(state, nxt, disc, material, loading, cfg,
                           step_info=info)
+    nxt.energy = ledger.total
     if cfg.enforce_energy_inequality:
         tol = cfg.energy_tol * max(1.0, abs(ledger.energy_prev))
         if ledger.residual > tol:

@@ -75,25 +75,33 @@ def write_snapshot(path, fields, dim):
             fh.write(data.tobytes())
 
 
+def _read_exact(fh, size, what):
+    buf = fh.read(size)
+    if len(buf) != size:
+        raise StagdynError(f"truncated snapshot: {what}")
+    return buf
+
+
 def read_snapshot(path):
-    """Read a snapshot; returns (fields dict, dim)."""
+    """Read a snapshot; returns (fields dict, dim).
+
+    A file cut short anywhere raises :class:`StagdynError`.
+    """
     with open(path, "rb") as fh:
-        head = fh.read(16)
-        if len(head) != 16:
-            raise StagdynError("truncated snapshot header")
+        head = _read_exact(fh, 16, "header")
         magic, version, count, dim = struct.unpack("<4sIII", head)
         if magic != SNAPSHOT_MAGIC:
             raise StagdynError(f"bad snapshot magic {magic!r}")
         if version != SNAPSHOT_VERSION:
             raise StagdynError(f"unsupported snapshot version {version}")
         fields = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(nlen).decode("utf-8")
-            (n,) = struct.unpack("<Q", fh.read(8))
-            buf = fh.read(8 * n)
-            if len(buf) != 8 * n:
-                raise StagdynError(f"truncated field {name!r}")
+        for i in range(count):
+            (nlen,) = struct.unpack(
+                "<I", _read_exact(fh, 4, f"name length of field {i}"))
+            name = _read_exact(fh, nlen, f"name of field {i}").decode("utf-8")
+            (n,) = struct.unpack(
+                "<Q", _read_exact(fh, 8, f"count of field {name!r}"))
+            buf = _read_exact(fh, 8 * n, f"data of field {name!r}")
             fields[name] = np.frombuffer(buf, dtype="<f8").copy()
     return fields, dim
 

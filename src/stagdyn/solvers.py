@@ -188,15 +188,6 @@ def solve_asymmetric_quadratic(problem, x0=None):
                       last_iterate=x, residuals=[])
 
 
-def solve_increment(problem, x0=None):
-    """Dispatch on the problem's constraint mode."""
-    if problem.asym is not None:
-        return solve_asymmetric_quadratic(problem, x0=x0)
-    if problem.upper is not None:
-        return solve_bound_constrained(problem, x0=x0)
-    return solve_linear_spd(problem, x0=x0)
-
-
 def prox_radial_return(trial, sigma_y, factor):
     """Closed-form flow increment for a yield-constrained viscous point.
 

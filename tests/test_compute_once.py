@@ -1,0 +1,198 @@
+"""Values a run computes once: ledger inputs carried from the step, and the CFL bound.
+
+The step hands the energy audit values it has already formed (the
+midpoint stress gradients of this step and the previous one, and the
+previous step's total energy); these tests pin that the ledgers built
+from them equal, bit for bit, the ledgers an audit computes from scratch,
+and that a run estimates the stability bound once.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from stagdyn import integrator
+from stagdyn.cli import main
+from stagdyn.grid import Grid, build
+from stagdyn.integrator import (
+    IntegratorConfig,
+    Loading,
+    advance,
+    energy_audit,
+    initial_state,
+    max_stable_timestep,
+    step_internal,
+)
+from stagdyn.materials import (
+    BiotMaterial,
+    DamageMaterial,
+    ElasticMaterial,
+    PlasticCreepMaterial,
+)
+
+STEPS = 20
+
+
+def _disc_1d(bc):
+    return build(Grid(dim=1, nx=30, h=1.0 / 30.0, bc=bc), 1.0,
+                 {"modulus": 1.0})
+
+
+def _disc_2d(bc):
+    return build(Grid(dim=2, nx=6, ny=5, h=0.2, bc=bc), 1.0,
+                 {"bulk_modulus": 1.0, "shear_modulus": 0.6})
+
+
+def _random_stress(disc, amplitude):
+    rng = np.random.default_rng(5)
+    s = amplitude * rng.standard_normal(disc.n_s)
+    s[~disc.s_active] = 0.0
+    return s
+
+
+# name -> (discretization, material, initial stress amplitude, traction side)
+CASES = {
+    "elastic_1d": (lambda: _disc_1d(("traction", "dirichlet")),
+                   ElasticMaterial, 0.5, "left"),
+    "maxwell_creep_1d": (lambda: _disc_1d(("dirichlet", "dirichlet")),
+                         lambda: PlasticCreepMaterial(viscosity=0.5),
+                         0.5, None),
+    "viscoplastic_2d": (
+        lambda: _disc_2d(("dirichlet", "neumann", "dirichlet", "traction")),
+        lambda: PlasticCreepMaterial(viscosity=0.4, sigma_y=0.1,
+                                     hardening=(0.2, 0.1)),
+        0.5, "top"),
+    "damage_1d": (lambda: _disc_1d(("dirichlet", "neumann")),
+                  lambda: DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4,
+                                         viscosity=0.3),
+                  0.6, None),
+    "biot_1d": (lambda: _disc_1d(("traction", "dirichlet")),
+                lambda: BiotMaterial(biot_modulus=0.4, biot_coefficient=0.4,
+                                     l_coefficient=0.1, capillarity=0.02,
+                                     mobility=0.5),
+                0.4, "left"),
+}
+
+
+def _setup(name):
+    make_disc, make_mat, amp, side = CASES[name]
+    d = make_disc()
+    m = make_mat()
+    body = np.where(d.v_active, 0.01, 0.0)
+    if side is None:
+        loading = Loading(body_force=body)
+    else:
+        loading = Loading(body_force=body,
+                          traction=lambda t: 0.2 * np.sin(4.0 * t),
+                          traction_pattern=d.traction_pattern(side))
+    st = initial_state(d, m, sigma=_random_stress(d, amp))
+    tau_max, _ = max_stable_timestep(d, m, st.z, 0.1)
+    cfg = IntegratorConfig(tau=0.9 * tau_max, t_end=STEPS * 0.9 * tau_max)
+    return d, m, loading, st, cfg
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_carried_ledger_equals_from_scratch_audit(name):
+    d, m, loading, st, cfg = _setup(name)
+    for _ in range(STEPS):
+        prev = st
+        st, ledger = advance(prev, d, m, loading, cfg)
+        assert st.energy is not None and st.dphi_mid is not None
+        # same solver by-products as the step, nothing carried
+        _, info = step_internal(prev, st.sigma, m, d, cfg)
+        bare_prev, bare_next = prev.copy(), st.copy()
+        assert bare_next.energy is None and bare_next.dphi_mid is None
+        fresh = energy_audit(bare_prev, bare_next, d, m, loading, cfg,
+                             step_info=info)
+        assert dataclasses.asdict(ledger) == dataclasses.asdict(fresh)
+        assert st.energy == fresh.total
+    if CASES[name][3] is not None:
+        assert ledger.external_work_step != 0.0
+
+
+def test_step_evaluates_stored_energy_once(monkeypatch):
+    d, m, loading, st, cfg = _setup("viscoplastic_2d")
+    calls = {"phi": 0, "dphi_dsigma": 0}
+
+    def counted(attr):
+        fn = getattr(m, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for attr in calls:
+        monkeypatch.setattr(m, attr, counted(attr))
+    st, _ = advance(st, d, m, loading, cfg)  # bootstrap computes afresh
+    for _ in range(3):
+        for attr in calls:
+            calls[attr] = 0
+        st, _ = advance(st, d, m, loading, cfg)
+        assert calls == {"phi": 1, "dphi_dsigma": 4}
+
+
+CLI_CFG = """
+[grid]
+dim = 1
+nx = 40
+h = 0.025
+
+[material]
+name = elastic
+modulus = 1.0
+
+[integrator]
+tau = {tau}
+eta = 0.1
+t_end = 0.2
+cfl_recheck_every = {every}
+
+[loading]
+initial = sine_stress
+
+[output]
+out_dir = {out}
+"""
+
+
+@pytest.fixture
+def cfl_calls(monkeypatch):
+    calls = []
+    real = integrator.max_stable_timestep
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(integrator, "max_stable_timestep", counted)
+    return calls
+
+
+def _run(tmp_path, tau, every=0):
+    path = tmp_path / "sim.cfg"
+    path.write_text(CLI_CFG.format(tau=tau, every=every,
+                                   out=tmp_path / "out"), encoding="utf-8")
+    return main(["--quiet", "run", str(path)])
+
+
+@pytest.mark.parametrize("tau", ["auto", "0.01"])
+def test_run_estimates_bound_once(tmp_path, cfl_calls, tau):
+    assert _run(tmp_path, tau) == 0
+    assert len(cfl_calls) == 1
+
+
+def test_fixed_tau_above_bound_exits_2_after_one_estimate(tmp_path,
+                                                          cfl_calls):
+    assert _run(tmp_path, "0.1") == 2
+    assert len(cfl_calls) == 1
+
+
+@pytest.mark.parametrize("tau", ["auto", "0.01"])
+def test_recheck_reestimates_every_n_steps(tmp_path, cfl_calls, tau):
+    assert _run(tmp_path, tau, every=3) == 0
+    log = (tmp_path / "out" / "energy.csv").read_text().splitlines()
+    steps = len(log) - 1
+    # one initial estimate plus one before every step k = 3, 6, ... < steps
+    assert len(cfl_calls) == 1 + (steps - 1) // 3

@@ -2,6 +2,8 @@
 
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from stagdyn.config import (
     parse_config,
     serialize_config,
 )
-from stagdyn.errors import ConfigError
+from stagdyn.errors import ConfigError, StagdynError
 
 MINIMAL_ELASTIC = """
 [grid]
@@ -178,6 +180,18 @@ def test_snapshot_header_layout(tmp_path):
     assert np.frombuffer(raw[30:46], dtype="<f8").tolist() == [1.5, -2.0]
 
 
+def test_snapshot_truncated_anywhere_raises(tmp_path):
+    path = tmp_path / "snap.bin"
+    sdio.write_snapshot(path, {"ab": np.array([1.5, -2.0]),
+                               "cde": np.arange(3.0)}, dim=1)
+    raw = path.read_bytes()
+    # header boundaries: 16 | 4 name length | name | 8 count | data, twice
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(StagdynError, match="truncated"):
+            sdio.read_snapshot(path)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -268,6 +282,28 @@ def test_cli_check_runs(tmp_path, capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_cli_check_fails_loudly_under_optimize():
+    # python -O strips assert statements; a broken invariant must still
+    # fail its check and give the check-suite exit code
+    script = (
+        "import sys\n"
+        "import stagdyn.checks as checks\n"
+        "from stagdyn.cli import main\n"
+        "real = checks.dense_generalized_rayleigh\n"
+        "checks.dense_generalized_rayleigh = "
+        "lambda *a: 1.01 * real(*a)\n"
+        "sys.exit(main(['check']))\n")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    fails = [l for l in proc.stdout.splitlines() if l.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL cfl-estimator")
 
 
 def test_cli_usage_errors_exit_64(tmp_path, capsys):

@@ -103,7 +103,8 @@ def test_step_velocity_hand_case():
     st = initial_state(d, m)
     s_next = np.array([0.0, 1.0, 0.0])
     cfg = IntegratorConfig(tau=0.1, t_end=1.0)
-    v, u, s_true = step_velocity(st, s_next, st.z, d, m, no_loading(d), cfg)
+    v, u, s_true, _ = step_velocity(st, s_next, st.z, d, m, no_loading(d),
+                                    cfg)
     # exact transpose of the forward stencil: the tension peak accelerates
     # both cells toward the middle node
     assert_allclose(v, [0.1, -0.1])
@@ -119,7 +120,7 @@ def test_step_velocity_force_balance():
     loading = Loading(body_force=d.apply_E_adjoint(s_next))
     st = initial_state(d, m, v=rng.standard_normal(d.n_v))
     cfg = IntegratorConfig(tau=0.2, t_end=1.0)
-    v, _, _ = step_velocity(st, s_next, st.z, d, m, loading, cfg)
+    v, _, _, _ = step_velocity(st, s_next, st.z, d, m, loading, cfg)
     assert_allclose(v, st.v, atol=1e-14)
 
 
