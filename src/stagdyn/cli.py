@@ -4,7 +4,8 @@ Subcommands:
 
 * ``run <config>``: drive a simulation, writing the energy log and
   optional snapshots.
-* ``cfl <config>``: print the stability bound and the Rayleigh quotient.
+* ``cfl <config>``: print the stability bound, the Rayleigh quotient and
+  the estimate's Lanczos iteration count and relative residual.
 * ``converge <config> --levels n``: temporal refinement study.
 * ``check``: headless invariant suite.
 
@@ -169,9 +170,13 @@ def cmd_cfl(args):
     _apply_overrides(cfg, args)
     disc, material, loading, state, _ = build_simulation(cfg)
     eta = cfg.integrator["eta"]
-    tau_max, lam = max_stable_timestep(disc, material, state.z, eta)
+    info = {}
+    tau_max, lam = max_stable_timestep(disc, material, state.z, eta,
+                                       info=info)
     print(f"lambda: {lam:.12g}")
     print(f"tau_max(eta={eta:g}): {tau_max:.12g}")
+    print(f"estimate: {info['iters']} Lanczos iterations, "
+          f"relative residual {info['residual']:.3e}")
     if cfg.integrator["tau"] != "auto":
         tau = cfg.integrator["tau"]
         verdict = "OK" if tau <= tau_max else "VIOLATION"

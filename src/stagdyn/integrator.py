@@ -46,6 +46,7 @@ from .errors import (
     EnergyInequalityError,
     InstabilityError,
     NonFiniteFieldError,
+    SolverError,
 )
 
 ENERGY_BLOWUP_FACTOR = 1e6
@@ -372,8 +373,77 @@ def advance(state, disc, material, loading, cfg):
     return nxt, ledger
 
 
+RITZ_SHIFTS = 255   # shifts per multisection sweep: 8 bits each
+
+
+def _top_ritz(alphas, betas):
+    """Top eigenpair of a Lanczos tridiagonal matrix in O(j) time and memory.
+
+    ``alphas`` and ``betas`` are the diagonal and the (positive)
+    off-diagonal.  Returns ``(theta, y_last)``: theta is an upper bound
+    on the largest eigenvalue, within 1e-9 relative, and y_last is the
+    last component of its unit eigenvector.
+
+    theta comes from Sturm-count multisection: x lies above every
+    eigenvalue exactly when all pivots of the LDL^T factorization of
+    T - x I are negative, and each sweep tests RITZ_SHIFTS shifts at
+    once.  The eigenvector comes from three steps of inverse iteration
+    with the shift theta, where theta I - T is positive definite and,
+    started from a positive vector, every term of the solve is positive.
+    """
+    b2 = [b * b for b in betas]
+    # the diagonal bounds the top eigenvalue below and Gershgorin above;
+    # the bound is widened so that hi I - T is positive definite even
+    # when Gershgorin is exact
+    lo = max(alphas)
+    hi = (1.0 + 1e-12) * max(a + l + r for a, l, r in
+                             zip(alphas, [0.0] + betas, betas + [0.0]))
+    dmax = np.empty(RITZ_SHIFTS)
+    while hi - lo > 1e-9 * hi:
+        x = np.linspace(lo, hi, RITZ_SHIFTS + 2)[1:-1]
+        d = alphas[0] - x
+        dmax[:] = d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for a, bb in zip(alphas[1:], b2):
+                np.divide(bb, d, out=d)
+                d += x
+                np.subtract(a, d, out=d)    # next pivot a - (x + bb / d)
+                np.maximum(dmax, d, out=dmax)
+        above = dmax < 0.0
+        k = int(np.argmax(above))
+        if above[k]:
+            hi = float(x[k])
+            if k:
+                lo = float(x[k - 1])
+        else:
+            lo = float(x[-1])
+    # pivots of hi I - T, negated from the same operations as above, so
+    # they are all > 0 exactly as they were found to be
+    d = alphas[0] - hi
+    g = [-d]
+    for a, bb in zip(alphas[1:], b2):
+        d = a - (hi + bb / d)
+        g.append(-d)
+    y = [1.0] * len(alphas)
+    for _ in range(3):
+        u = y[0]
+        v = [u / g[0]]
+        for yi, b, g_prev, gi in zip(y[1:], betas, g, g[1:]):
+            u = yi + b * u / g_prev
+            v.append(u / gi)
+        w = v[-1]
+        y = [w]
+        for vi, b, gi in zip(v[-2::-1], betas[::-1], g[-2::-1]):
+            w = vi + b * w / gi
+            y.append(w)
+        y.reverse()
+        norm = np.sqrt(sum(yi * yi for yi in y))
+        y = [yi / norm for yi in y]
+    return hi, y[-1]
+
+
 def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
-                        max_iter=200000, seed=0):
+                        max_iter=200000, seed=0, info=None):
     """Largest stable time step sqrt(8 (1 - eta) / lambda).
 
     ``lambda`` is the largest generalized Rayleigh quotient
@@ -381,9 +451,30 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
         sup_S  <E* C I H S, M^-1 E* C I H S> / (1/2 <H S, S>_w)
 
     with H the proto-stress Hessian of the stored energy at the probe
-    internal state, estimated by power iteration (relative tolerance
-    ``tol``).  ``z_probe`` selects the stiffness state; softening
-    materials should probe the stiffest (e.g. undamaged) state.
+    internal state, i.e. the top eigenvalue of T = 2 C E M^-1 E* C I H,
+    which is self-adjoint in the H/2 inner product.  ``z_probe`` selects
+    the stiffness state; softening materials should probe the stiffest
+    (e.g. undamaged) state.
+
+    The estimate is a Lanczos iteration in that inner product from a
+    seeded random stress.  Its three-term recurrence carries H q beside
+    each Lanczos vector, so an iteration costs one T (without its
+    leading H) and one H, and memory is a few stress vectors: no basis
+    is stored and none is reorthogonalised.  The top Ritz pair (theta,
+    y) of the j x j tridiagonal Lanczos matrix is extracted in O(j)
+    (:func:`_top_ritz`, theta rounded up) every max(8, j/2) iterations
+    and once at j = the number of active stress DOFs, where the Krylov
+    space is exhausted.  The iteration stops once the Ritz residual
+    beta_j |e_j^T y| is at most ``tol * theta``, or on a breakdown
+    (beta_j <= tol * max alpha: an invariant subspace, exact
+    convergence), and returns lambda = theta + residual, so any
+    remaining error makes tau smaller, never larger.  When ``info`` is a
+    dict it receives ``iters`` (Lanczos iterations) and ``residual``
+    (the final Ritz residual over theta).
+
+    Raises :class:`ConfigError` when the stored energy is not positive
+    definite at the probe, and :class:`SolverError` carrying the last
+    relative residual when ``max_iter`` iterations do not converge.
 
     The bound is sharp: tau <= tau_max(eta) makes the per-state
     stability coefficient a = 1 - (tau^2/8) q(S)/Phi at least eta for
@@ -402,37 +493,54 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
 
     active_v = disc.v_active
 
-    def apply_T(s):
-        # T = (H/2)^-1 N = 2 C E M^-1 E* C H  (the leading H-solve cancels)
-        hs = apply_H(s)
+    def apply_T(hs):
+        # T s from hs = H s, which the recurrence carries
         f = disc.apply_E_adjoint(disc.apply_C_adjoint(disc.apply_I(hs)))
         f = np.where(active_v, f / disc.mass, 0.0)
         return 2.0 * disc.apply_C(disc.apply_E(f))
 
+    not_pd = ConfigError("stored energy not positive definite at probe",
+                         "material")
     rng = np.random.default_rng(seed)
-    s = rng.standard_normal(disc.n_s)
-    s[~disc.s_active] = 0.0
-    lam = 0.0
-    settled = 0
-    for it in range(max_iter):
-        ts = apply_T(s)
-        num = disc.sdot(apply_H(ts), s)  # <N s, s>_w via symmetry
-        den = 0.5 * disc.sdot(apply_H(s), s)
-        if den <= 0.0:
-            raise ConfigError("stored energy not positive definite at probe",
-                              "material")
-        lam_new = num / (2.0 * den)
-        norm = np.sqrt(0.5 * disc.sdot(apply_H(ts), ts))
-        if norm == 0.0:
-            raise CflViolationError(np.nan, np.inf, 0.0)
-        s = ts / norm
-        settled = settled + 1 if abs(lam_new - lam) <= tol * abs(lam_new) else 0
-        lam = lam_new
-        if it > 2 and settled >= 3:
-            break
+    q = rng.standard_normal(disc.n_s)
+    q[~disc.s_active] = 0.0
+    hq = apply_H(q)
+    norm2 = 0.5 * disc.sdot(hq, q)
+    if not norm2 > 0.0:
+        raise not_pd
+    q, hq = q / np.sqrt(norm2), hq / np.sqrt(norm2)
+    q_prev = beta = alpha_max = 0.0
+    alphas, betas = [], []
+    n_active = int(np.count_nonzero(disc.s_active))
+    check_at = 8
+    for j in range(1, max_iter + 1):
+        w = apply_T(hq) - beta * q_prev
+        alpha = 0.5 * disc.sdot(w, hq)
+        w -= alpha * q
+        hw = apply_H(w)
+        beta2 = 0.5 * disc.sdot(hw, w)
+        alphas.append(alpha)
+        alpha_max = max(alpha_max, alpha)
+        small = tol * alpha_max  # a beta below it bounds the residual
+        if beta2 < -small * small:
+            raise not_pd
+        beta = float(np.sqrt(max(beta2, 0.0)))
+        if beta <= small or j in (check_at, n_active, max_iter):
+            theta, y_last = _top_ritz(alphas, betas)
+            residual = beta * abs(y_last)
+            if beta <= small or residual <= tol * theta:
+                break
+            check_at = j + max(8, j // 2)
+        betas.append(beta)
+        q_prev, q, hq = q, w / beta, hw / beta
     else:
-        raise ConfigError(
-            f"power iteration stagnated (last quotient {lam:.6g})", "cfl")
+        raise SolverError(f"CFL estimate: Lanczos did not converge in "
+                          f"{max_iter} iterations",
+                          residuals=[residual / theta])
+    if info is not None:
+        info["iters"] = j
+        info["residual"] = float(residual / theta)
+    lam = theta + residual
     if lam <= 0.0:
         return np.inf, lam
     return float(np.sqrt(8.0 * (1.0 - eta) / lam)), float(lam)

@@ -1,5 +1,6 @@
 """Config grammar, output formats, CLI behavior and exit codes."""
 
+import functools
 import os
 import struct
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from stagdyn import cli, integrator
 from stagdyn import io as sdio
 from stagdyn.cli import main
 from stagdyn.config import (
@@ -18,6 +20,7 @@ from stagdyn.config import (
     serialize_config,
 )
 from stagdyn.errors import ConfigError, StagdynError
+from stagdyn.materials import ElasticMaterial
 
 MINIMAL_ELASTIC = """
 [grid]
@@ -243,6 +246,11 @@ def test_cli_cfl_prints_bound(tmp_path, capsys):
     assert main(["cfl", path]) == 0
     out = capsys.readouterr().out
     assert "tau_max" in out and "lambda" in out
+    # the estimator reports its iteration count and final residual
+    line = [l for l in out.splitlines() if l.startswith("estimate:")][0]
+    iters = int(line.split()[1])
+    residual = float(line.rsplit(" ", 1)[1])
+    assert 0 < iters <= 41 and 0.0 <= residual <= 1e-6
 
 
 def test_cli_cfl_matches_formula(tmp_path, capsys):
@@ -255,6 +263,33 @@ def test_cli_cfl_matches_formula(tmp_path, capsys):
     tau_max = float([l for l in out.splitlines()
                      if l.startswith("tau_max")][0].split(":")[1])
     assert abs(tau_max - 0.025 * np.sqrt(1.0 / 4.0)) <= 2e-3 * tau_max
+
+
+def test_cli_unconverged_cfl_estimate_exits_3(tmp_path, monkeypatch,
+                                               capsys):
+    # running out of Lanczos iterations is a solver failure, not a
+    # configuration error; both the auto-tau and the fixed-tau run see it
+    short = functools.partial(integrator.max_stable_timestep, max_iter=3)
+    monkeypatch.setattr(integrator, "max_stable_timestep", short)
+    monkeypatch.setattr(cli, "max_stable_timestep", short)
+    path = write_cfg(tmp_path, MINIMAL_ELASTIC)
+    out = ["--out-dir", str(tmp_path / "out")]
+    assert main(["cfl", path]) == 3
+    assert main(["--quiet", "run", path] + out) == 3
+    fixed = write_cfg(tmp_path, MINIMAL_ELASTIC.replace("tau = auto",
+                                                        "tau = 0.01"), "f.cfg")
+    assert main(["--quiet", "run", fixed] + out) == 3
+    err = capsys.readouterr().err
+    assert err.count("last residual") == 3
+
+
+def test_cli_indefinite_cfl_probe_exits_64(tmp_path, monkeypatch):
+    monkeypatch.setattr(ElasticMaterial, "dphi_dsigma",
+                        lambda self, disc, sigma, z: -disc.apply_C_inv(sigma))
+    path = write_cfg(tmp_path, MINIMAL_ELASTIC)
+    assert main(["cfl", path]) == 64
+    assert main(["--quiet", "run", path, "--out-dir",
+                 str(tmp_path / "out")]) == 64
 
 
 def test_cli_converge_elastic(tmp_path, capsys):

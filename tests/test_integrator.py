@@ -24,6 +24,7 @@ from stagdyn.integrator import (
     step_internal,
     step_velocity,
     stability_coefficient,
+    _top_ritz,
 )
 from stagdyn.materials import (
     BiotMaterial,
@@ -31,7 +32,11 @@ from stagdyn.materials import (
     ElasticMaterial,
     PlasticCreepMaterial,
 )
-from stagdyn.oracle import dense_generalized_rayleigh
+from stagdyn.oracle import (
+    MAX_ORACLE_DOFS,
+    dense_generalized_rayleigh,
+    dense_operator,
+)
 
 
 def disc_1d(nx=50, h=0.02, c=1.0, rho=1.0, bc=("dirichlet", "dirichlet")):
@@ -318,13 +323,78 @@ def test_tau_max_scaling_with_modulus():
         eps0=1.0, eps=0.05, g_c=0.5, viscosity=0.3, strain_gradient=0.02)),
     lambda: (disc_2d(nx=4, ny=3), ElasticMaterial()),
     lambda: (disc_2d(nx=4, ny=3, bc=("neumann",) * 4), ElasticMaterial()),
+    # worst cases: the finest grids the dense oracle reaches, where the
+    # top of the spectrum is most tightly clustered
+    lambda: (disc_1d(nx=MAX_ORACLE_DOFS - 1, h=1.0 / (MAX_ORACLE_DOFS - 1)),
+             ElasticMaterial()),
+    lambda: (disc_2d(nx=12, ny=12, h=1.0 / 12.0), ElasticMaterial()),
+    lambda: (disc_1d(nx=MAX_ORACLE_DOFS - 1, h=1.0 / (MAX_ORACLE_DOFS - 1)),
+             BiotMaterial(biot_modulus=0.4, biot_coefficient=0.5)),
 ])
 def test_power_iteration_matches_dense(make):
     d, m = make()
+    assert d.n_s <= MAX_ORACLE_DOFS
     probe = m.z_init(d)
     _, lam = max_stable_timestep(d, m, probe, 0.0)
     lam_ref = dense_generalized_rayleigh(d, m, probe)
-    assert abs(lam - lam_ref) <= 1e-5 * lam_ref
+    assert abs(lam - lam_ref) <= 1e-6 * lam_ref
+    # the estimate errs only upward, so tau_auto errs only downward
+    assert lam >= lam_ref * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("j", [1, 2, 7, 60, 300])
+def test_top_ritz_matches_dense_eigh(j):
+    # random tridiagonal matrices and the clustered, Gershgorin-exact
+    # Laplacian tridiag(1, 2, 1), against LAPACK on the dense matrix
+    rng = np.random.default_rng(j)
+    cases = [(list(rng.uniform(0.5, 1.5, j)),
+              list(rng.uniform(0.1, 0.5, j - 1))),
+             ([2.0] * j, [1.0] * (j - 1))]
+    for alphas, betas in cases:
+        theta, y_last = _top_ritz(alphas, betas)
+        t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        vals, vecs = np.linalg.eigh(t)
+        assert vals[-1] <= theta <= vals[-1] * (1.0 + 1e-9)
+        assert abs(abs(y_last) - abs(vecs[-1, -1])) <= 1e-9
+
+
+def top_mode(d, m):
+    """Dense top eigenvector of the CFL operator (the worst initial stress)."""
+    probe = m.z_init(d)
+    dphi0 = m.dphi_dsigma(d, d.zeros_s(), probe)
+
+    def apply_T(s):
+        hs = m.dphi_dsigma(d, s, probe) - dphi0
+        f = d.apply_E_adjoint(d.apply_C_adjoint(d.apply_I(hs)))
+        f = np.where(d.v_active, f / d.mass, 0.0)
+        return 2.0 * d.apply_C(d.apply_E(f))
+
+    act = d.s_active
+    t = dense_operator(apply_T, d.n_s)[np.ix_(act, act)]
+    vals, vecs = np.linalg.eig(t)
+    top = np.argmax(vals.real)
+    sigma = d.zeros_s()
+    sigma[act] = vecs[:, top].real
+    return sigma
+
+
+@pytest.mark.parametrize("make", [
+    lambda: disc_1d(nx=100, h=0.01),
+    lambda: disc_1d(nx=400, h=1.0 / 400.0),
+    lambda: disc_2d(nx=16, ny=16, h=1.0 / 16.0),
+])
+def test_auto_tau_keeps_eta_on_top_mode(make):
+    # starting on the top mode, every step's stress sits on the quotient's
+    # maximiser, so a_coeff = 1 - (1 - eta) lambda_true / lambda_estimate
+    d = make()
+    m = ElasticMaterial()
+    eta = 0.1
+    st = initial_state(d, m, sigma=top_mode(d, m))
+    tau, _ = max_stable_timestep(d, m, st.z, eta)
+    cfg = IntegratorConfig(tau=tau, t_end=20 * tau, eta=eta,
+                           skip_cfl_check=True)
+    _, ledgers = run_simulation(d, m, no_loading(d), cfg, st)
+    assert min(l.stability_coeff for l in ledgers) >= eta - 1e-12
 
 
 def test_stability_coeff_at_bound():
