@@ -1,42 +1,26 @@
-"""Hot stencil kernels with a numba fast path and a pure-numpy fallback.
+"""Stencil kernels and the pointwise return map, in plain numpy.
 
 The discrete symmetric-gradient operator and its transpose are the only
-operations applied to every degree of freedom several times per time step,
-so they are worth JIT-compiling.  Both backends implement the exact same
-arithmetic; the transpose kernels are the algebraic transposes of the
-forward kernels (the caller supplies quadrature-weighted inputs).
-
-Backend selection:
-
-* environment variable ``STAGDYN_NUMBA=0`` forces the numpy fallback,
-  ``STAGDYN_NUMBA=1`` requires numba (import error otherwise);
-* unset: numba is used when importable;
-* :func:`set_backend` switches at runtime (used by tests and benchmarks).
+operations applied to every degree of freedom several times per time step.
+The transpose kernels are the algebraic transposes of the forward kernels
+(the caller supplies quadrature-weighted inputs).
 
 Ghost values outside the grid are zero (clamped-boundary convention);
 Neumann masking is applied by the caller on the stress layout.
 """
 
-import os
-
 import numpy as np
 
 _SQRT2 = np.sqrt(2.0)
 
-try:
-    import numba
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via STAGDYN_NUMBA=0
-    numba = None
-    _HAVE_NUMBA = False
+def get_backend():
+    """Name of the array backend the kernels run on (always numpy)."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
-
-def _grad_1d_np(v, h):
+def grad_1d(v, h):
+    """Forward-difference gradient, cell velocities to node values."""
     nx = v.shape[0]
     out = np.empty(nx + 1)
     out[0] = v[0] / h
@@ -45,12 +29,14 @@ def _grad_1d_np(v, h):
     return out
 
 
-def _grad_1d_t_np(sw, h):
-    # transpose of _grad_1d_np: v[j] gets sw[j]/h - sw[j+1]/h
+def grad_1d_t(sw, h):
+    """Algebraic transpose of :func:`grad_1d`; input already weighted."""
+    # v[j] gets sw[j]/h - sw[j+1]/h
     return (sw[:-1] - sw[1:]) / h
 
 
-def _grad_2d_np(vx, vy, h):
+def grad_2d(vx, vy, h):
+    """Staggered symmetric gradient (exx, eyy, sqrt(2)*exy)."""
     nxp, ny = vx.shape
     nx = nxp - 1
     exx = (vx[1:, :] - vx[:-1, :]) / h
@@ -68,7 +54,8 @@ def _grad_2d_np(vx, vy, h):
     return exx, eyy, sxy
 
 
-def _grad_2d_t_np(wxx, wyy, wxy, h):
+def grad_2d_t(wxx, wyy, wxy, h):
+    """Algebraic transpose of :func:`grad_2d`; inputs already weighted."""
     nx, ny = wxx.shape
     vx = np.zeros((nx + 1, ny))
     vx[:-1, :] -= wxx / h
@@ -81,171 +68,13 @@ def _grad_2d_t_np(wxx, wyy, wxy, h):
     return vx, vy
 
 
-def _radial_return_np(trial_norm, sigma_y, factor):
-    # scale s such that the flow increment is s * trial; 0 inside the yield set
+def radial_return(trial_norm, sigma_y, factor):
+    """Pointwise yield-surface scale factors for the plastic return map.
+
+    The flow increment that minimises ``sigma_y*|d| + factor/2*|d|^2 -
+    <trial, d>`` is ``s * trial`` with ``s = (|trial| - sigma_y) /
+    (factor*|trial|)`` outside the yield set and ``s = 0`` inside it.
+    """
     excess = trial_norm - sigma_y
     safe = np.where(trial_norm > 0.0, trial_norm, 1.0)
     return np.where(excess > 0.0, excess / (factor * safe), 0.0)
-
-
-_NUMPY_IMPL = {
-    "grad_1d": _grad_1d_np,
-    "grad_1d_t": _grad_1d_t_np,
-    "grad_2d": _grad_2d_np,
-    "grad_2d_t": _grad_2d_t_np,
-    "radial_return": _radial_return_np,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (same arithmetic, explicit loops)
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _grad_1d_nb(v, h):
-        nx = v.shape[0]
-        out = np.empty(nx + 1)
-        out[0] = v[0] / h
-        for j in range(1, nx):
-            out[j] = (v[j] - v[j - 1]) / h
-        out[nx] = -v[nx - 1] / h
-        return out
-
-    @numba.njit(cache=True)
-    def _grad_1d_t_nb(sw, h):
-        nx = sw.shape[0] - 1
-        out = np.empty(nx)
-        for j in range(nx):
-            out[j] = (sw[j] - sw[j + 1]) / h
-        return out
-
-    @numba.njit(cache=True)
-    def _grad_2d_nb(vx, vy, h):
-        nxp, ny = vx.shape
-        nx = nxp - 1
-        exx = np.empty((nx, ny))
-        eyy = np.empty((nx, ny))
-        sxy = np.empty((nx + 1, ny + 1))
-        for i in range(nx):
-            for j in range(ny):
-                exx[i, j] = (vx[i + 1, j] - vx[i, j]) / h
-                eyy[i, j] = (vy[i, j + 1] - vy[i, j]) / h
-        inv_s2 = 1.0 / _SQRT2
-        for i in range(nx + 1):
-            for j in range(ny + 1):
-                if j == 0:
-                    a = vx[i, 0] / h
-                elif j == ny:
-                    a = -vx[i, ny - 1] / h
-                else:
-                    a = (vx[i, j] - vx[i, j - 1]) / h
-                if i == 0:
-                    b = vy[0, j] / h
-                elif i == nx:
-                    b = -vy[nx - 1, j] / h
-                else:
-                    b = (vy[i, j] - vy[i - 1, j]) / h
-                sxy[i, j] = (a + b) * inv_s2
-        return exx, eyy, sxy
-
-    @numba.njit(cache=True)
-    def _grad_2d_t_nb(wxx, wyy, wxy, h):
-        nx, ny = wxx.shape
-        vx = np.zeros((nx + 1, ny))
-        vy = np.zeros((nx, ny + 1))
-        for i in range(nx):
-            for j in range(ny):
-                vx[i, j] -= wxx[i, j] / h
-                vx[i + 1, j] += wxx[i, j] / h
-                vy[i, j] -= wyy[i, j] / h
-                vy[i, j + 1] += wyy[i, j] / h
-        c = 1.0 / (_SQRT2 * h)
-        for i in range(nx + 1):
-            for j in range(ny):
-                vx[i, j] += (wxy[i, j] - wxy[i, j + 1]) * c
-        for i in range(nx):
-            for j in range(ny + 1):
-                vy[i, j] += (wxy[i, j] - wxy[i + 1, j]) * c
-        return vx, vy
-
-    @numba.njit(cache=True)
-    def _radial_return_nb(trial_norm, sigma_y, factor):
-        out = np.empty_like(trial_norm)
-        for i in range(trial_norm.shape[0]):
-            excess = trial_norm[i] - sigma_y
-            if excess > 0.0 and trial_norm[i] > 0.0:
-                out[i] = excess / (factor * trial_norm[i])
-            else:
-                out[i] = 0.0
-        return out
-
-    _NUMBA_IMPL = {
-        "grad_1d": _grad_1d_nb,
-        "grad_1d_t": _grad_1d_t_nb,
-        "grad_2d": _grad_2d_nb,
-        "grad_2d_t": _grad_2d_t_nb,
-        "radial_return": _radial_return_nb,
-    }
-else:
-    _NUMBA_IMPL = None
-
-
-def _initial_backend():
-    flag = os.environ.get("STAGDYN_NUMBA", "").strip().lower()
-    if flag in ("0", "false", "off", "no"):
-        return "numpy"
-    if flag in ("1", "true", "on", "yes"):
-        if not _HAVE_NUMBA:
-            raise ImportError("STAGDYN_NUMBA=1 but numba is not importable")
-        return "numba"
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-_BACKEND = _initial_backend()
-_IMPL = _NUMBA_IMPL if _BACKEND == "numba" else _NUMPY_IMPL
-
-
-def set_backend(name):
-    """Select the kernel backend, ``"numpy"`` or ``"numba"``."""
-    global _BACKEND, _IMPL
-    if name not in ("numpy", "numba"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not _HAVE_NUMBA:
-        raise ImportError("numba backend requested but numba is not importable")
-    _BACKEND = name
-    _IMPL = _NUMBA_IMPL if name == "numba" else _NUMPY_IMPL
-
-
-def get_backend():
-    return _BACKEND
-
-
-def have_numba():
-    return _HAVE_NUMBA
-
-
-def grad_1d(v, h):
-    """Forward-difference gradient, cell velocities to node values."""
-    return _IMPL["grad_1d"](v, h)
-
-
-def grad_1d_t(sw, h):
-    """Algebraic transpose of :func:`grad_1d`; input already weighted."""
-    return _IMPL["grad_1d_t"](sw, h)
-
-
-def grad_2d(vx, vy, h):
-    """Staggered symmetric gradient (exx, eyy, sqrt(2)*exy)."""
-    return _IMPL["grad_2d"](vx, vy, h)
-
-
-def grad_2d_t(wxx, wyy, wxy, h):
-    """Algebraic transpose of :func:`grad_2d`; inputs already weighted."""
-    return _IMPL["grad_2d_t"](wxx, wyy, wxy, h)
-
-
-def radial_return(trial_norm, sigma_y, factor):
-    """Pointwise yield-surface scale factors for the plastic return map."""
-    return _IMPL["radial_return"](trial_norm, sigma_y, factor)

@@ -471,7 +471,9 @@ class DamageMaterial(MaterialModel):
     means a decreasing.  gamma'(0) = 0 with phi_d'(0) <= 0 keeps the
     damage field nonnegative in practice.  Unidirectional mode forbids
     healing (a nonincreasing); healing mode replaces the constraint with a
-    stiff quadratic penalty on positive rates.
+    stiff quadratic penalty on positive rates.  With the quadratic AT
+    coefficients the paper's difference quotient of the driving force
+    equals the midpoint derivative the scheme uses.
 
     In 2D the two normal stress components live at cell centers together
     with the damage field, while the shear component lives at vertices and
@@ -638,24 +640,3 @@ class DamageMaterial(MaterialModel):
             return self.eps1 * disc.zdot(zdot, zdot)
         coeff = np.where(zdot <= 0.0, self.eps1, 1.0 / self.eps1)
         return disc.zdot(coeff * zdot, zdot)
-
-    def quotient_dz(self, disc, sigma, z_new, z_old):
-        """Difference quotient form of the damage driving force.
-
-        For the quadratic AT coefficients it coincides with the midpoint
-        derivative used by the scheme; kept as the general-coefficient
-        hook and pinned by a regression test.
-        """
-        mid = 0.5 * (z_new + z_old)
-        diff = z_new - z_old
-        chat = self.compliance_density(disc, sigma)
-        same = np.abs(diff) < 1e-14
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dg = np.where(same, self.dgamma(mid),
-                          (self.gamma(z_new) - self.gamma(z_old)) / diff)
-            dp = np.where(same, self.dphi_d(mid),
-                          (self.phi_d(z_new) - self.phi_d(z_old)) / diff)
-        out = 0.5 * dg * chat + dp
-        if self.kappa != 0.0:
-            out -= self.kappa * disc.lap_z(mid)
-        return out

@@ -114,13 +114,6 @@ def solve_linear_spd(problem, x0=None):
     return x
 
 
-def solve_linear_spd_info(problem, x0=None):
-    """Like :func:`solve_linear_spd` but returns (x, residual_history)."""
-    if problem.upper is not None or problem.asym is not None:
-        raise ValueError("solve_linear_spd expects an unconstrained problem")
-    return _cg(problem, problem.b, x0=x0)
-
-
 def solve_bound_constrained(problem, x0=None):
     """Upper-bounded SPD quadratic via projected CG with active-set refresh.
 
@@ -169,10 +162,6 @@ def solve_asymmetric_quadratic(problem, x0=None):
     b = problem.b
     x = np.zeros_like(b) if x0 is None else x0.copy()
     signs = x < 0
-    base = QuadraticIncrement(
-        apply_A=problem.apply_A, b=b, weights=problem.weights,
-        inner_apply=problem.inner_apply, tol=problem.tol,
-        max_iter=problem.max_iter)
     for _ in range(60):
         coeff = np.where(signs, a_minus, a_plus)
         shifted = QuadraticIncrement(
@@ -187,20 +176,3 @@ def solve_asymmetric_quadratic(problem, x0=None):
     raise SolverError("asymmetric-quadratic sign iteration did not settle",
                       last_iterate=x, residuals=[])
 
-
-def prox_radial_return(trial, sigma_y, factor):
-    """Closed-form flow increment for a yield-constrained viscous point.
-
-    Zero inside the yield set ``|trial| <= sigma_y``; otherwise a radial
-    return of length ``(|trial| - sigma_y)/factor`` along ``trial``.
-    Accepts a scalar or a small vector (the norm is Euclidean).
-    """
-    if factor <= 0:
-        raise ValueError("factor must be > 0")
-    t = np.asarray(trial, dtype=float)
-    norm = float(np.sqrt(np.sum(t * t)))
-    if norm <= sigma_y or norm == 0.0:
-        return 0.0 if t.ndim == 0 else np.zeros_like(t)
-    scale = (norm - sigma_y) / (factor * norm)
-    out = scale * t
-    return float(out) if t.ndim == 0 else out

@@ -74,7 +74,7 @@ def test_criterion_1_discrete_conservation():
     e0 = m.phi(d, st.sigma, st.z)
     tau_max, _ = max_stable_timestep(d, m, st.z, 0.1)
     tau = 0.9 * tau_max
-    # warm the JIT kernels outside the timed region
+    # warm up (first-call allocations, caches) outside the timed region
     warm = IntegratorConfig(tau=tau, t_end=10 * tau, skip_cfl_check=True)
     run_simulation(d, m, no_loading(d), warm, st.copy())
 

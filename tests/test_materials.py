@@ -463,20 +463,6 @@ def test_damage_healing_mode_recovers():
     assert np.all(z > alpha)  # healing allowed with zero stress
 
 
-def test_damage_difference_quotient_equals_midpoint():
-    # AT coefficients are quadratic: the abstract difference quotient
-    # coincides with the midpoint derivative
-    d = disc_1d(nx=4)
-    m = damage_1d(strain_gradient=0.0)
-    rng = np.random.default_rng(20)
-    sigma = rng.standard_normal(d.n_s)
-    z_new = rng.uniform(0.1, 0.9, d.zs_n)
-    z_old = rng.uniform(0.1, 0.9, d.zs_n)
-    mid = 0.5 * (z_new + z_old)
-    assert_allclose(m.quotient_dz(d, sigma, z_new, z_old),
-                    m.dphi_dz(d, sigma, mid), atol=1e-10)
-
-
 def test_damage_vi_optimality_unidirectional():
     d = disc_1d(nx=4, h=0.3)
     m = damage_1d()
