@@ -6,7 +6,8 @@ Subcommands:
   optional snapshots.
 * ``cfl <config>``: print the stability bound, the Rayleigh quotient and
   the estimate's Lanczos iteration count and relative residual.
-* ``converge <config> --levels n``: temporal refinement study.
+* ``converge <config> --levels n``: temporal refinement study with the
+  config's own integrator settings.
 * ``check``: headless invariant suite.
 
 Exit codes: 0 success, 1 check-suite failure, 2 CFL violation or
@@ -30,10 +31,9 @@ from .errors import (
     ConfigError,
     EnergyInequalityError,
     InstabilityError,
-    SolverError,
     StagdynError,
 )
-from .integrator import max_stable_timestep, run_simulation
+from .integrator import cfl_admissible, max_stable_timestep, run_simulation
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -51,47 +51,35 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_common(sp):
-    # accepted both before and after the subcommand; SUPPRESS keeps the
-    # top-level values when the flag is absent here
-    sp.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                    help="override the configured seed")
-    sp.add_argument("--quiet", action="store_true",
-                    default=argparse.SUPPRESS)
-    sp.add_argument("--out-dir", default=argparse.SUPPRESS,
-                    help="override the configured output directory")
-
-
 def _build_parser():
     p = _Parser(prog="stagdyn",
                 description="staggered explicit/implicit elastodynamics "
                             "with dissipative internal variables")
-    p.add_argument("--check", action="store_true",
-                   help="run the invariant suite and exit")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the configured seed")
-    p.add_argument("--quiet", action="store_true")
-    p.add_argument("--out-dir", default=None,
-                   help="override the configured output directory")
     sub = p.add_subparsers(dest="command")
 
     run_p = sub.add_parser("run", help="run a simulation")
     run_p.add_argument("config")
-    run_p.add_argument("--check", action="store_true", dest="run_check",
-                       help="run the invariant suite instead")
-    _add_common(run_p)
+    run_p.add_argument("--quiet", action="store_true",
+                       help="print no summary")
+    run_p.add_argument("--out-dir",
+                       help="override the configured output directory")
+    run_p.set_defaults(func=cmd_run)
 
     cfl_p = sub.add_parser("cfl", help="print tau_max and lambda")
     cfl_p.add_argument("config")
-    _add_common(cfl_p)
+    cfl_p.set_defaults(func=cmd_cfl)
 
     conv_p = sub.add_parser("converge", help="temporal refinement study")
     conv_p.add_argument("config")
     conv_p.add_argument("--levels", type=int, default=3)
-    _add_common(conv_p)
+    conv_p.set_defaults(func=cmd_converge)
 
     check_p = sub.add_parser("check", help="run the invariant suite")
-    _add_common(check_p)
+    check_p.add_argument("--seed", type=int, default=1234,
+                         help="seed of the randomized checks")
+    check_p.add_argument("--quiet", action="store_true",
+                         help="print failures only")
+    check_p.set_defaults(func=cmd_check)
     return p
 
 
@@ -105,20 +93,12 @@ def _load_config(path):
     return parse_config(text)
 
 
-def _apply_overrides(cfg, args):
-    if args.seed is not None:
-        cfg.output["seed"] = args.seed
-    if args.out_dir is not None:
-        cfg.output["out_dir"] = args.out_dir
-
-
 def cmd_run(args):
     cfg = _load_config(args.config)
-    _apply_overrides(cfg, args)
-    disc, material, loading, state, _ = build_simulation(cfg)
+    disc, material, loading, state = build_simulation(cfg)
     icfg = integrator_config(cfg, disc, material, state)
 
-    out_dir = cfg.output["out_dir"]
+    out_dir = cfg.output["out_dir"] if args.out_dir is None else args.out_dir
     os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, cfg.output["energy_log"])
     every = cfg.output["snapshot_every"]
@@ -129,30 +109,17 @@ def cmd_run(args):
         sdio.write_snapshot(path, sdio.snapshot_fields(st, disc, fields),
                             disc.dim)
 
-    try:
-        with sdio.EnergyLogWriter(log_path) as log:
-            if every:
-                snap(state)
+    with sdio.EnergyLogWriter(log_path) as log:
+        if every:
+            snap(state)
 
-            def on_step(st, ledger):
-                log.write(ledger)
-                if every and st.k % every == 0:
-                    snap(st)
+        def on_step(st, ledger):
+            log.write(ledger)
+            if every and st.k % every == 0:
+                snap(st)
 
-            _, ledgers = run_simulation(disc, material, loading, icfg, state,
-                                        on_step=on_step)
-    except (CflViolationError, InstabilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CFL
-    except EnergyInequalityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ENERGY
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except OSError as exc:
-        print(f"error: I/O failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+        _, ledgers = run_simulation(disc, material, loading, icfg, state,
+                                    on_step=on_step)
 
     if not args.quiet and ledgers:
         last = ledgers[-1]
@@ -167,8 +134,7 @@ def cmd_run(args):
 
 def cmd_cfl(args):
     cfg = _load_config(args.config)
-    _apply_overrides(cfg, args)
-    disc, material, loading, state, _ = build_simulation(cfg)
+    disc, material, loading, state = build_simulation(cfg)
     eta = cfg.integrator["eta"]
     info = {}
     tau_max, lam = max_stable_timestep(disc, material, state.z, eta,
@@ -179,7 +145,7 @@ def cmd_cfl(args):
           f"relative residual {info['residual']:.3e}")
     if cfg.integrator["tau"] != "auto":
         tau = cfg.integrator["tau"]
-        verdict = "OK" if tau <= tau_max else "VIOLATION"
+        verdict = "OK" if cfl_admissible(tau, tau_max) else "VIOLATION"
         print(f"configured tau: {tau:.12g}  -> {verdict}")
     return EXIT_OK
 
@@ -188,25 +154,17 @@ def cmd_converge(args):
     from .oracle import temporal_self_convergence, temporal_finest_grid
 
     cfg = _load_config(args.config)
-    _apply_overrides(cfg, args)
     if args.levels < 3:
         print("error: --levels must be >= 3", file=sys.stderr)
         return EXIT_USAGE
-    disc, material, loading, state, _ = build_simulation(cfg)
+    disc, material, loading, state = build_simulation(cfg)
     icfg = integrator_config(cfg, disc, material, state)
-    t_end = icfg.t_end
-    tau0 = icfg.tau
-    taus = [tau0 / 2 ** i for i in range(args.levels)]
-    try:
-        if material.supports_reference_integrator():
-            report = temporal_self_convergence(disc, material, loading,
-                                               state, t_end, taus)
-        else:
-            report = temporal_finest_grid(disc, material, loading, state,
-                                          t_end, taus)
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    taus = [icfg.tau / 2 ** i for i in range(args.levels)]
+    if material.supports_reference_integrator():
+        study = temporal_self_convergence
+    else:
+        study = temporal_finest_grid
+    report = study(disc, material, loading, state, icfg, taus)
     print(report.table())
     for row in report.rows():
         print(row)
@@ -214,33 +172,33 @@ def cmd_converge(args):
 
 
 def cmd_check(args):
-    seed = args.seed if args.seed is not None else 1234
-    failures = run_checks(seed=seed, quiet=args.quiet)
+    failures = run_checks(seed=args.seed, quiet=args.quiet)
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.check or args.command == "check":
-            return cmd_check(args)
-        if args.command == "run":
-            if getattr(args, "run_check", False):
-                return cmd_check(args)
-            return cmd_run(args)
-        if args.command == "cfl":
-            return cmd_cfl(args)
-        if args.command == "converge":
-            return cmd_converge(args)
+    if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    try:
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (CflViolationError, InstabilityError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CFL
+    except EnergyInequalityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ENERGY
     except StagdynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as exc:
+        print(f"error: I/O failure: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -157,7 +157,6 @@ _SCHEMA = {
         "snapshot_every": (_parse_int, 0),
         "snapshot_fields": (_parse_fields, ("v", "sigma")),
         "out_dir": (_parse_str, "out"),
-        "seed": (_parse_int, 1234),
     },
 }
 
@@ -391,42 +390,32 @@ def build_initial_state(cfg, disc, material):
 
 
 def build_simulation(cfg):
-    """Assemble (disc, material, loading, state0, integrator kwargs)."""
+    """Assemble (disc, material, loading, state0)."""
     grid = build_grid(cfg)
     material, rho, moduli = build_material(cfg)
     disc = build(grid, rho, moduli)
     loading = build_loading(cfg, disc)
     state = build_initial_state(cfg, disc, material)
-    it = cfg.integrator
-    kwargs = dict(eta=it["eta"], cfl_recheck_every=it["cfl_recheck_every"],
-                  enforce_energy_inequality=it["enforce_energy_inequality"],
-                  energy_tol=it["energy_tolerance"])
-    return disc, material, loading, state, kwargs
+    return disc, material, loading, state
 
 
-def resolve_tau(cfg, disc, material, state):
-    """Numeric tau, computing the stability bound for tau = auto."""
-    from .integrator import max_stable_timestep
-
-    it = cfg.integrator
-    if it["tau"] == "auto":
-        tau_max, _ = max_stable_timestep(disc, material, state.z, it["eta"])
-        return tau_max
-    return it["tau"]
-
-
-def integrator_config(cfg, disc, material, state, skip_cfl_check=False):
+def integrator_config(cfg, disc, material, state):
     """Integrator settings of a config.
 
     With tau = auto, tau is the bound estimated at the initial state, so
     the run's initial CFL check is skipped rather than estimated again;
     ``cfl_recheck_every`` rechecks still run.
     """
-    tau = resolve_tau(cfg, disc, material, state)
+    from .integrator import max_stable_timestep
+
     it = cfg.integrator
+    auto = it["tau"] == "auto"
+    if auto:
+        tau, _ = max_stable_timestep(disc, material, state.z, it["eta"])
+    else:
+        tau = it["tau"]
     return IntegratorConfig(
         tau=tau, t_end=it["t_end"], eta=it["eta"],
         cfl_recheck_every=it["cfl_recheck_every"],
         enforce_energy_inequality=it["enforce_energy_inequality"],
-        energy_tol=it["energy_tolerance"],
-        skip_cfl_check=skip_cfl_check or it["tau"] == "auto")
+        energy_tol=it["energy_tolerance"], skip_cfl_check=auto)

@@ -116,11 +116,6 @@ class Loading:
     traction: Optional[Callable] = None      # scalar g(t)
     traction_pattern: Optional[np.ndarray] = None
 
-    def g_field(self, t):
-        if self.traction is None:
-            return None
-        return self.traction(t) * self.traction_pattern
-
     def d_increment(self, k, tau):
         """G-increment accumulated by step k (time units already applied)."""
         if self.traction is None:
@@ -145,7 +140,9 @@ class IntegratorConfig:
     ``cfl_recheck_every = 0`` disables rechecking; ``skip_cfl_check``
     skips only the check before the first step.  When
     ``enforce_energy_inequality`` is set, a step whose ledger residual
-    exceeds ``energy_tol * max(1, |E0|)`` raises.
+    exceeds ``energy_tol * max(1, |E^k|)``, with E^k the step's own left
+    anchor ``ledger.energy_prev``, raises :class:`EnergyInequalityError`
+    carrying that tolerance.
     """
 
     tau: float
@@ -178,7 +175,6 @@ class EnergyLedger:
     stability_coeff: float        # a^{k+1} of the positivity split
     residual: float               # identity defect, <= 0 up to tolerance
     energy_prev: float            # E^k (left anchor of the identity)
-    flagged: bool = False
 
     @property
     def total(self):
@@ -244,8 +240,7 @@ def _kinetic_pair(disc, va, vb):
     return 0.5 * float(np.sum(disc.mass * va * vb))
 
 
-def stability_coefficient(disc, material, sigma, z, tau, fallback=1.0,
-                          phi=None):
+def stability_coefficient(disc, material, sigma, z, tau, phi=None):
     """Positivity coefficient of the staggered energy at one state.
 
     With F = 0 the staggered energy splits exactly as
@@ -256,12 +251,13 @@ def stability_coefficient(disc, material, sigma, z, tau, fallback=1.0,
     because v' - v = -tau M^-1 E*S contributes T((v'-v)/2) =
     (tau^2/8) <E*S, M^-1 E*S> to the kinetic split.  a >= eta is
     guaranteed whenever tau <= max_stable_timestep(eta).  ``phi``, when
-    given, is Phi(sigma, z) already evaluated by the caller.
+    given, is Phi(sigma, z) already evaluated by the caller.  A state
+    with no stored energy has a = 1.
     """
     if phi is None:
         phi = material.phi(disc, sigma, z)
     if phi <= 0.0:
-        return fallback
+        return 1.0
     s_true = material.true_stress(disc, sigma, z)
     f = disc.apply_E_adjoint(s_true)
     f[~disc.v_active] = 0.0
@@ -366,10 +362,6 @@ def advance(state, disc, material, loading, cfg):
     ledger = energy_audit(state, nxt, disc, material, loading, cfg,
                           step_info=info)
     nxt.energy = ledger.total
-    if cfg.enforce_energy_inequality:
-        tol = cfg.energy_tol * max(1.0, abs(ledger.energy_prev))
-        if ledger.residual > tol:
-            ledger.flagged = True
     return nxt, ledger
 
 
@@ -443,7 +435,7 @@ def _top_ritz(alphas, betas):
 
 
 def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
-                        max_iter=200000, seed=0, info=None):
+                        max_iter=200000, info=None):
     """Largest stable time step sqrt(8 (1 - eta) / lambda).
 
     ``lambda`` is the largest generalized Rayleigh quotient
@@ -457,10 +449,10 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
     (e.g. undamaged) state.
 
     The estimate is a Lanczos iteration in that inner product from a
-    seeded random stress.  Its three-term recurrence carries H q beside
-    each Lanczos vector, so an iteration costs one T (without its
-    leading H) and one H, and memory is a few stress vectors: no basis
-    is stored and none is reorthogonalised.  The top Ritz pair (theta,
+    random stress drawn with seed 0.  Its three-term recurrence carries
+    H q beside each Lanczos vector, so an iteration costs one T (without
+    its leading H) and one H, and memory is a few stress vectors: no
+    basis is stored and none is reorthogonalised.  The top Ritz pair (theta,
     y) of the j x j tridiagonal Lanczos matrix is extracted in O(j)
     (:func:`_top_ritz`, theta rounded up) every max(8, j/2) iterations
     and once at j = the number of active stress DOFs, where the Krylov
@@ -501,7 +493,7 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
 
     not_pd = ConfigError("stored energy not positive definite at probe",
                          "material")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     q = rng.standard_normal(disc.n_s)
     q[~disc.s_active] = 0.0
     hq = apply_H(q)
@@ -546,6 +538,12 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
     return float(np.sqrt(8.0 * (1.0 - eta) / lam)), float(lam)
 
 
+def cfl_admissible(tau, tau_max):
+    """The CFL rule: tau passes when it is at most tau_max, up to a
+    relative round-off slack of 1e-12."""
+    return tau <= tau_max * (1.0 + 1e-12)
+
+
 def run_simulation(disc, material, loading, cfg, state, z_probe=None,
                    on_step=None):
     """Drive the scheme to t_end with CFL checks and a blow-up guard.
@@ -559,7 +557,7 @@ def run_simulation(disc, material, loading, cfg, state, z_probe=None,
 
     def check_cfl():
         tau_max, lam = max_stable_timestep(disc, material, probe, cfg.eta)
-        if tau > tau_max * (1.0 + 1e-12):
+        if not cfl_admissible(tau, tau_max):
             raise CflViolationError(tau, tau_max, lam)
 
     if not cfg.skip_cfl_check:
@@ -582,9 +580,10 @@ def run_simulation(disc, material, loading, cfg, state, z_probe=None,
             raise InstabilityError(
                 state.k, f"energy {ledger.total:.3e} exceeds "
                 f"{ENERGY_BLOWUP_FACTOR:.0e} x initial scale")
-        if cfg.enforce_energy_inequality and ledger.flagged:
-            raise EnergyInequalityError(state.k, ledger.residual,
-                                        cfg.energy_tol * e_ref)
+        if cfg.enforce_energy_inequality:
+            tol = cfg.energy_tol * max(1.0, abs(ledger.energy_prev))
+            if ledger.residual > tol:
+                raise EnergyInequalityError(state.k, ledger.residual, tol)
         ledgers.append(ledger)
         if on_step is not None:
             on_step(state, ledger)

@@ -8,7 +8,7 @@ more trustworthy than the code under test, so dense linear algebra is used
 throughout (no iterative error).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -325,75 +325,79 @@ def fit_order(resolutions, errors):
     return float(slope)
 
 
-def temporal_self_convergence(disc, material, loading, state0, t_end, taus,
-                              oracle_refine=16):
-    """Explicit staggered vs midpoint oracle under tau refinement.
+def _level_runs(disc, material, loading, state0, cfg, taus):
+    """Run the scheme to ``cfg.t_end`` at each CFL-admissible level.
 
-    The oracle runs at ``tau/oracle_refine`` so its own time error is
-    negligible against the measured one; spatial operators are shared, so
-    the comparison isolates the time discretization.
+    Each tau is shortened to divide t_end.  The bound is estimated once,
+    at ``cfg.eta``, and every admissible level runs with the other
+    settings of ``cfg``.  Returns ``(levels, excluded)`` with levels a
+    list of ``(tau_eff, final state)``.
     """
-    from .integrator import (IntegratorConfig, max_stable_timestep,
-                             run_simulation)
+    from .integrator import cfl_admissible, max_stable_timestep, run_simulation
 
-    errors = []
-    used = []
+    tau_max, _ = max_stable_timestep(disc, material, state0.z, cfg.eta)
+    levels = []
     excluded = []
-    tau_max, _ = max_stable_timestep(disc, material, state0.z, 0.1)
     for tau in taus:
-        n = max(1, int(np.ceil(t_end / tau - 1e-12)))
-        tau_eff = t_end / n
-        if tau_eff > tau_max * (1.0 + 1e-12):
+        n = max(1, int(np.ceil(cfg.t_end / tau - 1e-12)))
+        tau_eff = cfg.t_end / n
+        if not cfl_admissible(tau_eff, tau_max):
             excluded.append(f"tau={tau_eff:.3g} violates CFL bound "
                             f"{tau_max:.3g}")
             continue
-        cfg = IntegratorConfig(tau=tau_eff, t_end=t_end)
-        final, _ = run_simulation(disc, material, loading, cfg, state0.copy())
-        sig_exp = explicit_sigma_closure(final, disc, tau_eff)
+        level = replace(cfg, tau=tau_eff, skip_cfl_check=True)
+        final, _ = run_simulation(disc, material, loading, level,
+                                  state0.copy())
+        levels.append((tau_eff, final))
+    return levels, excluded
 
+
+def temporal_self_convergence(disc, material, loading, state0, cfg, taus,
+                              oracle_refine=16):
+    """Explicit staggered vs midpoint oracle under tau refinement.
+
+    ``cfg`` is the run's :class:`IntegratorConfig`: its ``t_end`` is the
+    horizon, its ``eta`` the CFL margin, and its other settings reach
+    every level.  The oracle runs at ``tau/oracle_refine`` so its own
+    time error is negligible against the measured one; spatial operators
+    are shared, so the comparison isolates the time discretization.
+    """
+    levels, excluded = _level_runs(disc, material, loading, state0, cfg,
+                                   taus)
+    errors = []
+    for tau_eff, final in levels:
+        sig_exp = explicit_sigma_closure(final, disc, tau_eff)
         ref = ImplicitReference(disc, material, loading,
                                 tau_eff / oracle_refine)
+        n = int(round(cfg.t_end / tau_eff))
         sig_ref, v_ref, _ = ref.run(state0, n * oracle_refine)
         errors.append(trajectory_distance(disc, sig_exp, final.v,
                                           sig_ref, v_ref))
-        used.append(tau_eff)
+    used = [tau_eff for tau_eff, _ in levels]
     return ConvergenceReport(resolutions=used, errors=errors,
                              fitted_order=fit_order(used, errors),
                              reference="oracle", excluded=excluded)
 
 
-def temporal_finest_grid(disc, material, loading, state0, t_end, taus,
+def temporal_finest_grid(disc, material, loading, state0, cfg, taus,
                          refine=4):
     """Tau refinement against the finest run (nonlinear materials).
 
-    The reference is the same explicit scheme at ``min(taus)/refine``;
-    errors are measured in the mass-weighted (v, Sigma) norm at t_end.
+    ``cfg`` is the run's :class:`IntegratorConfig`, as in
+    :func:`temporal_self_convergence`.  The reference is the same
+    explicit scheme at ``min(taus)/refine``; errors are measured in the
+    mass-weighted (v, Sigma) norm at t_end.
     """
-    from .integrator import (IntegratorConfig, max_stable_timestep,
-                             run_simulation)
-
-    tau_max, _ = max_stable_timestep(disc, material, state0.z, 0.1)
-    used = []
-    excluded = []
-    finished = []
-    for tau in list(taus) + [min(taus) / refine]:
-        n = max(1, int(np.ceil(t_end / tau - 1e-12)))
-        tau_eff = t_end / n
-        if tau_eff > tau_max * (1.0 + 1e-12):
-            excluded.append(f"tau={tau_eff:.3g} violates CFL bound "
-                            f"{tau_max:.3g}")
-            continue
-        cfg = IntegratorConfig(tau=tau_eff, t_end=t_end)
-        final, _ = run_simulation(disc, material, loading, cfg, state0.copy())
-        finished.append((tau_eff, explicit_sigma_closure(final, disc, tau_eff),
-                         final.v))
-        used.append(tau_eff)
-    if len(finished) < 4:
+    levels, excluded = _level_runs(disc, material, loading, state0, cfg,
+                                   list(taus) + [min(taus) / refine])
+    if len(levels) < 4:
         raise StagdynError("too few CFL-admissible levels for a fit")
-    ref = finished[-1]
-    errors = [trajectory_distance(disc, s, v, ref[1], ref[2])
-              for _, s, v in finished[:-1]]
-    used = used[:-1]
+    finished = [(explicit_sigma_closure(final, disc, tau_eff), final.v)
+                for tau_eff, final in levels]
+    sig_ref, v_ref = finished[-1]
+    errors = [trajectory_distance(disc, s, v, sig_ref, v_ref)
+              for s, v in finished[:-1]]
+    used = [tau_eff for tau_eff, _ in levels[:-1]]
     return ConvergenceReport(resolutions=used, errors=errors,
                              fitted_order=fit_order(used, errors),
                              reference="finest-grid", excluded=excluded)

@@ -283,7 +283,8 @@ def test_criterion_6_self_convergence():
     st = sine_state(d, m)
     tau_max, _ = max_stable_timestep(d, m, st.z, 0.1)
     tau0 = 0.8 * tau_max
-    maxwell = temporal_self_convergence(d, m, no_loading(d), st, 1.0,
+    maxwell = temporal_self_convergence(d, m, no_loading(d), st,
+                                        IntegratorConfig(tau=tau0, t_end=1.0),
                                         [tau0, tau0 / 2, tau0 / 4])
 
     db = disc_1d(nx=4, h=0.25)
@@ -292,7 +293,8 @@ def test_criterion_6_self_convergence():
     stb = sine_state(db, mb)
     tau_maxb, _ = max_stable_timestep(db, mb, stb.z, 0.1)
     tb = 0.8 * tau_maxb
-    biot = temporal_self_convergence(db, mb, no_loading(db), stb, 1.0,
+    biot = temporal_self_convergence(db, mb, no_loading(db), stb,
+                                     IntegratorConfig(tau=tb, t_end=1.0),
                                      [tb, tb / 2, tb / 4])
     elapsed = time.perf_counter() - t0
     ok = maxwell.fitted_order >= 1.8 and biot.fitted_order >= 1.0 \

@@ -4,7 +4,8 @@ The step hands the energy audit values it has already formed (the
 midpoint stress gradients of this step and the previous one, and the
 previous step's total energy); these tests pin that the ledgers built
 from them equal, bit for bit, the ledgers an audit computes from scratch,
-and that a run estimates the stability bound once.
+and that a run, and a convergence study, estimate the stability bound
+once.
 """
 
 import dataclasses
@@ -174,7 +175,7 @@ def _run(tmp_path, tau, every=0):
     path = tmp_path / "sim.cfg"
     path.write_text(CLI_CFG.format(tau=tau, every=every,
                                    out=tmp_path / "out"), encoding="utf-8")
-    return main(["--quiet", "run", str(path)])
+    return main(["run", str(path), "--quiet"])
 
 
 @pytest.mark.parametrize("tau", ["auto", "0.01"])
@@ -196,3 +197,46 @@ def test_recheck_reestimates_every_n_steps(tmp_path, cfl_calls, tau):
     steps = len(log) - 1
     # one initial estimate plus one before every step k = 3, 6, ... < steps
     assert len(cfl_calls) == 1 + (steps - 1) // 3
+
+
+DAMAGE_CLI_CFG = """
+[grid]
+dim = 1
+nx = 24
+h = 4.1666666666666664e-02
+bc_left = dirichlet
+bc_right = neumann
+
+[material]
+name = damage
+modulus = 1.0
+viscosity = 0.3
+eps0 = 1.0
+eps = 0.05
+fracture_energy = 0.4
+
+[integrator]
+tau = {tau}
+eta = 0.1
+t_end = 0.1
+
+[loading]
+initial = bump_stress
+initial_amplitude = 0.5
+"""
+
+
+@pytest.mark.parametrize("text", [CLI_CFG, DAMAGE_CLI_CFG],
+                         ids=["oracle", "finest-grid"])
+@pytest.mark.parametrize("tau, estimates", [("auto", 2), ("0.01", 1)])
+def test_converge_estimates_bound_once(tmp_path, cfl_calls, capsys, text,
+                                       tau, estimates):
+    # tau = auto costs the config's own estimate; the study then estimates
+    # the bound once for all of its levels
+    path = tmp_path / "sim.cfg"
+    path.write_text(text.format(tau=tau, every=0, out=tmp_path / "out"),
+                    encoding="utf-8")
+    assert main(["converge", str(path), "--levels", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("row,") == 3 and "excluded" not in out
+    assert len(cfl_calls) == estimates

@@ -1,5 +1,6 @@
 """Config grammar, output formats, CLI behavior and exit codes."""
 
+import argparse
 import functools
 import os
 import struct
@@ -69,9 +70,6 @@ t_end = 0.1
 [loading]
 initial = bump_stress
 initial_amplitude = 0.5
-
-[output]
-seed = 7
 """
 
 
@@ -82,7 +80,6 @@ def test_minimal_elastic_parses():
     assert cfg.material["name"] == "elastic"
     # defaults filled
     assert cfg.loading["traction"] == "none"
-    assert cfg.output["seed"] == 1234
 
 
 def test_auto_tau_requires_eta():
@@ -147,7 +144,7 @@ def test_body_force_dimension_check():
 
 def test_build_simulation_elastic():
     cfg = parse_config(MINIMAL_ELASTIC)
-    disc, material, loading, state, _ = build_simulation(cfg)
+    disc, material, loading, state = build_simulation(cfg)
     assert disc.n_v == 40
     assert material.name == "elastic"
     icfg = integrator_config(cfg, disc, material, state)
@@ -228,8 +225,8 @@ def test_cli_run_elastic(tmp_path, capsys):
 def test_cli_energy_log_reproducible(tmp_path):
     p1 = write_cfg(tmp_path, run_cfg_text(tmp_path, out="a"), "a.cfg")
     p2 = write_cfg(tmp_path, run_cfg_text(tmp_path, out="b"), "b.cfg")
-    assert main(["--quiet", "run", p1]) == 0
-    assert main(["--quiet", "run", p2]) == 0
+    assert main(["run", p1, "--quiet"]) == 0
+    assert main(["run", p2, "--quiet"]) == 0
     a = (tmp_path / "a" / "energy.csv").read_bytes()
     b = (tmp_path / "b" / "energy.csv").read_bytes()
     assert a == b
@@ -238,7 +235,7 @@ def test_cli_energy_log_reproducible(tmp_path):
 def test_cli_unstable_run_exits_2(tmp_path):
     text = run_cfg_text(tmp_path).replace("tau = auto", "tau = 0.1")
     path = write_cfg(tmp_path, text)
-    assert main(["--quiet", "run", path]) == 2
+    assert main(["run", path, "--quiet"]) == 2
 
 
 def test_cli_cfl_prints_bound(tmp_path, capsys):
@@ -275,10 +272,10 @@ def test_cli_unconverged_cfl_estimate_exits_3(tmp_path, monkeypatch,
     path = write_cfg(tmp_path, MINIMAL_ELASTIC)
     out = ["--out-dir", str(tmp_path / "out")]
     assert main(["cfl", path]) == 3
-    assert main(["--quiet", "run", path] + out) == 3
+    assert main(["run", path, "--quiet"] + out) == 3
     fixed = write_cfg(tmp_path, MINIMAL_ELASTIC.replace("tau = auto",
                                                         "tau = 0.01"), "f.cfg")
-    assert main(["--quiet", "run", fixed] + out) == 3
+    assert main(["run", fixed, "--quiet"] + out) == 3
     err = capsys.readouterr().err
     assert err.count("last residual") == 3
 
@@ -288,7 +285,7 @@ def test_cli_indefinite_cfl_probe_exits_64(tmp_path, monkeypatch):
                         lambda self, disc, sigma, z: -disc.apply_C_inv(sigma))
     path = write_cfg(tmp_path, MINIMAL_ELASTIC)
     assert main(["cfl", path]) == 64
-    assert main(["--quiet", "run", path, "--out-dir",
+    assert main(["run", path, "--quiet", "--out-dir",
                  str(tmp_path / "out")]) == 64
 
 
@@ -311,6 +308,67 @@ def test_cli_converge_finest_grid_damage(tmp_path, capsys):
     assert main(["converge", path, "--levels", "3"]) == 0
     out = capsys.readouterr().out
     assert "finest-grid" in out
+
+
+def test_cli_converge_uses_configured_eta(tmp_path, capsys):
+    # the study's CFL bound is the config's: with eta = 0.05 the config's
+    # auto tau is admissible at level 0, not excluded against eta = 0.1
+    import pathlib
+
+    text = pathlib.Path("configs/maxwell_creep_1d.cfg").read_text(
+        encoding="utf-8").replace("eta = 0.1", "eta = 0.05")
+    path = write_cfg(tmp_path, text)
+    assert main(["converge", path, "--levels", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("row,") == 3 and "excluded" not in out
+
+
+def test_cli_cfl_and_run_share_the_admissibility_slack(tmp_path, capsys):
+    # a fixed tau above tau_max by less than the round-off slack passes
+    # both the cfl verdict and the run's check
+    disc, material, _, state = build_simulation(parse_config(MINIMAL_ELASTIC))
+    tau_max, _ = integrator.max_stable_timestep(disc, material, state.z, 0.1)
+    tau = tau_max * (1.0 + 5e-13)
+    assert tau > tau_max
+    path = write_cfg(tmp_path, MINIMAL_ELASTIC.replace(
+        "tau = auto", f"tau = {tau!r}"))
+    assert main(["cfl", path]) == 0
+    assert "-> OK" in capsys.readouterr().out
+    assert main(["run", path, "--quiet", "--out-dir",
+                 str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["cfl", "CFG", "--out-dir", "d"],
+    ["run", "CFG", "--seed", "3"],
+    ["--check"],
+    ["run", "CFG", "--check"],
+    ["--quiet", "run", "CFG"],
+])
+def test_cli_removed_flags_exit_64(tmp_path, argv):
+    path = write_cfg(tmp_path, run_cfg_text(tmp_path))
+    with pytest.raises(SystemExit) as ei:
+        main([path if a == "CFG" else a for a in argv])
+    assert ei.value.code == 64
+
+
+def test_cli_parser_surface():
+    # every option is declared once, on the subcommand that reads it
+    def options(parser):
+        return {o for a in parser._actions for o in a.option_strings
+                if o not in ("-h", "--help")}
+
+    parser = cli._build_parser()
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    assert len(subs) == 1
+    assert options(parser) == set()
+    assert {name: options(sp) for name, sp in subs[0].choices.items()} == {
+        "run": {"--quiet", "--out-dir"},
+        "cfl": set(),
+        "converge": {"--levels"},
+        "check": {"--seed", "--quiet"},
+    }
 
 
 def test_cli_check_runs(tmp_path, capsys):
@@ -359,15 +417,10 @@ def test_cli_missing_config_file_exits_5(tmp_path):
 
 def test_damage_config_round_trip_through_cli_paths(tmp_path):
     cfg = parse_config(DAMAGE_CFG)
-    disc, material, loading, state, _ = build_simulation(cfg)
+    disc, material, loading, state = build_simulation(cfg)
     assert material.name == "damage"
     assert material.mode == "unidirectional"
     assert np.all(state.z == 1.0)
-
-
-def test_cli_run_check_flag(capsys):
-    assert main(["run", "ignored.cfg", "--check"]) == 0
-    assert "PASS" in capsys.readouterr().out
 
 
 def test_cli_enforced_energy_violation_exits_4(tmp_path):
@@ -378,7 +431,7 @@ def test_cli_enforced_energy_violation_exits_4(tmp_path):
         "[integrator]\nenforce_energy_inequality = true\n"
         "energy_tolerance = 1e-30")
     path = write_cfg(tmp_path, text, "strict.cfg")
-    assert main(["--quiet", "run", path]) == 4
+    assert main(["run", path, "--quiet"]) == 4
 
 
 def test_cli_solver_failure_exits_3(tmp_path, monkeypatch):
@@ -390,7 +443,7 @@ def test_cli_solver_failure_exits_3(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "run_simulation", boom)
     path = write_cfg(tmp_path, run_cfg_text(tmp_path, out="x"), "x.cfg")
-    assert main(["--quiet", "run", path]) == 3
+    assert main(["run", path, "--quiet"]) == 3
 
 
 @pytest.mark.parametrize("name", [

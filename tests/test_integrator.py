@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from stagdyn import integrator
 from stagdyn.errors import (
     CflViolationError,
     ConfigError,
+    EnergyInequalityError,
     InstabilityError,
     NonFiniteFieldError,
 )
@@ -448,6 +450,35 @@ def test_blowup_guard_trips():
                            skip_cfl_check=True)
     with pytest.raises(InstabilityError):
         run_simulation(d, m, no_loading(d), cfg, st)
+
+
+def test_enforced_energy_inequality_reports_step_tolerance(monkeypatch):
+    # a defect injected into the ledger of step 3 of a decaying run: the
+    # error carries that step's tolerance, scaled by its own |E^k|
+    d = disc_1d(nx=40, h=0.025)
+    m = PlasticCreepMaterial(viscosity=0.5)
+    st = initial_state(d, m, sigma=bump_sigma(d, amplitude=10.0))
+    cfg = cfg_for(d, m, steps=10, enforce_energy_inequality=True,
+                  energy_tol=1e-6)
+    ledgers = []
+    real = integrator.energy_audit
+
+    def audit(prev, nxt, *args, **kwargs):
+        ledger = real(prev, nxt, *args, **kwargs)
+        if prev.k == 3:
+            ledger.residual = 1.0
+        ledgers.append(ledger)
+        return ledger
+
+    monkeypatch.setattr(integrator, "energy_audit", audit)
+    with pytest.raises(EnergyInequalityError) as ei:
+        run_simulation(d, m, no_loading(d), cfg, st)
+    failing = ledgers[-1]
+    assert failing.step == 3
+    assert ei.value.tol == cfg.energy_tol * max(1.0,
+                                                abs(failing.energy_prev))
+    # the run's energy has moved since E^0, so the E^0 scale would differ
+    assert abs(failing.energy_prev) < 0.99 * abs(ledgers[0].energy_prev)
 
 
 def test_cfl_recheck_catches_softening():

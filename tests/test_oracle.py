@@ -110,7 +110,7 @@ def test_maxwell_self_convergence_second_order():
     tau_max, _ = max_stable_timestep(d, m, st.z, 0.1)
     tau0 = 0.8 * tau_max
     report = temporal_self_convergence(
-        d, m, no_loading(d), st, t_end=1.0,
+        d, m, no_loading(d), st, IntegratorConfig(tau=tau0, t_end=1.0),
         taus=[tau0, tau0 / 2, tau0 / 4])
     assert report.reference == "oracle"
     assert report.fitted_order >= 1.8
@@ -124,7 +124,7 @@ def test_biot_self_convergence_first_order():
     tau_max, _ = max_stable_timestep(d, m, st.z, 0.1)
     tau0 = 0.8 * tau_max
     report = temporal_self_convergence(
-        d, m, no_loading(d), st, t_end=1.0,
+        d, m, no_loading(d), st, IntegratorConfig(tau=tau0, t_end=1.0),
         taus=[tau0, tau0 / 2, tau0 / 4])
     assert report.fitted_order >= 1.0
 
@@ -141,8 +141,9 @@ def test_cfl_violating_tau_excluded():
     st = initial_state(d, m, sigma=standing_bump(d))
     tau_max, _ = max_stable_timestep(d, m, st.z, 0.1)
     taus = [3.0 * tau_max, 0.8 * tau_max, 0.4 * tau_max, 0.2 * tau_max]
-    report = temporal_self_convergence(d, m, no_loading(d), st, t_end=0.5,
-                                       taus=taus)
+    report = temporal_self_convergence(
+        d, m, no_loading(d), st, IntegratorConfig(tau=taus[0], t_end=0.5),
+        taus=taus)
     assert len(report.excluded) == 1
     assert len(report.resolutions) == 3
 
