@@ -243,12 +243,6 @@ def serialize_config(cfg):
     return "\n".join(lines)
 
 
-def _require(cfg, section, key):
-    if key not in cfg.section(section):
-        raise ConfigError("missing required key", f"{section}.{key}")
-    return cfg.section(section)[key]
-
-
 def _validate(cfg):
     g = cfg.grid
     if g["dim"] not in (1, 2):

@@ -578,12 +578,12 @@ def run_simulation(disc, material, loading, cfg, state, z_probe=None,
             e_ref = max(1.0, abs(ledger.energy_prev))
         if ledger.total > ENERGY_BLOWUP_FACTOR * e_ref:
             raise InstabilityError(
-                state.k, f"energy {ledger.total:.3e} exceeds "
+                ledger.step, f"energy {ledger.total:.3e} exceeds "
                 f"{ENERGY_BLOWUP_FACTOR:.0e} x initial scale")
         if cfg.enforce_energy_inequality:
             tol = cfg.energy_tol * max(1.0, abs(ledger.energy_prev))
             if ledger.residual > tol:
-                raise EnergyInequalityError(state.k, ledger.residual, tol)
+                raise EnergyInequalityError(ledger.step, ledger.residual, tol)
         ledgers.append(ledger)
         if on_step is not None:
             on_step(state, ledger)

@@ -23,7 +23,6 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, SolverError
 from .solvers import (
-    QuadraticIncrement,
     solve_bound_constrained,
     solve_asymmetric_quadratic,
     solve_linear_spd,
@@ -166,23 +165,18 @@ class PlasticCreepMaterial(MaterialModel):
                               "material.viscosity")
         if sigma_y < 0:
             raise ConfigError("yield stress must be >= 0", "material.yield_stress")
-        self.viscosity = float(viscosity)
-        self.sigma_y = float(sigma_y)
-        self.hardening = hardening
-
-    def _c2(self, disc):
-        if disc.dim == 1:
-            c2 = float(self.hardening) if np.isscalar(self.hardening) else float(self.hardening[0])
-            if c2 < 0:
-                raise ConfigError("hardening must be >= 0", "material.hardening")
-            return c2
-        if np.isscalar(self.hardening):
-            k2 = g2 = float(self.hardening)
-        else:
-            k2, g2 = map(float, self.hardening)
+        if np.isscalar(hardening):
+            hardening = (hardening, hardening)
+        k2, g2 = map(float, hardening)
         if k2 < 0 or g2 < 0:
             raise ConfigError("hardening must be >= 0", "material.hardening")
-        return k2, g2
+        self.viscosity = float(viscosity)
+        self.sigma_y = float(sigma_y)
+        self.hardening = (k2, g2)
+
+    def _c2(self, disc):
+        """C2 in 1D (the first modulus), (K2, G2) in 2D."""
+        return self.hardening[0] if disc.dim == 1 else self.hardening
 
     def _apply_cbar(self, disc, p):
         """(C1 + C2) applied pointwise."""
@@ -411,11 +405,11 @@ class BiotMaterial(MaterialModel):
         def apply_A(x):
             return x / tau - 0.5 * self._apply_LM(disc, self._apply_B(disc, x))
 
-        problem = QuadraticIncrement(
-            apply_A=apply_A, b=rhs, weights=disc.zs_weights,
-            inner_apply=lambda x: self._apply_B(disc, x),
-            tol=LINEAR_SOLVE_TOL)
-        delta = solve_linear_spd(problem)
+        def dot(x, y):
+            # A is self-adjoint in the B-twisted weighted inner product
+            return disc.zdot(self._apply_B(disc, x), y)
+
+        delta = solve_linear_spd(apply_A, rhs, dot, LINEAR_SOLVE_TOL)
         z_next = z_k + delta
         mu_mid = self.dphi_dz(disc, sigma_next, 0.5 * (z_k + z_next))
         return z_next, {"mu_mid": mu_mid}
@@ -441,10 +435,8 @@ class BiotMaterial(MaterialModel):
         def project(f):
             return f - disc.zdot(f, np.ones_like(f)) / float(np.sum(wz))
 
-        problem = QuadraticIncrement(
-            apply_A=lambda x: -self._apply_LM(disc, x),
-            b=project(-zdot), weights=wz, tol=LINEAR_SOLVE_TOL)
-        mu, _ = _cg(problem, problem.b, project=project)
+        mu, _ = _cg(lambda x: -self._apply_LM(disc, x), project(-zdot),
+                    disc.zdot, LINEAR_SOLVE_TOL, project=project)
         return -disc.zdot(mu, zdot)
 
     def psi(self, disc, zdot):
@@ -559,10 +551,8 @@ class DamageMaterial(MaterialModel):
     def phi(self, disc, sigma, z):
         qc, qv = self._split_energy_density(disc, sigma)
         gam = self.gamma(z)
-        if qv is None:
-            val = disc.zdot(0.5 * gam * qc + self.phi_d(z), np.ones_like(z))
-        else:
-            val = disc.zdot(0.5 * gam * qc + self.phi_d(z), np.ones_like(z))
+        val = disc.zdot(0.5 * gam * qc + self.phi_d(z), np.ones_like(z))
+        if qv is not None:
             gam_v = disc.avg_centers_to_vertices(gam).ravel()
             wv = disc.sweights[disc._xy_sl]
             val += 0.5 * float(np.sum(wv * gam_v * qv))
@@ -611,20 +601,13 @@ class DamageMaterial(MaterialModel):
         chat = self.compliance_density(disc, sigma_next)
         b = -self.dphi_dz(disc, sigma_next, z_k)
         if self.mode == "unidirectional":
-            problem = QuadraticIncrement(
-                apply_A=self._quad_operator(disc, chat, tau, viscous=True),
-                b=b, weights=disc.zs_weights,
-                upper=np.zeros_like(z_k), tol=KKT_TOL)
-            delta = solve_bound_constrained(problem)
+            delta = solve_bound_constrained(
+                self._quad_operator(disc, chat, tau, viscous=True), b,
+                disc.zdot, np.zeros_like(z_k), KKT_TOL)
         else:
-            n = z_k.shape[0]
-            problem = QuadraticIncrement(
-                apply_A=self._quad_operator(disc, chat, tau, viscous=False),
-                b=b, weights=disc.zs_weights,
-                asym=(np.full(n, self.eps1 / tau),
-                      np.full(n, 1.0 / (self.eps1 * tau))),
-                tol=KKT_TOL)
-            delta = solve_asymmetric_quadratic(problem)
+            delta = solve_asymmetric_quadratic(
+                self._quad_operator(disc, chat, tau, viscous=False), b,
+                disc.zdot, self.eps1 / tau, 1.0 / (self.eps1 * tau), KKT_TOL)
         return z_k + delta, {}
 
     def dissipation_rate(self, disc, zdot):

@@ -3,6 +3,7 @@
 import argparse
 import functools
 import os
+import pathlib
 import struct
 import subprocess
 import sys
@@ -313,8 +314,6 @@ def test_cli_converge_finest_grid_damage(tmp_path, capsys):
 def test_cli_converge_uses_configured_eta(tmp_path, capsys):
     # the study's CFL bound is the config's: with eta = 0.05 the config's
     # auto tau is admissible at level 0, not excluded against eta = 0.1
-    import pathlib
-
     text = pathlib.Path("configs/maxwell_creep_1d.cfg").read_text(
         encoding="utf-8").replace("eta = 0.1", "eta = 0.05")
     path = write_cfg(tmp_path, text)
@@ -409,6 +408,16 @@ def test_cli_usage_errors_exit_64(tmp_path, capsys):
     assert main(["run", bad]) == 64
 
 
+def test_cli_negative_hardening_exits_64_before_output(tmp_path):
+    text = MINIMAL_ELASTIC.replace(
+        "name = elastic", "name = plastic_creep\nviscosity = 0.5\n"
+        "hardening = -1")
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["run", path, "--quiet", "--out-dir", str(out)]) == 64
+    assert not out.exists()
+
+
 def test_cli_missing_config_file_exits_5(tmp_path):
     with pytest.raises(SystemExit) as ei:
         main(["run", str(tmp_path / "nope.cfg")])
@@ -450,8 +459,20 @@ def test_cli_solver_failure_exits_3(tmp_path, monkeypatch):
     "elastic_wave_1d", "maxwell_creep_1d", "viscoplastic_2d",
     "biot_seepage_1d", "damage_1d"])
 def test_shipped_configs_round_trip(name):
-    import pathlib
-
     text = pathlib.Path(f"configs/{name}.cfg").read_text(encoding="utf-8")
     cfg = parse_config(text)
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+SHIPPED_CONFIGS = sorted(
+    (pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_snapshots_after_initial_state(path):
+    # a snapshot interval longer than the run writes only the initial state
+    cfg = parse_config(path.read_text(encoding="utf-8"))
+    every = cfg.output["snapshot_every"]
+    disc, material, _, state = build_simulation(cfg)
+    icfg = integrator_config(cfg, disc, material, state)
+    assert every == 0 or every <= round(icfg.t_end / icfg.tau)

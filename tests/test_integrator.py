@@ -475,10 +475,36 @@ def test_enforced_energy_inequality_reports_step_tolerance(monkeypatch):
         run_simulation(d, m, no_loading(d), cfg, st)
     failing = ledgers[-1]
     assert failing.step == 3
+    assert ei.value.step == failing.step
     assert ei.value.tol == cfg.energy_tol * max(1.0,
                                                 abs(failing.energy_prev))
     # the run's energy has moved since E^0, so the E^0 scale would differ
     assert abs(failing.energy_prev) < 0.99 * abs(ledgers[0].energy_prev)
+
+
+def test_blowup_guard_reports_failing_step(monkeypatch):
+    # a huge energy injected into the ledger of step 3: the error names
+    # that ledger row, not the step after it
+    d = disc_1d(nx=40, h=0.025)
+    m = PlasticCreepMaterial(viscosity=0.5)
+    st = initial_state(d, m, sigma=bump_sigma(d))
+    cfg = cfg_for(d, m, steps=10)
+    ledgers = []
+    real = integrator.energy_audit
+
+    def audit(prev, nxt, *args, **kwargs):
+        ledger = real(prev, nxt, *args, **kwargs)
+        if prev.k == 3:
+            ledger.kinetic = 1e300
+        ledgers.append(ledger)
+        return ledger
+
+    monkeypatch.setattr(integrator, "energy_audit", audit)
+    with pytest.raises(InstabilityError) as ei:
+        run_simulation(d, m, no_loading(d), cfg, st)
+    failing = ledgers[-1]
+    assert failing.step == 3
+    assert ei.value.step == failing.step
 
 
 def test_cfl_recheck_catches_softening():

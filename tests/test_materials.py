@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from stagdyn.errors import ConfigError
 from stagdyn.grid import Grid, build
 from stagdyn.materials import (
     BiotMaterial,
@@ -156,6 +157,13 @@ def test_below_yield_no_flow():
     m = PlasticCreepMaterial(viscosity=1.0, sigma_y=0.5)
     z, _ = m.internal_step(d, np.full(d.n_s, 0.3), np.zeros(d.n_s), tau=0.1)
     assert_allclose(z, 0.0)
+
+
+@pytest.mark.parametrize("hardening", [-0.1, (0.1, -0.1)],
+                         ids=["scalar", "pair"])
+def test_negative_hardening_rejected_at_construction(hardening):
+    with pytest.raises(ConfigError):
+        PlasticCreepMaterial(viscosity=1.0, hardening=hardening)
 
 
 def test_zener_relaxes_to_stationary_point():
@@ -533,13 +541,12 @@ def test_internal_step_objective_optimality():
             assert j_star <= j_prev + tol, m.name
             if m.name == "damage" and m.mode == "unidirectional":
                 # projected unconstrained stationary point
-                from stagdyn.solvers import QuadraticIncrement, solve_linear_spd
+                from stagdyn.solvers import solve_linear_spd
                 chat = m.compliance_density(d, sigma)
-                prob = QuadraticIncrement(
-                    apply_A=m._quad_operator(d, chat, tau, viscous=True),
-                    b=-m.dphi_dz(d, sigma, zk), weights=d.zs_weights,
-                    tol=1e-12)
-                z_uncon = zk + np.minimum(solve_linear_spd(prob), 0.0)
+                delta = solve_linear_spd(
+                    m._quad_operator(d, chat, tau, viscous=True),
+                    -m.dphi_dz(d, sigma, zk), d.zdot, 1e-12)
+                z_uncon = zk + np.minimum(delta, 0.0)
                 j_proj = m.incremental_objective(d, sigma, zk, tau, z_uncon)
                 assert j_star <= j_proj + tol
 

@@ -10,21 +10,26 @@ from stagdyn import solvers
 from stagdyn.errors import SolverError
 from stagdyn.kernels import radial_return
 from stagdyn.solvers import (
-    QuadraticIncrement,
     solve_bound_constrained,
     solve_linear_spd,
     solve_asymmetric_quadratic,
 )
 
 
-def dense_problem(A, b, w=None, **kw):
-    return QuadraticIncrement(apply_A=lambda x: A @ x, b=b, weights=w, **kw)
+def dense_problem(A, b, w=None):
+    """``(apply_A, b, dot)`` for a dense matrix; ``w`` weights the inner
+    product, None means plain Euclidean."""
+    if w is None:
+        dot = lambda x, y: float(np.sum(x * y))
+    else:
+        dot = lambda x, y: float(np.sum(w * x * y))
+    return (lambda x: A @ x), b, dot
 
 
 def test_identity_system():
     rng = np.random.default_rng(0)
     b = rng.standard_normal(8)
-    x = solve_linear_spd(dense_problem(np.eye(8), b))
+    x = solve_linear_spd(*dense_problem(np.eye(8), b), tol=1e-10)
     assert_allclose(x, b, atol=1e-12)
 
 
@@ -33,7 +38,7 @@ def test_laplacian_plus_identity_matches_dense():
     A = 2.0 * np.eye(4) - np.diag(np.ones(3), 1) - np.diag(np.ones(3), -1)
     A += np.eye(4)
     b = np.array([1.0, -2.0, 0.5, 3.0])
-    x = solve_linear_spd(dense_problem(A, b, tol=1e-12))
+    x = solve_linear_spd(*dense_problem(A, b), tol=1e-12)
     assert_allclose(x, np.linalg.solve(A, b), atol=1e-10)
 
 
@@ -46,16 +51,16 @@ def test_weighted_inner_product_solve():
     As = 0.5 * (A + A.T)
     Aw = np.diag(1.0 / w) @ As
     b = rng.standard_normal(6)
-    x = solve_linear_spd(dense_problem(Aw, b, w=w, tol=1e-12))
+    x = solve_linear_spd(*dense_problem(Aw, b, w=w), tol=1e-12)
     assert_allclose(Aw @ x, b, atol=1e-9)
 
 
 def test_warm_start_reduces_iterations():
     A = 2.0 * np.eye(30) - np.diag(np.ones(29), 1) - np.diag(np.ones(29), -1)
     b = np.linspace(0.0, 1.0, 30)
-    problem = dense_problem(A, b, tol=1e-10)
-    x_cold, hist_cold = solvers._cg(problem, problem.b)
-    _, hist_warm = solvers._cg(problem, problem.b, x0=x_cold + 1e-8)
+    problem = dense_problem(A, b)
+    x_cold, hist_cold = solvers._cg(*problem, 1e-10)
+    _, hist_warm = solvers._cg(*problem, 1e-10, x0=x_cold + 1e-8)
     # diagnostic smoke case, not a performance assertion
     assert len(hist_warm) <= len(hist_cold)
 
@@ -67,19 +72,18 @@ def test_cg_error_monotone_in_A_norm():
     b = rng.standard_normal(12)
     x_star = np.linalg.solve(A, b)
     errors = []
-    prob = dense_problem(A, b, tol=1e-14)
+    prob = dense_problem(A, b)
     # re-run with increasing budgets to sample the iterates
     for k in range(1, 13):
-        p = dense_problem(A, b, tol=1e-30, max_iter=k)
         try:
-            xk = solve_linear_spd(p)
+            xk, _ = solvers._cg(*prob, 1e-30, max_iter=k)
         except SolverError as e:
             xk = e.last_iterate
         err = xk - x_star
         errors.append(float(err @ (A @ err)))
     for a, bb in zip(errors, errors[1:]):
         assert bb <= a * (1.0 + 1e-9)
-    x = solve_linear_spd(prob)
+    x = solve_linear_spd(*prob, tol=1e-14)
     assert_allclose(x, x_star, atol=1e-9)
 
 
@@ -87,7 +91,7 @@ def test_budget_exhaustion_raises_with_history():
     A = np.diag(np.linspace(1.0, 1e4, 40))
     b = np.ones(40)
     with pytest.raises(SolverError) as ei:
-        solve_linear_spd(dense_problem(A, b, tol=1e-14, max_iter=3))
+        solvers._cg(*dense_problem(A, b), 1e-14, max_iter=3)
     assert len(ei.value.residuals) > 0
     assert ei.value.last_iterate is not None
 
@@ -100,8 +104,8 @@ def test_unconstrained_minimizer_feasible():
     A = np.diag([2.0, 3.0])
     b = np.array([-2.0, -3.0])  # minimizer (-1, -1), below bound 0
     ub = np.zeros(2)
-    x = solve_bound_constrained(dense_problem(A, b, upper=ub, tol=1e-12))
-    assert_allclose(x, solve_linear_spd(dense_problem(A, b, tol=1e-12)),
+    x = solve_bound_constrained(*dense_problem(A, b), upper=ub, tol=1e-12)
+    assert_allclose(x, solve_linear_spd(*dense_problem(A, b), tol=1e-12),
                     atol=1e-10)
 
 
@@ -110,7 +114,7 @@ def test_one_dof_kkt_hand_case():
     A = np.array([[2.0]])
     b = np.array([10.0])
     ub = np.array([1.0])
-    x = solve_bound_constrained(dense_problem(A, b, upper=ub, tol=1e-12))
+    x = solve_bound_constrained(*dense_problem(A, b), upper=ub, tol=1e-12)
     assert_allclose(x, [1.0], atol=1e-12)
     mult = -(A @ x - b)  # -gradient at the bound
     assert_allclose(mult, [8.0], atol=1e-10)
@@ -147,7 +151,8 @@ def test_random_bound_qp_against_enumeration():
         A = M @ M.T + 6 * np.eye(6)
         b = rng.standard_normal(6) * 3.0
         ub = rng.standard_normal(6)
-        x = solve_bound_constrained(dense_problem(A, b, upper=ub, tol=1e-12))
+        x = solve_bound_constrained(*dense_problem(A, b), upper=ub,
+                                    tol=1e-12)
         x_ref = enumerate_bound_qp(A, b, ub)
         assert_allclose(x, x_ref, atol=1e-9)
 
@@ -160,7 +165,8 @@ def test_bound_qp_weighted_inner_product():
     Aw = np.diag(1.0 / w) @ As
     b = rng.standard_normal(5) * 2.0
     ub = rng.standard_normal(5)
-    x = solve_bound_constrained(dense_problem(Aw, b, w=w, upper=ub, tol=1e-12))
+    x = solve_bound_constrained(*dense_problem(Aw, b, w=w), upper=ub,
+                                tol=1e-12)
     # oracle in the flat metric: objective 1/2 x' (W Aw) x - (w b)' x
     x_ref = enumerate_bound_qp(np.diag(w) @ Aw, w * b, ub)
     assert_allclose(x, x_ref, atol=1e-9)
@@ -184,8 +190,8 @@ def test_asymmetric_quadratic_matches_grid_scan():
         A = np.array([[a]])
         b = np.array([b0])
         x = solve_asymmetric_quadratic(
-            dense_problem(A, b, asym=(np.array([am]), np.array([ap])),
-                          tol=1e-13))
+            *dense_problem(A, b), a_minus=np.array([am]),
+            a_plus=np.array([ap]), tol=1e-13)
         grid = np.linspace(-5, 5, 200001)
         vals = 0.5 * a * grid**2 - b0 * grid + np.where(
             grid < 0, am * grid**2, ap * grid**2)
@@ -202,8 +208,8 @@ def test_asymmetric_quadratic_coupled():
     b = rng.standard_normal(4) * 2.0
     am = rng.uniform(0.1, 1.0, 4)
     ap = rng.uniform(0.1, 1.0, 4)
-    x = solve_asymmetric_quadratic(dense_problem(A, b, asym=(am, ap),
-                                                 tol=1e-13))
+    x = solve_asymmetric_quadratic(*dense_problem(A, b), a_minus=am,
+                                   a_plus=ap, tol=1e-13)
     # verify against many random perturbations
     f0 = brute_objective_asym(A, b, am, ap, x)
     for _ in range(300):
@@ -251,7 +257,6 @@ def test_cg_residual_history_monotone_on_shipped_problem():
     A = 2.0 * np.eye(12) - np.diag(np.ones(11), 1) - np.diag(np.ones(11), -1)
     A += np.eye(12)
     b = np.linspace(-1, 1, 12)
-    problem = dense_problem(A, b, tol=1e-12)
-    _, hist = solvers._cg(problem, problem.b)
+    _, hist = solvers._cg(*dense_problem(A, b), 1e-12)
     for a, bb in zip(hist[1:], hist[2:]):
         assert bb <= a * (1.0 + 1e-12)
