@@ -14,6 +14,8 @@ from .errors import StagdynError
 from .grid import Grid, build
 from .integrator import (
     IntegratorConfig,
+    Loading,
+    advance,
     initial_state,
     max_stable_timestep,
     no_loading,
@@ -30,6 +32,8 @@ from .oracle import (
     brute_force_prox,
     dense_generalized_rayleigh,
     gradient_check,
+    ledger_defects,
+    reference_ledger,
     scan_internal_objective,
 )
 
@@ -171,6 +175,44 @@ def check_cfl_estimator(rng):
              f"Lanczos CFL estimate {lam:.12g} vs dense {lam_ref:.12g}")
 
 
+def check_ledger_reference(rng):
+    # every material, with the 2D trace coupling of Biot, under a
+    # boundary drive and a body force
+    d1 = _disc_1d(nx=20, h=0.05, bc=("traction", "dirichlet"))
+    d2 = _disc_2d()
+    biot = dict(biot_modulus=0.4, biot_coefficient=0.4, l_coefficient=0.1,
+                capillarity=0.02, mobility=0.5)
+    cases = [
+        (d1, "left", ElasticMaterial()),
+        (d1, "left", PlasticCreepMaterial(viscosity=0.5)),
+        (d2, "bottom", PlasticCreepMaterial(viscosity=0.4, sigma_y=0.1,
+                                            hardening=(0.2, 0.1))),
+        (d1, "left", DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4,
+                                    viscosity=0.3)),
+        (d1, "left", BiotMaterial(**biot)),
+        (d2, "bottom", BiotMaterial(**biot)),
+    ]
+    for d, side, m in cases:
+        sigma = 0.5 * rng.standard_normal(d.n_s)
+        st = initial_state(d, m, sigma=sigma)
+        loading = Loading(body_force=np.where(d.v_active, 0.01, 0.0),
+                          traction=lambda t: 0.2 * np.sin(4.0 * t),
+                          traction_pattern=d.traction_pattern(side))
+        tau_max, _ = max_stable_timestep(d, m, st.z, 0.1)
+        cfg = IntegratorConfig(tau=0.9 * tau_max, t_end=0.9 * tau_max)
+        for _ in range(10):
+            prev = st
+            st, ledger = advance(prev, d, m, loading, cfg)
+            _, info = m.internal_step(d, st.sigma, prev.z, cfg.tau)
+            ref = reference_ledger(prev, st, d, m, loading, cfg.tau,
+                                   step_info=info)
+            rel, res = ledger_defects(ledger, ref)
+            _require(rel <= 1e-13 and res <= 1e-15,
+                     f"{m.name} {d.dim}D step {ledger.step}: ledger vs "
+                     f"full evaluation: relative {rel:.3e}, residual "
+                     f"{res:.3e}")
+
+
 def check_radial_return(rng):
     for _ in range(30):
         trial = float(rng.standard_normal() * 2.0)
@@ -192,6 +234,7 @@ ALL_CHECKS = [
     ("radial-return", check_radial_return),
     ("elastic-conservation", check_elastic_conservation),
     ("energy-inequality", check_energy_inequality),
+    ("ledger-reference", check_ledger_reference),
     ("biot-mass-conservation", check_biot_mass_conservation),
     ("damage-structure", check_damage_structure),
     ("cfl-estimator", check_cfl_estimator),

@@ -164,7 +164,10 @@ def cmd_converge(args):
         study = temporal_self_convergence
     else:
         study = temporal_finest_grid
-    report = study(disc, material, loading, state, icfg, taus)
+    # with tau = auto the config's tau is the bound the study needs
+    tau_max = icfg.tau if cfg.integrator["tau"] == "auto" else None
+    report = study(disc, material, loading, state, icfg, taus,
+                   tau_max=tau_max)
     print(report.table())
     for row in report.rows():
         print(row)

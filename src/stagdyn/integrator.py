@@ -240,7 +240,8 @@ def _kinetic_pair(disc, va, vb):
     return 0.5 * float(np.sum(disc.mass * va * vb))
 
 
-def stability_coefficient(disc, material, sigma, z, tau, phi=None):
+def stability_coefficient(disc, material, sigma, z, tau, phi=None,
+                          s_true=None):
     """Positivity coefficient of the staggered energy at one state.
 
     With F = 0 the staggered energy splits exactly as
@@ -250,19 +251,28 @@ def stability_coefficient(disc, material, sigma, z, tau, phi=None):
 
     because v' - v = -tau M^-1 E*S contributes T((v'-v)/2) =
     (tau^2/8) <E*S, M^-1 E*S> to the kinetic split.  a >= eta is
-    guaranteed whenever tau <= max_stable_timestep(eta).  ``phi``, when
-    given, is Phi(sigma, z) already evaluated by the caller.  A state
-    with no stored energy has a = 1.
+    guaranteed whenever tau <= max_stable_timestep(eta).  ``phi`` and
+    ``s_true``, when given, are Phi(sigma, z) and the true stress S
+    already formed by the caller.  A state with no stored energy has
+    a = 1.
     """
     if phi is None:
         phi = material.phi(disc, sigma, z)
     if phi <= 0.0:
         return 1.0
-    s_true = material.true_stress(disc, sigma, z)
+    if s_true is None:
+        s_true = material.true_stress(disc, sigma, z)
     f = disc.apply_E_adjoint(s_true)
     f[~disc.v_active] = 0.0
     quad = float(np.sum(f * f / disc.mass))
     return 1.0 - 0.125 * tau * tau * quad / phi
+
+
+def _end_gradient(disc, material, sigma, z, z_other, dphi_mid):
+    """dPhi_s(sigma, z) from ``dphi_mid`` = dPhi_s(sigma, (z + z_other)/2),
+    and its true stress C* I* dPhi_s(sigma, z)."""
+    g = material.dphi_dsigma_end(disc, sigma, z, z_other, dphi_mid)
+    return g, disc.apply_C_adjoint(disc.apply_I(g))
 
 
 def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
@@ -273,6 +283,13 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
     the dissipation potential is smooth away from zero and is <= 0 (up to
     solver tolerance) otherwise.
 
+    The stress gradient at the end of the step, dPhi_s(Sigma', z'), comes
+    from the step's midpoint gradient through
+    ``material.dphi_dsigma_end``, and the jump term through
+    ``material.anchor_jump``; both are closed forms for materials affine
+    in z.  That gradient and its true stress S' = C* I* dPhi_s(Sigma', z')
+    give the stored energy and the stability coefficient.
+
     Values carried on the states (``prev.energy``, ``prev.dphi_mid``,
     ``nxt.dphi_mid``) are used as they are; missing ones are computed
     here by the same operations, so the ledger does not depend on which.
@@ -280,18 +297,19 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
     tau = cfg.tau
     k = prev.k
     has_z = bool(material.z_size(disc))
-    z_mid_next = 0.5 * (nxt.z + prev.z) if has_z else nxt.z
-    phi_next = material.phi(disc, nxt.sigma, nxt.z)
+    dphi_mid_next = nxt.dphi_mid
+    if dphi_mid_next is None:
+        z_mid_next = 0.5 * (nxt.z + prev.z) if has_z else nxt.z
+        dphi_mid_next = material.dphi_dsigma(disc, nxt.sigma, z_mid_next)
+    g_next, s_next = _end_gradient(disc, material, nxt.sigma, nxt.z,
+                                   prev.z, dphi_mid_next)
+    phi_next = material.phi(disc, nxt.sigma, nxt.z, g=g_next, s_true=s_next)
     kinetic = _kinetic_pair(disc, nxt.v, prev.v)
     if has_z:
         diss = tau * material.step_dissipation(disc, prev.z, nxt.z, tau,
                                                step_info or {})
     else:
         diss = 0.0
-    dsig = nxt.sigma - prev.sigma
-    dphi_mid_next = nxt.dphi_mid
-    if dphi_mid_next is None:
-        dphi_mid_next = material.dphi_dsigma(disc, nxt.sigma, z_mid_next)
 
     if k == 0:
         # exact half-step bootstrap identity, anchored at the physical
@@ -308,24 +326,30 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
         s_gap = disc.apply_C_adjoint(disc.apply_I(p_avg - dphi_mid_next))
         correction = 0.5 * tau * disc.sdot(s_gap, disc.apply_E(prev.v))
         residual = (kinetic + phi_next) - energy_prev + diss - work - correction
+        # the bootstrap row, once per run, evaluates the true stress of
+        # its a-coefficient in full, through material.true_stress
+        a_coeff = stability_coefficient(disc, material, nxt.sigma, nxt.z,
+                                        tau, phi=phi_next)
     else:
-        energy_prev = prev.energy
-        if energy_prev is None:
-            energy_prev = _kinetic_pair(disc, prev.v, prev.v_prev) + (
-                material.phi(disc, prev.sigma, prev.z))
-        work = tau * float(np.sum(loading.body_force * prev.v))
         dphi_mid_prev = prev.dphi_mid
         if dphi_mid_prev is None:
             z_mid_prev = 0.5 * (prev.z + prev.z_prev) if has_z else prev.z
             dphi_mid_prev = material.dphi_dsigma(disc, prev.sigma, z_mid_prev)
+        energy_prev = prev.energy
+        if energy_prev is None:
+            # as the previous step's ledger evaluated it
+            g_prev, s_prev = _end_gradient(disc, material, prev.sigma,
+                                           prev.z, prev.z_prev, dphi_mid_prev)
+            energy_prev = _kinetic_pair(disc, prev.v, prev.v_prev) + (
+                material.phi(disc, prev.sigma, prev.z, g=g_prev,
+                             s_true=s_prev))
+        work = tau * float(np.sum(loading.body_force * prev.v))
         if has_z:
             # jump of the stress-side gradient away from the z^k anchor,
             # for both half-level stresses entering the velocity average
-            jump = 0.5 * (dphi_mid_next
-                          - material.dphi_dsigma(disc, nxt.sigma, prev.z))
-            jump += 0.5 * (dphi_mid_prev
-                           - material.dphi_dsigma(disc, prev.sigma, prev.z))
-            correction = disc.sdot(jump, dsig)
+            correction = material.anchor_jump(
+                disc, nxt.sigma, prev.sigma, nxt.sigma - prev.sigma, nxt.z,
+                prev.z, prev.z_prev, dphi_mid_next, dphi_mid_prev)
         else:
             correction = 0.0
         dg = loading.d_increment(k, tau)
@@ -334,9 +358,9 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
             work += disc.sdot(p_avg, dg)
         residual = ((kinetic + phi_next) - energy_prev + diss - work
                     + correction)
+        a_coeff = stability_coefficient(disc, material, nxt.sigma, nxt.z,
+                                        tau, phi=phi_next, s_true=s_next)
 
-    a_coeff = stability_coefficient(disc, material, nxt.sigma, nxt.z, tau,
-                                    phi=phi_next)
     return EnergyLedger(
         step=k, time=(k + 1) * tau, kinetic=kinetic, stored=phi_next,
         dissipated_step=diss, external_work_step=work,

@@ -47,13 +47,46 @@ class MaterialModel:
     def z_weights(self, disc):
         raise NotImplementedError
 
-    def phi(self, disc, sigma, z):
-        """Stored energy Phi(Sigma, z)."""
+    def phi(self, disc, sigma, z, g=None, s_true=None):
+        """Stored energy Phi(Sigma, z).
+
+        ``g`` and ``s_true``, when given, are ``dphi_dsigma(sigma, z)``
+        and the true stress C* I* g, already formed by the caller; a
+        material may reuse them.
+        """
         raise NotImplementedError
 
     def dphi_dsigma(self, disc, sigma, z):
         """Weighted gradient of phi in the proto-stress (a strain field)."""
         raise NotImplementedError
+
+    def dphi_dsigma_end(self, disc, sigma, z, z_other, dphi_mid):
+        """dphi_dsigma(sigma, z), given ``dphi_mid`` =
+        dphi_dsigma(sigma, (z + z_other)/2).
+
+        The default evaluates the gradient afresh; a material whose
+        gradient is affine in z shifts ``dphi_mid`` in closed form.
+        """
+        return self.dphi_dsigma(disc, sigma, z)
+
+    def anchor_jump(self, disc, sigma_next, sigma, dsig, z_next, z, z_prev,
+                    dphi_mid_next, dphi_mid):
+        """Jump term <J, dsig>_w of the per-step energy identity.
+
+        J averages how far the two half-level gradients
+        ``dphi_mid_next`` = dphi_dsigma(sigma_next, (z_next + z)/2) and
+        ``dphi_mid`` = dphi_dsigma(sigma, (z + z_prev)/2) sit from their
+        values at the anchor z:
+
+            J = 1/2 [dphi_mid_next - dphi_dsigma(sigma_next, z)]
+                + 1/2 [dphi_mid - dphi_dsigma(sigma, z)].
+
+        The default evaluates both anchor gradients; a material whose
+        gradient is affine in z forms J in closed form.
+        """
+        jump = 0.5 * (dphi_mid_next - self.dphi_dsigma(disc, sigma_next, z))
+        jump += 0.5 * (dphi_mid - self.dphi_dsigma(disc, sigma, z))
+        return disc.sdot(jump, dsig)
 
     def dphi_dz(self, disc, sigma, z):
         """Weighted gradient of phi in the internal variable."""
@@ -111,11 +144,17 @@ class ElasticMaterial(MaterialModel):
     def z_weights(self, disc):
         return np.zeros(0)
 
-    def phi(self, disc, sigma, z):
-        return 0.5 * disc.sdot(disc.apply_C_inv(sigma), sigma)
+    def phi(self, disc, sigma, z, g=None, s_true=None):
+        if g is None:
+            g = disc.apply_C_inv(sigma)
+        return 0.5 * disc.sdot(g, sigma)
 
     def dphi_dsigma(self, disc, sigma, z):
         return disc.apply_C_inv(sigma)
+
+    def dphi_dsigma_end(self, disc, sigma, z, z_other, dphi_mid):
+        # z-free: the midpoint gradient is the gradient
+        return dphi_mid
 
     def dphi_dz(self, disc, sigma, z):
         return np.zeros(0)
@@ -180,9 +219,13 @@ class PlasticCreepMaterial(MaterialModel):
 
     def _apply_cbar(self, disc, p):
         """(C1 + C2) applied pointwise."""
-        out = disc.apply_C(p)
+        return self._add_c2(disc, p, disc.apply_C(p))
+
+    def _add_c2(self, disc, p, out):
+        """out + C2 p, updating ``out`` in place."""
         if disc.dim == 1:
-            return out + self._c2(disc) * p
+            out += self._c2(disc) * p
+            return out
         k2, g2 = self._c2(disc)
         if k2 == 0.0 and g2 == 0.0:
             return out
@@ -199,14 +242,31 @@ class PlasticCreepMaterial(MaterialModel):
     def z_weights(self, disc):
         return disc.sweights
 
-    def phi(self, disc, sigma, z):
-        # 1/2 <C1^-1 s, s> - <s, p> + 1/2 <(C1+C2) p, p>
-        return (0.5 * disc.sdot(disc.apply_C_inv(sigma), sigma)
-                - disc.sdot(sigma, z)
-                + 0.5 * disc.sdot(self._apply_cbar(disc, z), z))
+    def phi(self, disc, sigma, z, g=None, s_true=None):
+        # 1/2 <C1^-1 s, s> - <s, p> + 1/2 <(C1+C2) p, p> equals
+        # 1/2 <C1 g, g> + 1/2 <C2 p, p> with g = C1^-1 s - p, whose terms
+        # are nonnegative: no cancellation when s is close to C1 p.  The
+        # true stress C* I* g is C1 g: I is the identity on these grids.
+        if g is None:
+            g = self.dphi_dsigma(disc, sigma, z)
+        if s_true is None:
+            s_true = disc.apply_C(g)
+        val = 0.5 * disc.sdot(s_true, g)
+        if np.any(self._c2(disc)):
+            val += 0.5 * disc.sdot(self._add_c2(disc, z, np.zeros_like(z)), z)
+        return val
 
     def dphi_dsigma(self, disc, sigma, z):
         return disc.apply_C_inv(sigma) - z
+
+    def dphi_dsigma_end(self, disc, sigma, z, z_other, dphi_mid):
+        # dphi_dsigma is C1^-1 sigma - z
+        return dphi_mid - 0.5 * (z - z_other)
+
+    def anchor_jump(self, disc, sigma_next, sigma, dsig, z_next, z, z_prev,
+                    dphi_mid_next, dphi_mid):
+        # J = 1/2 (z - (z_next + z)/2) + 1/2 (z - (z + z_prev)/2)
+        return -0.25 * disc.sdot(z_next - 2.0 * z + z_prev, dsig)
 
     def dphi_dz(self, disc, sigma, z):
         return self._apply_cbar(disc, z) - sigma
@@ -358,7 +418,7 @@ class BiotMaterial(MaterialModel):
         d = disc.dim
         return self.beta * self.tr_sigma(disc, sigma) / (d * self._bulk(disc)) - zeta
 
-    def phi(self, disc, sigma, z):
+    def phi(self, disc, sigma, z, g=None, s_true=None):
         mism = self._content_mismatch(disc, sigma, z)
         dev_eq = z - self.zeta_eq
         val = 0.5 * disc.sdot(disc.apply_C_inv(sigma), sigma)
@@ -367,18 +427,29 @@ class BiotMaterial(MaterialModel):
         val += 0.5 * self.kappa * disc.grad_z_norm2(z)
         return val
 
-    def dphi_dsigma(self, disc, sigma, z):
-        out = disc.apply_C_inv(sigma)
-        d = disc.dim
-        g = self.beta * self.M / (d * self._bulk(disc)) * self._content_mismatch(
-            disc, sigma, z)
-        if d == 1:
+    def _coupling(self, disc):
+        # beta M / (d K): the z-derivative of dphi_dsigma, up to sign, on
+        # the trace
+        return self.beta * self.M / (disc.dim * self._bulk(disc))
+
+    def _add_trace(self, disc, out, g):
+        """out + g on the trace (the normal stress components), in place."""
+        if disc.dim == 1:
             out += g
         else:
             g2 = g.reshape(disc.shape_c)
             disc.sxx_view(out)[:] += g2
             disc.syy_view(out)[:] += g2
         return out
+
+    def dphi_dsigma(self, disc, sigma, z):
+        return self._add_trace(
+            disc, disc.apply_C_inv(sigma),
+            self._coupling(disc) * self._content_mismatch(disc, sigma, z))
+
+    def dphi_dsigma_end(self, disc, sigma, z, z_other, dphi_mid):
+        return self._add_trace(disc, dphi_mid.copy(),
+                               -self._coupling(disc) * (0.5 * (z - z_other)))
 
     def dphi_dz(self, disc, sigma, z):
         """Chemical potential mu."""
@@ -548,7 +619,7 @@ class DamageMaterial(MaterialModel):
             return qc
         return qc + disc.scatter_vertices_to_centers(qv)
 
-    def phi(self, disc, sigma, z):
+    def phi(self, disc, sigma, z, g=None, s_true=None):
         qc, qv = self._split_energy_density(disc, sigma)
         gam = self.gamma(z)
         val = disc.zdot(0.5 * gam * qc + self.phi_d(z), np.ones_like(z))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import StagdynError, UnsupportedMaterialError
-from .integrator import State
+from .integrator import EnergyLedger, State
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -280,6 +280,94 @@ def _fd_defect(f, analytic, steps):
 
 
 # ---------------------------------------------------------------------------
+# reference energy ledger
+# ---------------------------------------------------------------------------
+
+def reference_ledger(prev, nxt, disc, material, loading, tau,
+                     step_info=None):
+    """The ledger of the step ``prev -> nxt`` by full evaluation.
+
+    Every stored energy, stress gradient and true stress is evaluated
+    afresh from the material's ``phi``, ``dphi_dsigma`` and
+    ``true_stress``: no value carried on the states and none of the
+    closed forms :func:`stagdyn.integrator.energy_audit` uses for
+    materials affine in z.  ``step_info`` holds the internal step's
+    by-products, as for the audit.
+    """
+    k = prev.k
+    has_z = bool(material.z_size(disc))
+
+    def grad(sigma, z):
+        return material.dphi_dsigma(disc, sigma, z)
+
+    def kinetic_pair(va, vb):
+        return 0.5 * float(np.sum(disc.mass * va * vb))
+
+    def midpoint(za, zb):
+        return 0.5 * (za + zb) if has_z else za
+
+    phi_next = material.phi(disc, nxt.sigma, nxt.z)
+    kinetic = kinetic_pair(nxt.v, prev.v)
+    diss = 0.0
+    if has_z:
+        diss = tau * material.step_dissipation(disc, prev.z, nxt.z, tau,
+                                               step_info or {})
+    dphi_mid_next = grad(nxt.sigma, midpoint(nxt.z, prev.z))
+    if k == 0:
+        energy_prev = kinetic_pair(prev.v, prev.v) + material.phi(
+            disc, prev.sigma, prev.z)
+        p_avg = 0.5 * (grad(nxt.sigma, prev.z) + grad(prev.sigma, prev.z))
+        work = 0.5 * tau * float(np.sum(loading.body_force * prev.v))
+        dg = loading.d_increment(0, tau)
+        if dg is not None:
+            work += disc.sdot(p_avg, dg)
+        s_gap = disc.apply_C_adjoint(disc.apply_I(p_avg - dphi_mid_next))
+        correction = -0.5 * tau * disc.sdot(s_gap, disc.apply_E(prev.v))
+    else:
+        energy_prev = kinetic_pair(prev.v, prev.v_prev) + material.phi(
+            disc, prev.sigma, prev.z)
+        work = tau * float(np.sum(loading.body_force * prev.v))
+        dphi_mid_prev = grad(prev.sigma, midpoint(prev.z, prev.z_prev))
+        correction = 0.0
+        if has_z:
+            jump = 0.5 * (dphi_mid_next - grad(nxt.sigma, prev.z))
+            jump += 0.5 * (dphi_mid_prev - grad(prev.sigma, prev.z))
+            correction = disc.sdot(jump, nxt.sigma - prev.sigma)
+        dg = loading.d_increment(k, tau)
+        if dg is not None:
+            work += disc.sdot(0.5 * (dphi_mid_next + dphi_mid_prev), dg)
+    residual = (kinetic + phi_next) - energy_prev + diss - work + correction
+    a_coeff = 1.0
+    if phi_next > 0.0:
+        f = disc.apply_E_adjoint(material.true_stress(disc, nxt.sigma,
+                                                      nxt.z))
+        f[~disc.v_active] = 0.0
+        a_coeff -= 0.125 * tau * tau * float(np.sum(f * f / disc.mass)) / (
+            phi_next)
+    return EnergyLedger(
+        step=k, time=(k + 1) * tau, kinetic=kinetic, stored=phi_next,
+        dissipated_step=diss, external_work_step=work,
+        stability_coeff=a_coeff, residual=residual, energy_prev=energy_prev)
+
+
+def ledger_defects(ledger, ref):
+    """``(rel, res)``: the largest relative defect of ``ledger`` against
+    ``ref`` over every field but the residual, and the absolute defect of
+    the residual.  A field that differs from a zero reference is
+    infinitely far from it; ledgers of different steps raise."""
+    if ledger.step != ref.step:
+        raise StagdynError(f"ledger of step {ledger.step} compared with "
+                           f"step {ref.step}")
+    rel = 0.0
+    for name in ("time", "kinetic", "stored", "dissipated_step",
+                 "external_work_step", "stability_coeff", "energy_prev"):
+        a, b = getattr(ledger, name), getattr(ref, name)
+        if a != b:
+            rel = max(rel, abs(a - b) / abs(b) if b else np.inf)
+    return rel, abs(ledger.residual - ref.residual)
+
+
+# ---------------------------------------------------------------------------
 # convergence studies
 # ---------------------------------------------------------------------------
 
@@ -325,17 +413,19 @@ def fit_order(resolutions, errors):
     return float(slope)
 
 
-def _level_runs(disc, material, loading, state0, cfg, taus):
+def _level_runs(disc, material, loading, state0, cfg, taus, tau_max=None):
     """Run the scheme to ``cfg.t_end`` at each CFL-admissible level.
 
-    Each tau is shortened to divide t_end.  The bound is estimated once,
-    at ``cfg.eta``, and every admissible level runs with the other
-    settings of ``cfg``.  Returns ``(levels, excluded)`` with levels a
-    list of ``(tau_eff, final state)``.
+    Each tau is shortened to divide t_end.  The bound ``tau_max`` at
+    ``cfg.eta`` and the initial state is estimated once when not given,
+    and every admissible level runs with the other settings of ``cfg``.
+    Returns ``(levels, excluded)`` with levels a list of ``(tau_eff,
+    final state)``.
     """
     from .integrator import cfl_admissible, max_stable_timestep, run_simulation
 
-    tau_max, _ = max_stable_timestep(disc, material, state0.z, cfg.eta)
+    if tau_max is None:
+        tau_max, _ = max_stable_timestep(disc, material, state0.z, cfg.eta)
     levels = []
     excluded = []
     for tau in taus:
@@ -353,17 +443,19 @@ def _level_runs(disc, material, loading, state0, cfg, taus):
 
 
 def temporal_self_convergence(disc, material, loading, state0, cfg, taus,
-                              oracle_refine=16):
+                              oracle_refine=16, tau_max=None):
     """Explicit staggered vs midpoint oracle under tau refinement.
 
     ``cfg`` is the run's :class:`IntegratorConfig`: its ``t_end`` is the
     horizon, its ``eta`` the CFL margin, and its other settings reach
-    every level.  The oracle runs at ``tau/oracle_refine`` so its own
-    time error is negligible against the measured one; spatial operators
-    are shared, so the comparison isolates the time discretization.
+    every level.  ``tau_max``, when given, is the stability bound at that
+    ``eta`` and ``state0``, already estimated by the caller.  The oracle
+    runs at ``tau/oracle_refine`` so its own time error is negligible
+    against the measured one; spatial operators are shared, so the
+    comparison isolates the time discretization.
     """
     levels, excluded = _level_runs(disc, material, loading, state0, cfg,
-                                   taus)
+                                   taus, tau_max)
     errors = []
     for tau_eff, final in levels:
         sig_exp = explicit_sigma_closure(final, disc, tau_eff)
@@ -380,16 +472,16 @@ def temporal_self_convergence(disc, material, loading, state0, cfg, taus,
 
 
 def temporal_finest_grid(disc, material, loading, state0, cfg, taus,
-                         refine=4):
+                         refine=4, tau_max=None):
     """Tau refinement against the finest run (nonlinear materials).
 
-    ``cfg`` is the run's :class:`IntegratorConfig`, as in
-    :func:`temporal_self_convergence`.  The reference is the same
-    explicit scheme at ``min(taus)/refine``; errors are measured in the
-    mass-weighted (v, Sigma) norm at t_end.
+    ``cfg`` and ``tau_max`` are as in :func:`temporal_self_convergence`.
+    The reference is the same explicit scheme at ``min(taus)/refine``;
+    errors are measured in the mass-weighted (v, Sigma) norm at t_end.
     """
     levels, excluded = _level_runs(disc, material, loading, state0, cfg,
-                                   list(taus) + [min(taus) / refine])
+                                   list(taus) + [min(taus) / refine],
+                                   tau_max)
     if len(levels) < 4:
         raise StagdynError("too few CFL-admissible levels for a fit")
     finished = [(explicit_sigma_closure(final, disc, tau_eff), final.v)

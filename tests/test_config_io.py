@@ -24,6 +24,8 @@ from stagdyn.config import (
 from stagdyn.errors import ConfigError, StagdynError
 from stagdyn.materials import ElasticMaterial
 
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
 MINIMAL_ELASTIC = """
 [grid]
 dim = 1
@@ -314,7 +316,7 @@ def test_cli_converge_finest_grid_damage(tmp_path, capsys):
 def test_cli_converge_uses_configured_eta(tmp_path, capsys):
     # the study's CFL bound is the config's: with eta = 0.05 the config's
     # auto tau is admissible at level 0, not excluded against eta = 0.1
-    text = pathlib.Path("configs/maxwell_creep_1d.cfg").read_text(
+    text = (CONFIGS / "maxwell_creep_1d.cfg").read_text(
         encoding="utf-8").replace("eta = 0.1", "eta = 0.05")
     path = write_cfg(tmp_path, text)
     assert main(["converge", path, "--levels", "3"]) == 0
@@ -459,13 +461,12 @@ def test_cli_solver_failure_exits_3(tmp_path, monkeypatch):
     "elastic_wave_1d", "maxwell_creep_1d", "viscoplastic_2d",
     "biot_seepage_1d", "damage_1d"])
 def test_shipped_configs_round_trip(name):
-    text = pathlib.Path(f"configs/{name}.cfg").read_text(encoding="utf-8")
+    text = (CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")
     cfg = parse_config(text)
     assert parse_config(serialize_config(cfg)) == cfg
 
 
-SHIPPED_CONFIGS = sorted(
-    (pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+SHIPPED_CONFIGS = sorted(CONFIGS.glob("*.cfg"))
 
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
