@@ -31,8 +31,10 @@ from .oracle import (
     MAX_ORACLE_DOFS,
     brute_force_prox,
     dense_generalized_rayleigh,
+    dense_operator,
     gradient_check,
     ledger_defects,
+    manufactured_wave_study,
     reference_ledger,
     scan_internal_objective,
 )
@@ -151,15 +153,30 @@ def check_biot_mass_conservation(rng):
 
 
 def check_damage_structure(rng):
-    d = _disc_1d(nx=12, h=1.0 / 12.0)
     m = DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4, viscosity=0.3)
-    alpha = np.ones(d.zs_n)
-    for _ in range(50):
-        sigma = 0.6 * rng.standard_normal(d.n_s)
-        nxt, _ = m.internal_step(d, sigma, alpha, 0.05)
-        _require(np.all(nxt <= alpha + 1e-12), "damage healed")
-        alpha = nxt
-    _require(np.all(alpha >= -1e-12), "damage below zero")
+    for d in (_disc_1d(nx=12, h=1.0 / 12.0), _disc_2d()):
+        alpha = np.ones(d.zs_n)
+        for _ in range(50):
+            sigma = 0.6 * rng.standard_normal(d.n_s)
+            nxt, _ = m.internal_step(d, sigma, alpha, 0.05)
+            _require(np.all(nxt <= alpha + 1e-12), f"{d.dim}D damage healed")
+            alpha = nxt
+        _require(np.all(alpha >= -1e-12), f"{d.dim}D damage below zero")
+        _require(np.any(alpha < 1.0 - 1e-3), f"{d.dim}D damage never grew")
+
+
+def check_damage_preconditioner(rng):
+    # the cosine-transform inverse of the damage operator's constant part
+    # against a dense solve; a wrong inverse would still let CG converge
+    d = _disc_1d(nx=24, h=1.0 / 24.0)
+    for shift, coeff in ((0.7, 0.013), (3.0, 0.4)):
+        A = shift * np.eye(d.zs_n) - coeff * dense_operator(d.lap_z, d.zs_n)
+        r = rng.standard_normal(d.zs_n)
+        ref = np.linalg.solve(A, r)
+        got = d.shifted_lap_z_solver(shift, coeff)(r)
+        err = float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
+        _require(err <= 1e-12, "shifted laplacian solve vs dense: "
+                 f"relative error {err:.3e}")
 
 
 def check_cfl_estimator(rng):
@@ -213,6 +230,15 @@ def check_ledger_reference(rng):
                      f"{res:.3e}")
 
 
+def check_wave_convergence_2d(rng):
+    # the 2D exact standing wave at n = 8, 16, 32 (about 0.1 s)
+    rep = manufactured_wave_study(levels=3, n0=8, dim=2,
+                                  courant=0.5 / np.sqrt(2.0))
+    _require(1.8 <= rep.fitted_order <= 2.2,
+             f"2D standing wave: joint order {rep.fitted_order:.3f}, "
+             f"errors {rep.errors}")
+
+
 def check_radial_return(rng):
     for _ in range(30):
         trial = float(rng.standard_normal() * 2.0)
@@ -233,10 +259,12 @@ ALL_CHECKS = [
     ("prox-vs-scan", check_prox_scans),
     ("radial-return", check_radial_return),
     ("elastic-conservation", check_elastic_conservation),
+    ("wave-convergence-2d", check_wave_convergence_2d),
     ("energy-inequality", check_energy_inequality),
     ("ledger-reference", check_ledger_reference),
     ("biot-mass-conservation", check_biot_mass_conservation),
     ("damage-structure", check_damage_structure),
+    ("damage-preconditioner", check_damage_preconditioner),
     ("cfl-estimator", check_cfl_estimator),
 ]
 

@@ -446,6 +446,32 @@ class Discretization:
         """Scalar graph laplacian ``div_z(coeff * grad_z z)``; NSD."""
         return self.div_z(coeff * self.grad_z(z))
 
+    def shifted_lap_z_solver(self, shift, coeff):
+        """Exact inverse of ``shift - coeff * lap_z`` on a 1D grid.
+
+        Returns ``r -> (shift - coeff * lap_z)^-1 r``, self-adjoint in
+        :meth:`zdot`.  The no-flux laplacian on the nodes with half-weight
+        ends is diagonal in the DCT-I modes (Strang, SIAM Review 41(1),
+        1999), computed by ``numpy.fft`` on the even extension; the
+        eigenvalues are formed here, once, so each application costs two
+        transforms and a divide.  Requires ``shift > 0`` and ``coeff >= 0``.
+        """
+        if self.dim != 1:
+            raise ValueError("shifted laplacian solve is 1D only")
+        if not (shift > 0 and coeff >= 0):
+            raise ValueError("shifted laplacian solve needs shift > 0 and "
+                             "coeff >= 0")
+        n = self.grid.nx
+        k = np.arange(n + 1)
+        den = (shift + coeff * 4.0 * np.sin(0.5 * np.pi * k / n) ** 2
+               / (self.h * self.h))
+
+        def solve(r):
+            return np.fft.irfft(np.fft.hfft(r, 2 * n)[:n + 1] / den,
+                                2 * n)[:n + 1]
+
+        return solve
+
     # ------------------------------------------------------------------
     # vertex <-> center transfer (2D damage shear coupling)
     # ------------------------------------------------------------------

@@ -496,9 +496,9 @@ def temporal_finest_grid(disc, material, loading, state0, cfg, taus,
 
 
 def manufactured_wave_study(levels, n0=16, c_mod=1.0, rho=1.0, t_end=0.5,
-                            courant=0.5, amplitude=1.0):
+                            courant=0.5, amplitude=1.0, dim=1):
     """Elastic standing wave, joint (h, tau) refinement at fixed Courant
-    ratio; errors against the exact solution.
+    ratio ``c tau / h``; errors against the exact solution.
 
     Uses the traction-free mode u(x,t) = cos(pi x) cos(pi c t), whose
     boundary data (sigma = 0 at both ends) the masked Neumann stress rows
@@ -506,35 +506,61 @@ def manufactured_wave_study(levels, n0=16, c_mod=1.0, rho=1.0, t_end=0.5,
     second order.  (The clamped zero-ghost wall carries an O(1) boundary
     consistency defect by construction and is not a valid refinement
     target for a smooth standing mode.)
+
+    ``dim=2`` runs the same mode as ``u_x`` on the unit square with all
+    sides ``neumann`` and ``K = G = c_mod / 2``: the Lame lambda ``K - G``
+    vanishes, so ``sigma_yy`` and the shear stay zero, every side is
+    traction-free, and ``c = sqrt((K + G) / rho)``.  Its explicit limit is
+    ``c tau / h <= 1 / sqrt(2)``, so pass ``courant`` accordingly.
     """
     from .grid import Grid, build
     from .integrator import (IntegratorConfig, initial_state, no_loading,
                              run_simulation)
     from .materials import ElasticMaterial
 
+    if dim not in (1, 2):
+        raise ValueError(f"unsupported dim {dim}")
     c_wave = np.sqrt(c_mod / rho)
+    omega = np.pi * c_wave
     hs = []
     errors = []
     for lvl in range(levels):
         nx = n0 * 2 ** lvl
         h = 1.0 / nx
-        disc = build(Grid(dim=1, nx=nx, h=h, bc=("neumann", "neumann")),
-                     rho, {"modulus": c_mod})
+        if dim == 1:
+            disc = build(Grid(dim=1, nx=nx, h=h, bc=("neumann", "neumann")),
+                         rho, {"modulus": c_mod})
+            x_sigma = np.linspace(0.0, 1.0, nx + 1)
+            x_v = 0.5 * (x_sigma[:-1] + x_sigma[1:])
+        else:
+            disc = build(Grid(dim=2, nx=nx, ny=nx, h=h, bc=("neumann",) * 4),
+                         rho, {"bulk_modulus": 0.5 * c_mod,
+                               "shear_modulus": 0.5 * c_mod})
+            x_sigma = (np.arange(nx) + 0.5) * h
+            x_v = np.arange(nx + 1) * h
+
+        def fields(t):
+            """(sigma, v) of the exact mode at time t on the layout."""
+            sig = (-amplitude * c_mod * np.pi * np.sin(np.pi * x_sigma)
+                   * np.cos(omega * t))
+            vel = (-amplitude * omega * np.cos(np.pi * x_v)
+                   * np.sin(omega * t))
+            if dim == 1:
+                return sig, vel
+            sigma, v = disc.zeros_s(), disc.zeros_v()
+            disc.sxx_view(sigma)[:] = sig[:, None]
+            disc.vx_view(v)[:] = vel[:, None]
+            return sigma, v
+
         material = ElasticMaterial()
-        tau0 = courant * h * np.sqrt(rho / c_mod)
+        tau0 = courant * h / c_wave
         n = int(np.ceil(t_end / tau0))
         tau = t_end / n
-        nodes = np.linspace(0.0, 1.0, nx + 1)
-        centers = 0.5 * (nodes[:-1] + nodes[1:])
-        sigma0 = -amplitude * c_mod * np.pi * np.sin(np.pi * nodes)
-        state = initial_state(disc, material, sigma=sigma0)
+        state = initial_state(disc, material, sigma=fields(0.0)[0])
         cfg = IntegratorConfig(tau=tau, t_end=t_end)
         final, _ = run_simulation(disc, material, no_loading(disc), cfg, state)
         sig = explicit_sigma_closure(final, disc, tau)
-        sig_exact = (-amplitude * c_mod * np.pi * np.sin(np.pi * nodes)
-                     * np.cos(np.pi * c_wave * t_end))
-        v_exact = (-amplitude * np.pi * c_wave * np.cos(np.pi * centers)
-                   * np.sin(np.pi * c_wave * t_end))
+        sig_exact, v_exact = fields(t_end)
         errors.append(trajectory_distance(disc, sig, final.v,
                                           sig_exact, v_exact))
         hs.append(h)

@@ -19,16 +19,25 @@ import numpy as np
 from .errors import SolverError
 
 
-def _cg(apply_A, b, dot, tol, x0=None, project=None, max_iter=None):
+def _cg(apply_A, b, dot, tol, x0=None, project=None, max_iter=None,
+        precond=None):
     """Conjugate gradients in the inner product ``dot``.
 
     ``project`` restricts the iteration to a subspace (active-set solves);
     it must be the orthogonal projector onto that subspace in ``dot`` (a 0/1
-    mask is orthogonal for any diagonal weighting).  The default budget is
-    ``20 n + 200`` iterations.  Returns ``(x, residual_history)``.
+    mask is orthogonal for any diagonal weighting).  ``precond`` applies an
+    approximate inverse of ``apply_A``, self-adjoint and positive definite
+    in ``dot``; on a subspace the iteration uses ``project(precond(r))``.
+    The stopping test is the true residual norm ``<= tol * |b|`` either
+    way.  The default budget is ``20 n + 200`` iterations.  Returns
+    ``(x, residual_history)``.
     """
     if project is None:
         project = lambda u: u
+    if precond is None:
+        apply_M = lambda u: u
+    else:
+        apply_M = lambda u: project(precond(u))
     if max_iter is None:
         max_iter = 20 * b.shape[0] + 200
     x = np.zeros_like(b) if x0 is None else x0.copy()
@@ -36,12 +45,17 @@ def _cg(apply_A, b, dot, tol, x0=None, project=None, max_iter=None):
     bnorm = np.sqrt(max(dot(b, b), 0.0))
     stop = tol * max(bnorm, 1e-300)
     history = []
-    rho = dot(r, r)
-    history.append(np.sqrt(max(rho, 0.0)))
+    rr = dot(r, r)
+    history.append(np.sqrt(max(rr, 0.0)))
     if history[-1] <= stop:
         return x, history
-    p = r.copy()
+    z = apply_M(r)
+    rho = rr if precond is None else dot(r, z)
+    p = z.copy()
     for _ in range(max_iter):
+        if rho <= 0.0:
+            raise SolverError("preconditioner not positive definite",
+                              last_iterate=x, residuals=history)
         Ap = project(apply_A(p))
         pAp = dot(p, Ap)
         if pAp <= 0.0:
@@ -50,11 +64,13 @@ def _cg(apply_A, b, dot, tol, x0=None, project=None, max_iter=None):
         alpha = rho / pAp
         x += alpha * p
         r -= alpha * Ap
-        rho_new = dot(r, r)
-        history.append(np.sqrt(max(rho_new, 0.0)))
+        rr = dot(r, r)
+        history.append(np.sqrt(max(rr, 0.0)))
         if history[-1] <= stop:
             return x, history
-        p = r + (rho_new / rho) * p
+        z = apply_M(r)
+        rho_new = rr if precond is None else dot(r, z)
+        p = z + (rho_new / rho) * p
         rho = rho_new
     raise SolverError("conjugate gradients exhausted its budget",
                       last_iterate=x, residuals=history)
@@ -66,9 +82,10 @@ def solve_linear_spd(apply_A, b, dot, tol, x0=None):
     return x
 
 
-def solve_bound_constrained(apply_A, b, dot, upper, tol):
+def solve_bound_constrained(apply_A, b, dot, upper, tol, precond=None):
     """Minimize subject to ``x <= upper`` by projected CG with active-set
-    refresh, starting from ``min(0, upper)``.
+    refresh, starting from ``min(0, upper)``.  ``precond`` is passed to
+    every projected CG solve (see :func:`_cg`).
 
     KKT at the solution: inactive points have zero gradient, points at the
     bound have gradient <= 0 (multiplier = -gradient >= 0), both within the
@@ -92,7 +109,8 @@ def solve_bound_constrained(apply_A, b, dot, upper, tol):
         free = (~at_bound) | (g > kkt_tol)
         mask = free.astype(float)
         project = lambda u: mask * u
-        d, _ = _cg(apply_A, project(-g), dot, 0.1 * tol, project=project)
+        d, _ = _cg(apply_A, project(-g), dot, 0.1 * tol, project=project,
+                   precond=precond)
         x = np.minimum(x + d, upper)
     raise SolverError("bound-constrained active set failed to settle",
                       last_iterate=x, residuals=[])

@@ -615,3 +615,127 @@ def test_plastic_2d_creep_step_stationarity():
     resid = (m.viscosity * (z - zk) / tau
              + m._apply_cbar(d, 0.5 * (z + zk)) - sigma)
     assert np.max(np.abs(resid)) < 1e-13
+
+
+def count_cg_iterations(monkeypatch):
+    """Wrap ``solvers._cg`` and tally the CG iterations of every call and
+    the calls that ran with a preconditioner."""
+    from stagdyn import solvers
+
+    tally = {"calls": 0, "iters": 0, "preconditioned": 0}
+    cg = solvers._cg
+
+    def counted(*args, **kwargs):
+        x, hist = cg(*args, **kwargs)
+        tally["calls"] += 1
+        tally["iters"] += len(hist) - 1
+        tally["preconditioned"] += kwargs.get("precond") is not None
+        return x, hist
+
+    monkeypatch.setattr(solvers, "_cg", counted)
+    return tally
+
+
+def smooth_random(rng, x, amplitude):
+    """A random sum of low cosine modes at the points ``x`` in [0, 1]."""
+    out = np.zeros(x.shape[0])
+    for _ in range(4):
+        k = rng.integers(0, 4)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        out += rng.standard_normal() * np.cos(np.pi * k * x + phase)
+    return amplitude * out
+
+
+def plain_damage_step(m, d, sigma, z_k, tau):
+    """The irreversible damage step by unpreconditioned projected CG."""
+    from stagdyn.materials import KKT_TOL
+    from stagdyn.solvers import solve_bound_constrained
+
+    chat = m.compliance_density(d, sigma)
+    delta = solve_bound_constrained(
+        m._quad_operator(d, chat, tau, viscous=True),
+        -m.dphi_dz(d, sigma, z_k), d.zdot, np.zeros_like(z_k), KKT_TOL)
+    return z_k + delta
+
+
+def test_damage_preconditioned_step_matches_plain_solve(monkeypatch):
+    # random smooth damage states where the gradient term dominates the
+    # shift, as on the fracture benchmark grid (nx = 256): the
+    # preconditioned internal step gives the plain projected-CG minimizer
+    # in at most half the CG iterations
+    d = disc_1d(nx=256, h=1.0 / 256, bc=("dirichlet", "neumann"))
+    m = DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4, viscosity=0.3)
+    x = np.arange(d.n_s) / d.grid.nx
+    rng = np.random.default_rng(41)
+    tally = count_cg_iterations(monkeypatch)
+    plain_iters = pc_iters = 0
+    for _ in range(4):
+        sigma = smooth_random(rng, x, 2.0)
+        z_k = np.clip(0.8 + smooth_random(rng, x, 0.2), 0.05, 1.0)
+        tau = float(rng.uniform(0.5, 1.5)) * d.h
+        tally["iters"] = tally["preconditioned"] = 0
+        z, _ = m.internal_step(d, sigma, z_k, tau)
+        pc_iters += tally["iters"]
+        assert tally["preconditioned"] > 0
+        tally["iters"] = 0
+        plain = plain_damage_step(m, d, sigma, z_k, tau)
+        plain_iters += tally["iters"]
+        assert_allclose(z, plain, rtol=0.0, atol=1e-10)
+        assert np.all(z <= z_k)
+        assert np.any(z < z_k - 1e-4) and np.any(z == z_k)
+    assert 0 < pc_iters <= 0.5 * plain_iters, (pc_iters, plain_iters)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_damage_step_on_rough_or_2d_states_runs_plain_cg(dim, monkeypatch):
+    # grid-scale noise breaks the damaging set into runs shorter than the
+    # gradient length, and 2D has no transform solve: both take the plain
+    # projected CG, bit for bit
+    if dim == 1:
+        d = disc_1d(nx=256, h=1.0 / 256, bc=("dirichlet", "neumann"))
+    else:
+        d = disc_2d(nx=16, ny=12, h=1.0 / 64)
+    m = DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4, viscosity=0.3)
+    rng = np.random.default_rng(43)
+    tally = count_cg_iterations(monkeypatch)
+    for _ in range(3):
+        sigma = 3.0 * rng.standard_normal(d.n_s)
+        z_k = rng.uniform(0.3, 1.0, d.zs_n)
+        tau = 0.25 * d.h
+        z, _ = m.internal_step(d, sigma, z_k, tau)
+        assert np.array_equal(z, plain_damage_step(m, d, sigma, z_k, tau))
+        assert np.any(z < z_k)
+    assert tally["calls"] > 0 and tally["preconditioned"] == 0
+
+
+def test_damage_steps_import_numpy_only():
+    # the cosine transforms come from numpy.fft: one 1D (preconditioned)
+    # and one 2D damage step load no scipy
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from stagdyn.grid import Grid, build\n"
+        "from stagdyn.materials import DamageMaterial\n"
+        "m = DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4, viscosity=0.3)\n"
+        "for grid, moduli in (\n"
+        "        (Grid(dim=1, nx=32, h=1 / 32, bc=('dirichlet',) * 2),\n"
+        "         {'modulus': 1.0}),\n"
+        "        (Grid(dim=2, nx=6, ny=5, h=0.2, bc=('dirichlet',) * 4),\n"
+        "         {'bulk_modulus': 1.0, 'shear_modulus': 0.6})):\n"
+        "    d = build(grid, 1.0, moduli)\n"
+        "    z = np.ones(d.zs_n)\n"
+        "    nxt, _ = m.internal_step(d, np.full(d.n_s, 2.0), z, 0.05)\n"
+        "    assert np.all(nxt <= z) and np.any(nxt < z)\n"
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -135,6 +135,16 @@ def test_manufactured_standing_wave_order_two():
     assert 1.8 <= report.fitted_order <= 2.2
 
 
+def test_manufactured_standing_wave_order_two_2d():
+    # traction-free square, K = G: the mode is exact for the 2D stencils
+    # too, refined at the 2D Courant ratio 0.5 / sqrt(2)
+    report = manufactured_wave_study(levels=3, n0=8, dim=2,
+                                     courant=0.5 / np.sqrt(2.0))
+    assert report.reference == "exact"
+    assert 1.8 <= report.fitted_order <= 2.2
+    assert report.errors[-1] < report.errors[0] / 10.0
+
+
 def test_cfl_violating_tau_excluded():
     d = disc_1d(nx=8, h=0.125)
     m = PlasticCreepMaterial(viscosity=0.5)

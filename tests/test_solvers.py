@@ -109,15 +109,37 @@ def test_unconstrained_minimizer_feasible():
                     atol=1e-10)
 
 
-def test_one_dof_kkt_hand_case():
+def spd_precond(S, w=None):
+    """``r -> W^-1 S r`` for a dense SPD ``S``: self-adjoint and positive
+    definite in the ``w``-weighted product (plain product for None)."""
+    if w is None:
+        return lambda r: S @ r
+    return lambda r: (S @ r) / w
+
+
+def random_spd(rng, n):
+    Q = rng.standard_normal((n, n))
+    return Q @ Q.T + 0.5 * n * np.eye(n)
+
+
+def check_one_dof_kkt_hand_case(precond):
     # min 1/2*2*x^2 - 10x  s.t. x <= 1  ->  x=1, multiplier 8
     A = np.array([[2.0]])
     b = np.array([10.0])
     ub = np.array([1.0])
-    x = solve_bound_constrained(*dense_problem(A, b), upper=ub, tol=1e-12)
+    x = solve_bound_constrained(*dense_problem(A, b), upper=ub, tol=1e-12,
+                                precond=precond)
     assert_allclose(x, [1.0], atol=1e-12)
     mult = -(A @ x - b)  # -gradient at the bound
     assert_allclose(mult, [8.0], atol=1e-10)
+
+
+def test_one_dof_kkt_hand_case():
+    check_one_dof_kkt_hand_case(None)
+
+
+def test_one_dof_kkt_hand_case_preconditioned():
+    check_one_dof_kkt_hand_case(spd_precond(np.array([[0.3]])))
 
 
 def enumerate_bound_qp(A, b, ub):
@@ -144,20 +166,30 @@ def enumerate_bound_qp(A, b, ub):
     return best
 
 
-def test_random_bound_qp_against_enumeration():
+def check_random_bound_qp_against_enumeration(precond_rng):
     rng = np.random.default_rng(7)
     for _ in range(25):
         M = rng.standard_normal((6, 6))
         A = M @ M.T + 6 * np.eye(6)
         b = rng.standard_normal(6) * 3.0
         ub = rng.standard_normal(6)
+        P = None if precond_rng is None else spd_precond(
+            random_spd(precond_rng, 6))
         x = solve_bound_constrained(*dense_problem(A, b), upper=ub,
-                                    tol=1e-12)
+                                    tol=1e-12, precond=P)
         x_ref = enumerate_bound_qp(A, b, ub)
         assert_allclose(x, x_ref, atol=1e-9)
 
 
-def test_bound_qp_weighted_inner_product():
+def test_random_bound_qp_against_enumeration():
+    check_random_bound_qp_against_enumeration(None)
+
+
+def test_random_bound_qp_against_enumeration_preconditioned():
+    check_random_bound_qp_against_enumeration(np.random.default_rng(70))
+
+
+def check_bound_qp_weighted_inner_product(precond_rng):
     rng = np.random.default_rng(8)
     w = rng.uniform(0.5, 2.0, 5)
     M = rng.standard_normal((5, 5))
@@ -165,11 +197,51 @@ def test_bound_qp_weighted_inner_product():
     Aw = np.diag(1.0 / w) @ As
     b = rng.standard_normal(5) * 2.0
     ub = rng.standard_normal(5)
+    P = None if precond_rng is None else spd_precond(
+        random_spd(precond_rng, 5), w=w)
     x = solve_bound_constrained(*dense_problem(Aw, b, w=w), upper=ub,
-                                tol=1e-12)
+                                tol=1e-12, precond=P)
     # oracle in the flat metric: objective 1/2 x' (W Aw) x - (w b)' x
     x_ref = enumerate_bound_qp(np.diag(w) @ Aw, w * b, ub)
     assert_allclose(x, x_ref, atol=1e-9)
+
+
+def test_bound_qp_weighted_inner_product():
+    check_bound_qp_weighted_inner_product(None)
+
+
+def test_bound_qp_weighted_inner_product_preconditioned():
+    check_bound_qp_weighted_inner_product(np.random.default_rng(80))
+
+
+def test_preconditioned_cg_matches_plain_cg():
+    # same solution, far fewer iterations with the exact inverse, in the
+    # weighted product
+    rng = np.random.default_rng(81)
+    w = rng.uniform(0.5, 2.0, 30)
+    S = random_spd(rng, 30) + 50.0 * np.eye(30)
+    Aw = np.diag(1.0 / w) @ S
+    b = rng.standard_normal(30)
+    problem = dense_problem(Aw, b, w=w)
+    x_plain, hist_plain = solvers._cg(*problem, 1e-12)
+    S_inv = np.linalg.inv(S)
+    x_pc, hist_pc = solvers._cg(*problem, 1e-12,
+                                precond=lambda r: S_inv @ (w * r))
+    assert_allclose(x_pc, x_plain, rtol=1e-9, atol=1e-12)
+    assert len(hist_pc) <= 3 < len(hist_plain)
+
+
+@pytest.mark.parametrize("precond", [lambda r: -r, lambda r: 0.0 * r])
+def test_indefinite_preconditioner_raises(precond):
+    rng = np.random.default_rng(82)
+    S = random_spd(rng, 6)
+    b = rng.standard_normal(6)
+    problem = dense_problem(S, b)
+    with pytest.raises(SolverError, match="preconditioner"):
+        solvers._cg(*problem, 1e-12, precond=precond)
+    with pytest.raises(SolverError, match="preconditioner"):
+        solve_bound_constrained(*problem, upper=np.full(6, 10.0), tol=1e-12,
+                                precond=precond)
 
 
 # ---------------------------------------------------------------------------
