@@ -163,6 +163,16 @@ def check_damage_structure(rng):
             alpha = nxt
         _require(np.all(alpha >= -1e-12), f"{d.dim}D damage below zero")
         _require(np.any(alpha < 1.0 - 1e-3), f"{d.dim}D damage never grew")
+    # the worst case: white-noise stress on a partly damaged field, where
+    # the step without its lower bound ends below zero
+    d = _disc_1d(nx=256, h=1.0 / 256.0)
+    alpha = rng.uniform(0.3, 1.0, d.zs_n)
+    nxt, _ = m.internal_step(d, 3.0 * rng.standard_normal(d.n_s), alpha,
+                             0.004)
+    _require(np.all(nxt <= alpha), "rough-stress damage healed")
+    _require(np.all(nxt >= 0.0), "rough-stress damage below zero: "
+             f"min {float(nxt.min()):.3g}")
+    _require(np.any(nxt == 0.0), "rough-stress damage never reached zero")
 
 
 def check_damage_preconditioner(rng):

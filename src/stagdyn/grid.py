@@ -83,8 +83,12 @@ class Grid:
 class Discretization:
     """Assembled operators, weights and masks for one grid.
 
-    Immutable after construction; all ``apply_*`` methods are read-only.
-    Use :func:`build` to construct.
+    The fields are immutable after construction; the scratch arrays are
+    private.  Operators fill private scratch buffers but return fresh
+    arrays only, never a view of a buffer.  ``s_inactive`` and
+    ``v_inactive`` list the masked-out stress and velocity DOFs (the
+    complements of ``s_active`` and ``v_active``).  Use :func:`build` to
+    construct.
     """
 
     def __init__(self, grid, rho, moduli):
@@ -102,6 +106,10 @@ class Discretization:
 
         if not np.all(self.mass > 0):
             raise ConfigError("zero mass entry in discretization", "grid")
+        self.s_inactive = np.flatnonzero(~self.s_active)
+        self.v_inactive = np.flatnonzero(~self.v_active)
+        # the products sdot reduces, and the weighted input of E*
+        self._sw = np.empty(self.n_s)
 
     # ------------------------------------------------------------------
     # construction
@@ -152,6 +160,8 @@ class Discretization:
         self.shape_vy = (nx, ny + 1)
         self.shape_c = (nx, ny)
         self.shape_vert = (nx + 1, ny + 1)
+        # stencil and elasticity-map work space: no 2D layout is larger
+        self._scratch = np.empty((nx + 1) * (ny + 1))
         nvx = (nx + 1) * ny
         nvy = nx * (ny + 1)
         nc = nx * ny
@@ -283,11 +293,11 @@ class Discretization:
         if self.dim == 1:
             out = kernels.grad_1d(v, self.h)
         else:
-            exx, eyy, sxy = kernels.grad_2d(
-                self.vx_view(v), self.vy_view(v), self.h
-            )
-            out = np.concatenate([exx.ravel(), eyy.ravel(), sxy.ravel()])
-        out[~self.s_active] = 0.0
+            out = np.empty(self.n_s)
+            kernels.grad_2d(self.vx_view(v), self.vy_view(v), self.h,
+                            self.sxx_view(out), self.syy_view(out),
+                            self.sxy_view(out), self._scratch)
+        out[self.s_inactive] = 0.0
         return out
 
     def apply_E_adjoint(self, s):
@@ -298,16 +308,26 @@ class Discretization:
         pairing unweighted (mass-free).
         """
         self._check_s(s)
-        sw = self.sweights * np.where(self.s_active, s, 0.0)
+        sw = np.multiply(self.sweights, s, out=self._sw)
+        sw[self.s_inactive] = 0.0
         if self.dim == 1:
             return kernels.grad_1d_t(sw, self.h)
-        vx, vy = kernels.grad_2d_t(
-            sw[self._xx_sl].reshape(self.shape_c),
-            sw[self._yy_sl].reshape(self.shape_c),
-            sw[self._xy_sl].reshape(self.shape_vert),
-            self.h,
-        )
-        return np.concatenate([vx.ravel(), vy.ravel()])
+        out = np.empty(self.n_v)
+        kernels.grad_2d_t(self.sxx_view(sw), self.syy_view(sw),
+                          self.sxy_view(sw), self.h, self.vx_view(out),
+                          self.vy_view(out), self._scratch)
+        return out
+
+    def _apply_pair(self, a_xx, a_yy, p, q, out_xx, out_yy, combine):
+        """``out_xx = combine(p a_xx, q a_yy)``, ``out_yy = combine(p a_yy,
+        q a_xx)``: the normal-component block of the elasticity maps."""
+        t = self._scratch[:out_xx.size].reshape(out_xx.shape)
+        np.multiply(a_xx, p, out=out_xx)
+        np.multiply(a_yy, q, out=t)
+        combine(out_xx, t, out=out_xx)
+        np.multiply(a_yy, p, out=out_yy)
+        np.multiply(a_xx, q, out=t)
+        combine(out_yy, t, out=out_yy)
 
     def apply_C(self, e):
         """Generalized elasticity map, strain layout -> stress layout."""
@@ -315,12 +335,11 @@ class Discretization:
         if self.dim == 1:
             return self.c_mod * e
         K, G = self.k_mod, self.g_mod
-        exx = self.sxx_view(e)
-        eyy = self.syy_view(e)
         out = np.empty_like(e)
-        self.sxx_view(out)[:] = (K + G) * exx + (K - G) * eyy
-        self.syy_view(out)[:] = (K - G) * exx + (K + G) * eyy
-        self.sxy_view(out)[:] = 2.0 * G * self.sxy_view(e)
+        # xx: (K+G) exx + (K-G) eyy,  yy: (K-G) exx + (K+G) eyy
+        self._apply_pair(self.sxx_view(e), self.syy_view(e), K + G, K - G,
+                         self.sxx_view(out), self.syy_view(out), np.add)
+        np.multiply(self.sxy_view(e), 2.0 * G, out=self.sxy_view(out))
         return out
 
     def apply_C_adjoint(self, s):
@@ -334,12 +353,14 @@ class Discretization:
             return s / self.c_mod
         K, G = self.k_mod, self.g_mod
         det = 4.0 * K * G
-        sxx = self.sxx_view(s)
-        syy = self.syy_view(s)
         out = np.empty_like(s)
-        self.sxx_view(out)[:] = ((K + G) * sxx - (K - G) * syy) / det
-        self.syy_view(out)[:] = ((K + G) * syy - (K - G) * sxx) / det
-        self.sxy_view(out)[:] = self.sxy_view(s) / (2.0 * G)
+        # xx: ((K+G) sxx - (K-G) syy) / det,  yy: ((K+G) syy - (K-G) sxx) / det
+        oxx, oyy = self.sxx_view(out), self.syy_view(out)
+        self._apply_pair(self.sxx_view(s), self.syy_view(s), K + G, K - G,
+                         oxx, oyy, np.subtract)
+        np.divide(oxx, det, out=oxx)
+        np.divide(oyy, det, out=oyy)
+        np.divide(self.sxy_view(s), 2.0 * G, out=self.sxy_view(out))
         return out
 
     def apply_I(self, s):
@@ -506,11 +527,15 @@ class Discretization:
 
     def sdot(self, a, b):
         """Weighted stress-layout inner product (fixed reduction order)."""
-        return float(np.sum(self.sweights * a * b))
+        p = np.multiply(self.sweights, a, out=self._sw)
+        p *= b
+        return float(np.sum(p))
 
     def zdot(self, a, b):
         """Weighted scalar-internal-layout inner product."""
-        return float(np.sum(self.zs_weights * a * b))
+        p = self.zs_weights * a
+        p *= b
+        return float(np.sum(p))
 
     def traction_pattern(self, side):
         """Unit stress-space pattern driven by the boundary source G.

@@ -62,9 +62,12 @@ class State:
     Phi(Sigma^k, z^k) and ``dphi_mid`` is dPhi_s(Sigma^k, (z^k +
     z^{k-1})/2).  Both are None on states not made by :func:`advance`
     (initial states, and every :meth:`copy`, which drops them), and the
-    audit then computes them afresh.  A caller that edits ``v``,
+    audit then computes them afresh.  :func:`advance` checks the fields
+    it makes for finiteness, so the next step checks ``v`` and ``sigma``
+    only when ``dphi_mid`` is None.  A caller that edits ``v``,
     ``sigma`` or ``z`` of an advanced state in place must edit a copy or
-    set both to None first, or the next ledger uses stale values.
+    set both to None first, or the next ledger uses stale values and the
+    next step trusts the edited fields.
     """
 
     u: np.ndarray
@@ -97,8 +100,8 @@ def initial_state(disc, material, u=None, v=None, sigma=None, z=None):
     v = disc.zeros_v() if v is None else np.asarray(v, dtype=float).copy()
     sigma = disc.zeros_s() if sigma is None else np.asarray(sigma, dtype=float).copy()
     z = material.z_init(disc) if z is None else np.asarray(z, dtype=float).copy()
-    sigma[~disc.s_active] = 0.0
-    v[~disc.v_active] = 0.0
+    sigma[disc.s_inactive] = 0.0
+    v[disc.v_inactive] = 0.0
     return State(u=u, v=v, sigma=sigma, z=z, k=0)
 
 
@@ -191,16 +194,23 @@ def _require_finite(name, arr):
 
 
 def step_sigma(state, disc, loading, cfg):
-    """Explicit proto-stress update (half step when bootstrapping)."""
-    _require_finite("velocity", state.v)
-    _require_finite("proto-stress", state.sigma)
+    """Explicit proto-stress update (half step when bootstrapping).
+
+    The fields of a state that :func:`advance` made were checked for
+    finiteness at the end of that step; other states are checked here.
+    """
+    if state.dphi_mid is None:
+        _require_finite("velocity", state.v)
+        _require_finite("proto-stress", state.sigma)
     tau_eff = 0.5 * cfg.tau if state.k == 0 else cfg.tau
-    sigma_next = state.sigma + tau_eff * disc.apply_I(
-        disc.apply_C(disc.apply_E(state.v)))
+    # sigma + tau_eff * (I C E v)
+    sigma_next = disc.apply_I(disc.apply_C(disc.apply_E(state.v)))
+    sigma_next *= tau_eff
+    np.add(state.sigma, sigma_next, out=sigma_next)
     dg = loading.d_increment(state.k, cfg.tau)
     if dg is not None:
-        sigma_next = sigma_next + dg
-        sigma_next[~disc.s_active] = 0.0
+        sigma_next += dg
+        sigma_next[disc.s_inactive] = 0.0
     return sigma_next
 
 
@@ -217,19 +227,27 @@ def step_velocity(state, sigma_next, z_next, disc, material, loading, cfg):
     (z' + z)/2, the same time level as the updated proto-stress, which
     keeps the update centered (second order) for coupled materials.
 
-    Returns ``(v_next, u_next, s_true, dphi_mid)`` with ``dphi_mid`` the
-    stress-side gradient dPhi_s(Sigma', (z' + z)/2) behind ``s_true =
-    C* I* dphi_mid``; the energy audit reuses it.
+    Returns ``(v_next, u_next, s_true, dphi_mid, force)`` with
+    ``dphi_mid`` the stress-side gradient dPhi_s(Sigma', (z' + z)/2)
+    behind ``s_true = C* I* dphi_mid`` and ``force`` = E* s_true, before
+    masking; the energy audit reuses them.
     """
-    z_mid = 0.5 * (z_next + state.z) if z_next.size else z_next
+    if z_next.size:
+        z_mid = z_next + state.z
+        z_mid *= 0.5
+    else:
+        z_mid = z_next
     dphi_mid = material.dphi_dsigma(disc, sigma_next, z_mid)
     s_true = disc.apply_C_adjoint(disc.apply_I(dphi_mid))
-    force = loading.body_force - disc.apply_E_adjoint(s_true)
-    dv = (cfg.tau / disc.mass) * force
-    dv[~disc.v_active] = 0.0
-    v_next = state.v + dv
-    u_next = state.u + cfg.tau * v_next
-    return v_next, u_next, s_true, dphi_mid
+    force = disc.apply_E_adjoint(s_true)
+    # v + (tau / M) * (F - E* S), with the inactive rows left at rest
+    v_next = np.subtract(loading.body_force, force)
+    v_next *= cfg.tau / disc.mass
+    v_next[disc.v_inactive] = 0.0
+    np.add(state.v, v_next, out=v_next)
+    u_next = cfg.tau * v_next
+    np.add(state.u, u_next, out=u_next)
+    return v_next, u_next, s_true, dphi_mid, force
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +255,13 @@ def step_velocity(state, sigma_next, z_next, disc, material, loading, cfg):
 # ---------------------------------------------------------------------------
 
 def _kinetic_pair(disc, va, vb):
-    return 0.5 * float(np.sum(disc.mass * va * vb))
+    p = disc.mass * va
+    p *= vb
+    return 0.5 * float(np.sum(p))
 
 
 def stability_coefficient(disc, material, sigma, z, tau, phi=None,
-                          s_true=None):
+                          s_true=None, force=None):
     """Positivity coefficient of the staggered energy at one state.
 
     With F = 0 the staggered energy splits exactly as
@@ -251,20 +271,24 @@ def stability_coefficient(disc, material, sigma, z, tau, phi=None,
 
     because v' - v = -tau M^-1 E*S contributes T((v'-v)/2) =
     (tau^2/8) <E*S, M^-1 E*S> to the kinetic split.  a >= eta is
-    guaranteed whenever tau <= max_stable_timestep(eta).  ``phi`` and
-    ``s_true``, when given, are Phi(sigma, z) and the true stress S
-    already formed by the caller.  A state with no stored energy has
-    a = 1.
+    guaranteed whenever tau <= max_stable_timestep(eta).  ``phi``,
+    ``s_true`` and ``force``, when given, are Phi(sigma, z), the true
+    stress S and E*S, already formed by the caller; ``force`` is read,
+    not changed.  A state with no stored energy has a = 1.
     """
     if phi is None:
         phi = material.phi(disc, sigma, z)
     if phi <= 0.0:
         return 1.0
-    if s_true is None:
-        s_true = material.true_stress(disc, sigma, z)
-    f = disc.apply_E_adjoint(s_true)
-    f[~disc.v_active] = 0.0
-    quad = float(np.sum(f * f / disc.mass))
+    if force is None:
+        if s_true is None:
+            s_true = material.true_stress(disc, sigma, z)
+        force = disc.apply_E_adjoint(s_true)
+    # sum of f^2 / M over the active rows
+    f2 = np.square(force)
+    f2[disc.v_inactive] = 0.0
+    f2 /= disc.mass
+    quad = float(np.sum(f2))
     return 1.0 - 0.125 * tau * tau * quad / phi
 
 
@@ -275,7 +299,8 @@ def _end_gradient(disc, material, sigma, z, z_other, dphi_mid):
     return g, disc.apply_C_adjoint(disc.apply_I(g))
 
 
-def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
+def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None,
+                 force=None):
     """Populate the ledger for the step ``prev -> nxt`` (pure diagnostic).
 
     The residual is the defect of the exact per-step energy identity of
@@ -293,6 +318,9 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
     Values carried on the states (``prev.energy``, ``prev.dphi_mid``,
     ``nxt.dphi_mid``) are used as they are; missing ones are computed
     here by the same operations, so the ledger does not depend on which.
+    ``force`` is the step's E* of its midpoint true stress; for a z-free
+    material that stress is S', and after the bootstrap the stability
+    coefficient reuses it instead of applying E* again.
     """
     tau = cfg.tau
     k = prev.k
@@ -358,8 +386,9 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
             work += disc.sdot(p_avg, dg)
         residual = ((kinetic + phi_next) - energy_prev + diss - work
                     + correction)
-        a_coeff = stability_coefficient(disc, material, nxt.sigma, nxt.z,
-                                        tau, phi=phi_next, s_true=s_next)
+        a_coeff = stability_coefficient(
+            disc, material, nxt.sigma, nxt.z, tau, phi=phi_next,
+            s_true=s_next, force=None if has_z else force)
 
     return EnergyLedger(
         step=k, time=(k + 1) * tau, kinetic=kinetic, stored=phi_next,
@@ -375,8 +404,8 @@ def advance(state, disc, material, loading, cfg):
     """One full staggered step; returns (new state, ledger)."""
     sigma_next = step_sigma(state, disc, loading, cfg)
     z_next, info = step_internal(state, sigma_next, material, disc, cfg)
-    v_next, u_next, _, dphi_mid = step_velocity(state, sigma_next, z_next,
-                                                disc, material, loading, cfg)
+    v_next, u_next, _, dphi_mid, force = step_velocity(
+        state, sigma_next, z_next, disc, material, loading, cfg)
     nxt = State(u=u_next, v=v_next, sigma=sigma_next, z=z_next,
                 k=state.k + 1, v_prev=state.v.copy(),
                 z_prev=state.z.copy(), dphi_mid=dphi_mid)
@@ -384,7 +413,7 @@ def advance(state, disc, material, loading, cfg):
                       ("velocity", v_next)):
         _require_finite(name, arr)
     ledger = energy_audit(state, nxt, disc, material, loading, cfg,
-                          step_info=info)
+                          step_info=info, force=force)
     nxt.energy = ledger.total
     return nxt, ledger
 
@@ -505,21 +534,24 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
     dphi0 = material.dphi_dsigma(disc, disc.zeros_s(), z_probe)
 
     def apply_H(s):
-        return material.dphi_dsigma(disc, s, z_probe) - dphi0
-
-    active_v = disc.v_active
+        hs = material.dphi_dsigma(disc, s, z_probe)
+        hs -= dphi0
+        return hs
 
     def apply_T(hs):
         # T s from hs = H s, which the recurrence carries
         f = disc.apply_E_adjoint(disc.apply_C_adjoint(disc.apply_I(hs)))
-        f = np.where(active_v, f / disc.mass, 0.0)
-        return 2.0 * disc.apply_C(disc.apply_E(f))
+        f /= disc.mass
+        f[disc.v_inactive] = 0.0
+        t = disc.apply_C(disc.apply_E(f))
+        t *= 2.0
+        return t
 
     not_pd = ConfigError("stored energy not positive definite at probe",
                          "material")
     rng = np.random.default_rng(0)
     q = rng.standard_normal(disc.n_s)
-    q[~disc.s_active] = 0.0
+    q[disc.s_inactive] = 0.0
     hq = apply_H(q)
     norm2 = 0.5 * disc.sdot(hq, q)
     if not norm2 > 0.0:
@@ -530,7 +562,11 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
     n_active = int(np.count_nonzero(disc.s_active))
     check_at = 8
     for j in range(1, max_iter + 1):
-        w = apply_T(hq) - beta * q_prev
+        w = apply_T(hq)
+        if j > 1:
+            # w - beta q_prev; q_prev is not used again
+            q_prev *= beta
+            w -= q_prev
         alpha = 0.5 * disc.sdot(w, hq)
         w -= alpha * q
         hw = apply_H(w)
@@ -548,7 +584,9 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
                 break
             check_at = j + max(8, j // 2)
         betas.append(beta)
-        q_prev, q, hq = q, w / beta, hw / beta
+        w /= beta
+        hw /= beta
+        q_prev, q, hq = q, w, hw
     else:
         raise SolverError(f"CFL estimate: Lanczos did not converge in "
                           f"{max_iter} iterations",

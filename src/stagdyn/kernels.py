@@ -7,6 +7,15 @@ The transpose kernels are the algebraic transposes of the forward kernels
 
 Ghost values outside the grid are zero (clamped-boundary convention);
 Neumann masking is applied by the caller on the stress layout.
+
+The 2D kernels write into caller-owned output views and take one scratch
+buffer, so a call allocates nothing.  Each value is formed by the same
+floating-point operations, in the same order, as the plain expression in
+its comment, so results are bit-for-bit those of that expression
+(signed zeros included).  ``np.negative`` is avoided: numpy 2.4.6 returns
+wrong values from it for some strided input/output pairs (a 64-byte input
+stride into a strided output); a division by ``-h`` rounds exactly as a
+negation followed by a division by ``h``.
 """
 
 import numpy as np
@@ -35,37 +44,68 @@ def grad_1d_t(sw, h):
     return (sw[:-1] - sw[1:]) / h
 
 
-def grad_2d(vx, vy, h):
-    """Staggered symmetric gradient (exx, eyy, sqrt(2)*exy)."""
-    nxp, ny = vx.shape
-    nx = nxp - 1
-    exx = (vx[1:, :] - vx[:-1, :]) / h
-    eyy = (vy[:, 1:] - vy[:, :-1]) / h
-    # Mandel shear sqrt(2)*e_xy at vertices; zero ghost velocities outside.
-    dvx_dy = np.zeros((nx + 1, ny + 1))
-    dvx_dy[:, 0] = vx[:, 0] / h
-    dvx_dy[:, 1:ny] = (vx[:, 1:] - vx[:, :-1]) / h
-    dvx_dy[:, ny] = -vx[:, ny - 1] / h
-    dvy_dx = np.zeros((nx + 1, ny + 1))
-    dvy_dx[0, :] = vy[0, :] / h
-    dvy_dx[1:nx, :] = (vy[1:, :] - vy[:-1, :]) / h
-    dvy_dx[nx, :] = -vy[nx - 1, :] / h
-    sxy = (dvx_dy + dvy_dx) / _SQRT2
-    return exx, eyy, sxy
+def _diff_edges(f, h, out):
+    """``out`` = the first-axis difference of ``f`` with zero ghosts:
+    ``[f[0], f[1:] - f[:-1], -f[-1]] / h``; ``out`` has one more row."""
+    n = f.shape[0]
+    np.divide(f[0], h, out=out[0])
+    np.subtract(f[1:], f[:-1], out=out[1:n])
+    np.divide(out[1:n], h, out=out[1:n])
+    np.divide(f[n - 1], -h, out=out[n])
 
 
-def grad_2d_t(wxx, wyy, wxy, h):
-    """Algebraic transpose of :func:`grad_2d`; inputs already weighted."""
-    nx, ny = wxx.shape
-    vx = np.zeros((nx + 1, ny))
-    vx[:-1, :] -= wxx / h
-    vx[1:, :] += wxx / h
-    vx += (wxy[:, :-1] - wxy[:, 1:]) / (_SQRT2 * h)
-    vy = np.zeros((nx, ny + 1))
-    vy[:, :-1] -= wyy / h
-    vy[:, 1:] += wyy / h
-    vy += (wxy[:-1, :] - wxy[1:, :]) / (_SQRT2 * h)
-    return vx, vy
+def grad_2d(vx, vy, h, exx, eyy, sxy, scratch):
+    """Staggered symmetric gradient (exx, eyy, sqrt(2)*exy), written into
+    ``exx``, ``eyy`` (cells) and ``sxy`` (vertices).
+
+    ``scratch`` is a 1D buffer of at least (nx+1)*(ny+1) values; it is
+    overwritten.
+    """
+    # exx = (vx[1:, :] - vx[:-1, :]) / h, eyy likewise along y
+    np.subtract(vx[1:, :], vx[:-1, :], out=exx)
+    np.divide(exx, h, out=exx)
+    np.subtract(vy[:, 1:], vy[:, :-1], out=eyy)
+    np.divide(eyy, h, out=eyy)
+    # Mandel shear sqrt(2)*e_xy at vertices; zero ghost velocities outside:
+    # sxy = (dvx_dy + dvy_dx) / sqrt(2)
+    _diff_edges(vx.T, h, sxy.T)
+    dvy_dx = scratch[:sxy.size].reshape(sxy.shape)
+    _diff_edges(vy, h, dvy_dx)
+    np.add(sxy, dvy_dx, out=sxy)
+    np.divide(sxy, _SQRT2, out=sxy)
+
+
+def _transpose_edges(w, h, out, wd):
+    """``out`` = ``0 - w/h`` on rows ``:-1`` plus ``w/h`` on rows ``1:``,
+    accumulated into zeros in that order (``out`` has one more row than
+    ``w``); ``wd`` receives ``w/h``."""
+    np.divide(w, h, out=wd)
+    np.subtract(0.0, wd, out=out[:-1])
+    np.add(out[1:-1], wd[:-1], out=out[1:-1])
+    np.add(wd[-1], 0.0, out=out[-1])
+
+
+def grad_2d_t(wxx, wyy, wxy, h, vx, vy, scratch):
+    """Algebraic transpose of :func:`grad_2d`; inputs already weighted.
+
+    Writes into ``vx`` (nx+1, ny) and ``vy`` (nx, ny+1).  ``scratch`` is a
+    1D buffer of at least max((nx+1)*ny, nx*(ny+1)) values; it is
+    overwritten.
+    """
+    s2h = _SQRT2 * h
+    # vx = zeros; vx[:-1] -= wxx/h; vx[1:] += wxx/h;
+    # vx += (wxy[:, :-1] - wxy[:, 1:]) / (sqrt(2) h); vy likewise along y
+    _transpose_edges(wxx, h, vx, scratch[:wxx.size].reshape(wxx.shape))
+    t = scratch[:vx.size].reshape(vx.shape)
+    np.subtract(wxy[:, :-1], wxy[:, 1:], out=t)
+    np.divide(t, s2h, out=t)
+    np.add(vx, t, out=vx)
+    _transpose_edges(wyy.T, h, vy.T,
+                     scratch[:wyy.size].reshape(wyy.shape).T)
+    t = scratch[:vy.size].reshape(vy.shape)
+    np.subtract(wxy[:-1, :], wxy[1:, :], out=t)
+    np.divide(t, s2h, out=t)
+    np.add(vy, t, out=vy)
 
 
 def radial_return(trial_norm, sigma_y, factor):
@@ -76,5 +116,6 @@ def radial_return(trial_norm, sigma_y, factor):
     (factor*|trial|)`` outside the yield set and ``s = 0`` inside it.
     """
     excess = trial_norm - sigma_y
-    safe = np.where(trial_norm > 0.0, trial_norm, 1.0)
-    return np.where(excess > 0.0, excess / (factor * safe), 0.0)
+    scale = np.zeros_like(excess)
+    np.divide(excess, factor * trial_norm, out=scale, where=excess > 0.0)
+    return scale

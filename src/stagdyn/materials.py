@@ -29,6 +29,8 @@ from .solvers import (
     _cg,
 )
 
+_SQRT2 = np.sqrt(2.0)
+
 LINEAR_SOLVE_TOL = 1e-10  # inner linear solves (Biot)
 KKT_TOL = 1e-9            # constrained internal steps (damage)
 
@@ -257,22 +259,31 @@ class PlasticCreepMaterial(MaterialModel):
         return val
 
     def dphi_dsigma(self, disc, sigma, z):
-        return disc.apply_C_inv(sigma) - z
+        g = disc.apply_C_inv(sigma)
+        g -= z
+        return g
 
     def dphi_dsigma_end(self, disc, sigma, z, z_other, dphi_mid):
-        # dphi_dsigma is C1^-1 sigma - z
-        return dphi_mid - 0.5 * (z - z_other)
+        # dphi_dsigma is C1^-1 sigma - z: dphi_mid - 1/2 (z - z_other)
+        g = z - z_other
+        g *= 0.5
+        return np.subtract(dphi_mid, g, out=g)
 
     def anchor_jump(self, disc, sigma_next, sigma, dsig, z_next, z, z_prev,
                     dphi_mid_next, dphi_mid):
         # J = 1/2 (z - (z_next + z)/2) + 1/2 (z - (z + z_prev)/2)
-        return -0.25 * disc.sdot(z_next - 2.0 * z + z_prev, dsig)
+        #   = -1/4 (z_next - 2 z + z_prev)
+        j = 2.0 * z
+        np.subtract(z_next, j, out=j)
+        j += z_prev
+        return -0.25 * disc.sdot(j, dsig)
 
     def dphi_dz(self, disc, sigma, z):
         return self._apply_cbar(disc, z) - sigma
 
     def internal_step(self, disc, sigma_next, z_k, tau):
-        q = sigma_next - self._apply_cbar(disc, z_k)
+        q = self._apply_cbar(disc, z_k)
+        np.subtract(sigma_next, q, out=q)
         dvisc = self.viscosity / tau
         if disc.dim == 1:
             cbar = disc.c_mod + self._c2(disc)
@@ -290,41 +301,53 @@ class PlasticCreepMaterial(MaterialModel):
         qxx = disc.sxx_view(q)
         qyy = disc.syy_view(q)
         qxy = disc.sxy_view(q)
-        delta = np.zeros_like(q)
+        # z_next = z_k + delta, written component by component
+        z_next = np.empty_like(q)
+        nxx = disc.sxx_view(z_next)
+        nyy = disc.syy_view(z_next)
+        nxy = disc.sxy_view(z_next)
         if self.sigma_y == 0.0:
             # diagonalize Cbar on (mean, deviator, shear); midpoint solve
             qu = 0.5 * (qxx + qyy)
             qd = 0.5 * (qxx - qyy)
             du = qu / (dvisc + kbar)
             dd = qd / (dvisc + gbar)
-            disc.sxx_view(delta)[:] = du + dd
-            disc.syy_view(delta)[:] = du - dd
-            disc.sxy_view(delta)[:] = qxy / (dvisc + gbar)
+            np.add(du, dd, out=nxx)
+            np.subtract(du, dd, out=nyy)
+            np.divide(qxy, dvisc + gbar, out=nxy)
+            z_next += z_k
         else:
             # deviatoric radial return; the trace direction carries no
             # flow.  (q_xx - q_yy)/sqrt(2) is the orthonormal (Mandel)
             # deviator coordinate whose magnitude is the tensor norm of
             # the normal-deviator part, matching the dissipation norm.
-            qd = (qxx - qyy) / np.sqrt(2.0)
             factor = dvisc + gbar
-            sc = kernels.radial_return(np.abs(qd.ravel()), self.sigma_y, factor)
-            dd = (sc.reshape(qd.shape)) * qd / np.sqrt(2.0)
-            disc.sxx_view(delta)[:] = dd
-            disc.syy_view(delta)[:] = -dd
-            sxy = kernels.radial_return(np.abs(qxy.ravel()), self.sigma_y, factor)
-            disc.sxy_view(delta)[:] = sxy.reshape(qxy.shape) * qxy
-        return z_k + delta, {}
+            # dd = s(|qd|) qd / sqrt(2), formed in place from qd
+            dd = np.subtract(qxx, qyy)
+            dd /= _SQRT2
+            dd *= kernels.radial_return(np.abs(dd), self.sigma_y, factor)
+            dd /= _SQRT2
+            # the deviator flow enters xx with +, yy with -
+            np.add(disc.sxx_view(z_k), dd, out=nxx)
+            np.subtract(disc.syy_view(z_k), dd, out=nyy)
+            np.multiply(kernels.radial_return(np.abs(qxy), self.sigma_y,
+                                              factor), qxy, out=nxy)
+            np.add(disc.sxy_view(z_k), nxy, out=nxy)
+        return z_next, {}
 
     def _flow_norm_integral(self, disc, zdot):
         """sum of w * |zdot| with the per-location group norms."""
         w = disc.sweights
         if disc.dim == 1:
             return float(np.sum(w * np.abs(zdot)))
-        nrm_c = np.sqrt(disc.sxx_view(zdot) ** 2 + disc.syy_view(zdot) ** 2)
-        wc = w[disc._xx_sl].reshape(disc.shape_c)
-        wv = w[disc._xy_sl].reshape(disc.shape_vert)
-        return (float(np.sum(wc * nrm_c))
-                + float(np.sum(wv * np.abs(disc.sxy_view(zdot)))))
+        # sum of wc sqrt(zxx^2 + zyy^2) over centers, wv |zxy| over vertices
+        nrm_c = np.square(disc.sxx_view(zdot))
+        nrm_c += np.square(disc.syy_view(zdot))
+        np.sqrt(nrm_c, out=nrm_c)
+        nrm_c *= w[disc._xx_sl].reshape(disc.shape_c)
+        abs_v = np.abs(disc.sxy_view(zdot))
+        abs_v *= w[disc._xy_sl].reshape(disc.shape_vert)
+        return float(np.sum(nrm_c)) + float(np.sum(abs_v))
 
     def dissipation_rate(self, disc, zdot):
         quad = self.viscosity * disc.sdot(zdot, zdot)
@@ -531,12 +554,14 @@ class DamageMaterial(MaterialModel):
 
     gamma(a) = (eps/eps0)^2 + a^2, phi_d(a) = g_c (1-a)^2 / eps and
     kappa = eps * g_c; a=1 is undamaged, a=0 fully damaged, and damaging
-    means a decreasing.  gamma'(0) = 0 with phi_d'(0) <= 0 keeps the
-    damage field nonnegative in practice.  Unidirectional mode forbids
-    healing (a nonincreasing); healing mode replaces the constraint with a
-    stiff quadratic penalty on positive rates.  With the quadratic AT
-    coefficients the paper's difference quotient of the driving force
-    equals the midpoint derivative the scheme uses.
+    means a decreasing.  Unidirectional mode forbids healing and bounds
+    the damage field below: each step keeps 0 <= a' <= a (a box
+    constraint on the increment), so a nonnegative field stays
+    nonnegative under any stress.  Healing mode replaces the upper bound
+    with a stiff quadratic penalty on positive rates and has no lower
+    bound.  With the quadratic AT coefficients the paper's difference
+    quotient of the driving force equals the midpoint derivative the
+    scheme uses.
 
     In 2D the two normal stress components live at cell centers together
     with the damage field, while the shear component lives at vertices and
@@ -697,10 +722,12 @@ class DamageMaterial(MaterialModel):
         chat = self.compliance_density(disc, sigma_next)
         b = -self.dphi_dz(disc, sigma_next, z_k)
         if self.mode == "unidirectional":
+            # 0 <= z_k + delta <= z_k: no healing, no damage below zero
             delta = solve_bound_constrained(
                 self._quad_operator(disc, chat, tau, viscous=True), b,
                 disc.zdot, np.zeros_like(z_k), KKT_TOL,
-                precond=self._preconditioner(disc, chat, b, tau))
+                precond=self._preconditioner(disc, chat, b, tau),
+                lower=-z_k)
         else:
             delta = solve_asymmetric_quadratic(
                 self._quad_operator(disc, chat, tau, viscous=False), b,

@@ -82,36 +82,56 @@ def solve_linear_spd(apply_A, b, dot, tol, x0=None):
     return x
 
 
-def solve_bound_constrained(apply_A, b, dot, upper, tol, precond=None):
-    """Minimize subject to ``x <= upper`` by projected CG with active-set
-    refresh, starting from ``min(0, upper)``.  ``precond`` is passed to
-    every projected CG solve (see :func:`_cg`).
+def solve_bound_constrained(apply_A, b, dot, upper, tol, precond=None,
+                            lower=None):
+    """Minimize subject to ``lower <= x <= upper`` (no lower bound when
+    ``lower`` is None; else ``lower <= upper``) by projected CG with
+    active-set refresh, starting from 0 clipped into the box.
+    ``precond`` is passed to every projected CG solve (see :func:`_cg`).
 
     KKT at the solution: inactive points have zero gradient, points at the
-    bound have gradient <= 0 (multiplier = -gradient >= 0), both within the
-    scaled tolerance.
+    upper bound have gradient <= 0 and points at the lower bound gradient
+    >= 0 (multiplier = the gradient's push out of the box >= 0), all within
+    the scaled tolerance.  A point with ``lower == upper`` is fixed.
     """
     scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
     kkt_tol = tol * scale
-    eps_b = 1e-14 * max(1.0, float(np.max(np.abs(upper)))
-                        if upper.size else 1.0)
 
+    def slack(bound):
+        return 1e-14 * max(1.0, float(np.max(np.abs(bound)))
+                           if bound.size else 1.0)
+
+    near_upper = upper - slack(upper)
     x = np.minimum(np.zeros_like(b), upper)
+    if lower is not None:
+        near_lower = lower + slack(lower)
+        np.maximum(x, lower, out=x)
     n = b.shape[0]
     for _ in range(2 * n + 30):
         g = apply_A(x) - b
-        at_bound = x >= upper - eps_b
+        at_upper = x >= near_upper
+        # the push of the gradient out of the box at the bound points,
+        # which the multiplier must balance: g at the upper bound, -g at
+        # the lower, none at a point held at both
+        push = np.where(at_upper, g, 0.0)
+        if lower is None:
+            at_bound = at_upper
+        else:
+            at_lower = x <= near_lower
+            np.subtract(push, g, out=push, where=at_lower)
+            at_bound = at_upper | at_lower
         viol_in = np.where(~at_bound, np.abs(g), 0.0)
-        viol_rel = np.where(at_bound, np.maximum(g, 0.0), 0.0)
-        if max(viol_in.max(initial=0.0), viol_rel.max(initial=0.0)) <= kkt_tol:
+        if max(viol_in.max(initial=0.0), push.max(initial=0.0)) <= kkt_tol:
             return x
         # free everything strictly inside plus bound points wanting release
-        free = (~at_bound) | (g > kkt_tol)
+        free = (~at_bound) | (push > kkt_tol)
         mask = free.astype(float)
         project = lambda u: mask * u
         d, _ = _cg(apply_A, project(-g), dot, 0.1 * tol, project=project,
                    precond=precond)
         x = np.minimum(x + d, upper)
+        if lower is not None:
+            np.maximum(x, lower, out=x)
     raise SolverError("bound-constrained active set failed to settle",
                       last_iterate=x, residuals=[])
 

@@ -16,7 +16,7 @@ import pytest
 
 from stagdyn import checks, integrator
 from stagdyn.cli import main
-from stagdyn.grid import Grid, build
+from stagdyn.grid import Discretization, Grid, build
 from stagdyn.integrator import (
     IntegratorConfig,
     Loading,
@@ -58,6 +58,9 @@ def _random_stress(disc, amplitude):
 CASES = {
     "elastic_1d": (lambda: _disc_1d(("traction", "dirichlet")),
                    ElasticMaterial, 0.5, "left"),
+    "elastic_2d": (
+        lambda: _disc_2d(("neumann", "dirichlet", "traction", "dirichlet")),
+        ElasticMaterial, 0.5, "bottom"),
     "maxwell_creep_1d": (lambda: _disc_1d(("dirichlet", "dirichlet")),
                          lambda: PlasticCreepMaterial(viscosity=0.5),
                          0.5, None),
@@ -176,6 +179,34 @@ def test_step_evaluates_stored_energy_once(monkeypatch):
         # the velocity update's midpoint gradient is the only one; the
         # audit shifts it to the end of the step in closed form
         assert calls == {"phi": 1, "dphi_dsigma": 1, "true_stress": 0}
+
+
+@pytest.mark.parametrize("name, per_step", [
+    ("elastic_1d", 1), ("elastic_2d", 1), ("viscoplastic_2d", 2),
+    ("biot_1d", 2)])
+def test_elastic_step_reuses_its_force(monkeypatch, name, per_step):
+    # a z-free stress is the same at the midpoint and at the end of the
+    # step: the stability coefficient takes the velocity update's E* S
+    # instead of applying E* again, and the ledger does not change
+    d, m, loading, st, cfg = _setup(name)
+    st, _ = advance(st, d, m, loading, cfg)  # bootstrap computes afresh
+    calls = []
+    real = Discretization.apply_E_adjoint
+
+    def counted(self, s):
+        calls.append(s)
+        return real(self, s)
+
+    monkeypatch.setattr(Discretization, "apply_E_adjoint", counted)
+    for _ in range(5):
+        prev = st
+        calls.clear()
+        st, ledger = advance(prev, d, m, loading, cfg)
+        assert len(calls) == per_step
+        _, info = step_internal(prev, st.sigma, m, d, cfg)
+        fresh = energy_audit(prev.copy(), st.copy(), d, m, loading, cfg,
+                             step_info=info)
+        assert dataclasses.asdict(ledger) == dataclasses.asdict(fresh)
 
 
 CLI_CFG = """

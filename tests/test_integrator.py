@@ -110,7 +110,7 @@ def test_step_velocity_hand_case():
     st = initial_state(d, m)
     s_next = np.array([0.0, 1.0, 0.0])
     cfg = IntegratorConfig(tau=0.1, t_end=1.0)
-    v, u, s_true, _ = step_velocity(st, s_next, st.z, d, m, no_loading(d),
+    v, u, s_true, _, _ = step_velocity(st, s_next, st.z, d, m, no_loading(d),
                                     cfg)
     # exact transpose of the forward stencil: the tension peak accelerates
     # both cells toward the middle node
@@ -127,7 +127,7 @@ def test_step_velocity_force_balance():
     loading = Loading(body_force=d.apply_E_adjoint(s_next))
     st = initial_state(d, m, v=rng.standard_normal(d.n_v))
     cfg = IntegratorConfig(tau=0.2, t_end=1.0)
-    v, _, _, _ = step_velocity(st, s_next, st.z, d, m, loading, cfg)
+    v, _, _, _, _ = step_velocity(st, s_next, st.z, d, m, loading, cfg)
     assert_allclose(v, st.v, atol=1e-14)
 
 
@@ -439,6 +439,44 @@ def test_cfl_guard_raises():
     with pytest.raises(CflViolationError) as ei:
         run_simulation(d, m, no_loading(d), cfg, st)
     assert ei.value.quotient > 0
+
+
+def test_step_checks_each_field_once(monkeypatch):
+    # advance checks the fields it makes; the next step trusts them and
+    # checks only the fields of states it did not make
+    d = disc_1d(nx=20, h=0.05)
+    m = PlasticCreepMaterial(viscosity=0.5)
+    st = initial_state(d, m, sigma=bump_sigma(d))
+    cfg = IntegratorConfig(tau=0.01, t_end=1.0)
+    names = []
+    real = integrator._require_finite
+
+    def counted(name, arr):
+        names.append(name)
+        real(name, arr)
+
+    monkeypatch.setattr(integrator, "_require_finite", counted)
+    st, _ = advance(st, d, m, no_loading(d), cfg)
+    assert names == ["velocity", "proto-stress", "proto-stress", "internal",
+                     "velocity"]
+    for _ in range(3):
+        names.clear()
+        st, _ = advance(st, d, m, no_loading(d), cfg)
+        assert names == ["proto-stress", "internal", "velocity"]
+    names.clear()
+    advance(st.copy(), d, m, no_loading(d), cfg)  # a copy is not trusted
+    assert names[:2] == ["velocity", "proto-stress"]
+
+
+@pytest.mark.parametrize("field", ["v", "sigma"])
+def test_nonfinite_initial_field_is_an_instability(field):
+    d = disc_1d(nx=20, h=0.05)
+    m = ElasticMaterial()
+    st = initial_state(d, m, sigma=bump_sigma(d))
+    getattr(st, field)[3] = np.inf
+    cfg = IntegratorConfig(tau=0.01, t_end=0.1, skip_cfl_check=True)
+    with pytest.raises(InstabilityError):
+        run_simulation(d, m, no_loading(d), cfg, st)
 
 
 def test_blowup_guard_trips():

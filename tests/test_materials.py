@@ -654,7 +654,8 @@ def plain_damage_step(m, d, sigma, z_k, tau):
     chat = m.compliance_density(d, sigma)
     delta = solve_bound_constrained(
         m._quad_operator(d, chat, tau, viscous=True),
-        -m.dphi_dz(d, sigma, z_k), d.zdot, np.zeros_like(z_k), KKT_TOL)
+        -m.dphi_dz(d, sigma, z_k), d.zdot, np.zeros_like(z_k), KKT_TOL,
+        lower=-z_k)
     return z_k + delta
 
 
@@ -706,6 +707,40 @@ def test_damage_step_on_rough_or_2d_states_runs_plain_cg(dim, monkeypatch):
         assert np.array_equal(z, plain_damage_step(m, d, sigma, z_k, tau))
         assert np.any(z < z_k)
     assert tally["calls"] > 0 and tally["preconditioned"] == 0
+
+
+@pytest.mark.parametrize("dim, amplitude, tau", [(1, 3.0, 0.004),
+                                                 (2, 6.0, 0.02)])
+def test_damage_rough_stress_stays_nonnegative(dim, amplitude, tau):
+    # white-noise stress on a partly damaged field drives the unbounded
+    # minimizer below zero; the irreversible step stops at 0 and meets the
+    # box KKT conditions 0 <= z' <= z_k
+    from stagdyn.materials import KKT_TOL
+    from stagdyn.solvers import solve_bound_constrained
+
+    if dim == 1:
+        d = disc_1d(nx=256, h=1.0 / 256, bc=("dirichlet", "neumann"))
+    else:
+        d = disc_2d(nx=16, ny=12, h=1.0 / 64)
+    m = DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4, viscosity=0.3)
+    rng = np.random.default_rng(44)
+    sigma = amplitude * rng.standard_normal(d.n_s)
+    z_k = rng.uniform(0.3, 1.0, d.zs_n)
+    apply_A = m._quad_operator(d, m.compliance_density(d, sigma), tau,
+                               viscous=True)
+    b = -m.dphi_dz(d, sigma, z_k)
+    unbounded = z_k + solve_bound_constrained(apply_A, b, d.zdot,
+                                              np.zeros_like(z_k), KKT_TOL)
+    assert unbounded.min() < -0.05
+    z, _ = m.internal_step(d, sigma, z_k, tau)
+    assert np.all(z >= 0.0) and np.all(z <= z_k)
+    at_zero, at_top = z == 0.0, z == z_k
+    assert np.any(at_zero) and np.any(at_top)
+    g = apply_A(z - z_k) - b
+    tol = 10 * KKT_TOL * max(1.0, float(np.max(np.abs(b))))
+    inside = ~(at_zero | at_top)
+    assert np.all(np.abs(g[inside]) <= tol)
+    assert np.all(g[at_top] <= tol) and np.all(g[at_zero] >= -tol)
 
 
 def test_damage_steps_import_numpy_only():

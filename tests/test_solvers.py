@@ -214,6 +214,64 @@ def test_bound_qp_weighted_inner_product_preconditioned():
     check_bound_qp_weighted_inner_product(np.random.default_rng(80))
 
 
+def enumerate_box_qp(A, b, lb, ub):
+    """Exhaustive oracle for small box QPs: every point free, at its lower
+    bound or at its upper bound."""
+    n = len(b)
+    best, best_val = None, np.inf
+    for pattern in itertools.product((0, 1, 2), repeat=n):
+        pat = np.array(pattern)
+        x = np.where(pat == 1, lb, ub)
+        free = pat == 0
+        if free.any():
+            fixed = ~free
+            rhs = b[free] - A[np.ix_(free, fixed)] @ x[fixed]
+            x[free] = np.linalg.solve(A[np.ix_(free, free)], rhs)
+        if np.any(x > ub + 1e-12) or np.any(x < lb - 1e-12):
+            continue
+        val = 0.5 * x @ (A @ x) - b @ x
+        if val < best_val - 1e-15:
+            best, best_val = x, val
+    return best
+
+
+@pytest.mark.parametrize("seed", [None, 71])
+def test_random_box_qp_against_enumeration(seed):
+    # lower bounds that bind, with and without a preconditioner; the
+    # right-hand sides are large enough that most points hit a bound
+    rng = np.random.default_rng(12)
+    hits = 0
+    for _ in range(20):
+        M = rng.standard_normal((6, 6))
+        A = M @ M.T + 6 * np.eye(6)
+        b = rng.standard_normal(6) * 8.0
+        ub = rng.uniform(-0.5, 1.0, 6)
+        lb = ub - rng.uniform(0.0, 1.5, 6)
+        lb[0] = ub[0]  # one point held at both bounds
+        P = None if seed is None else spd_precond(
+            random_spd(np.random.default_rng(seed), 6))
+        x = solve_bound_constrained(*dense_problem(A, b), upper=ub,
+                                    tol=1e-12, precond=P, lower=lb)
+        x_ref = enumerate_box_qp(A, b, lb, ub)
+        assert_allclose(x, x_ref, atol=1e-9)
+        assert np.all(lb <= x) and np.all(x <= ub)
+        hits += int(np.count_nonzero(x[1:] == lb[1:]))
+    assert hits > 0
+
+
+def test_box_without_binding_lower_bound_is_the_upper_bound_solve():
+    # a lower bound the minimizer never reaches changes no bit
+    rng = np.random.default_rng(13)
+    M = rng.standard_normal((8, 8))
+    A = M @ M.T + 8 * np.eye(8)
+    b = rng.standard_normal(8)
+    ub = rng.uniform(-0.1, 0.5, 8)
+    x = solve_bound_constrained(*dense_problem(A, b), upper=ub, tol=1e-12)
+    x_box = solve_bound_constrained(*dense_problem(A, b), upper=ub,
+                                    tol=1e-12, lower=np.full(8, -1e3))
+    assert np.array_equal(x, x_box)
+
+
 def test_preconditioned_cg_matches_plain_cg():
     # same solution, far fewer iterations with the exact inverse, in the
     # weighted product
