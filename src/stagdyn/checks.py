@@ -175,18 +175,43 @@ def check_damage_structure(rng):
     _require(np.any(nxt == 0.0), "rough-stress damage never reached zero")
 
 
-def check_damage_preconditioner(rng):
-    # the cosine-transform inverse of the damage operator's constant part
-    # against a dense solve; a wrong inverse would still let CG converge
-    d = _disc_1d(nx=24, h=1.0 / 24.0)
-    for shift, coeff in ((0.7, 0.013), (3.0, 0.4)):
-        A = shift * np.eye(d.zs_n) - coeff * dense_operator(d.lap_z, d.zs_n)
-        r = rng.standard_normal(d.zs_n)
-        ref = np.linalg.solve(A, r)
-        got = d.shifted_lap_z_solver(shift, coeff)(r)
-        err = float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
-        _require(err <= 1e-12, "shifted laplacian solve vs dense: "
-                 f"relative error {err:.3e}")
+def check_damage_direct_solve(rng):
+    # the 1D step by elimination against a dense KKT solve: points held at
+    # a bound stay there, the others solve their rows of the dense operator
+    # and every multiplier pushes out of the box.  A wrong band still lets
+    # the active-set loop settle: only the dense solve can tell.
+    d = _disc_1d(nx=64, h=1.0 / 64.0, bc=("dirichlet", "neumann"))
+    n, tau, x = d.zs_n, 0.02, np.linspace(0.0, 1.0, d.zs_n)
+    for name, sigma, z_k in (
+            ("smooth", 2.0 * np.cos(np.pi * x) + 1.0,
+             0.8 + 0.15 * np.cos(2.0 * np.pi * x)),
+            ("rough", 6.0 * rng.standard_normal(n), rng.uniform(0.3, 1.0, n)),
+            ("healing", 6.0 * rng.standard_normal(n),
+             rng.uniform(0.3, 1.0, n))):
+        heal = name == "healing"
+        m = DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4, viscosity=0.3,
+                           mode="healing" if heal else "unidirectional")
+        z, _ = m.internal_step(d, sigma, z_k, tau)
+        A = dense_operator(m._quad_operator(
+            d, m.compliance_density(d, sigma), tau, not heal), n)
+        if heal:
+            A += np.diag(np.where(z < z_k, 2.0 * m.eps1 / tau,
+                                  2.0 / (m.eps1 * tau)))
+        b = -m.dphi_dz(d, sigma, z_k)
+        at_zero, at_top = z == 0.0, (z == z_k) & (not heal)
+        free = ~(at_zero | at_top)
+        _require(np.any(free) and not np.all(free),
+                 f"{name} damage step: no free or no bound point")
+        ref = np.where(at_zero, -z_k, 0.0)
+        ref[free] = np.linalg.solve(A[np.ix_(free, free)], b[free]
+                                    - A[np.ix_(free, ~free)] @ ref[~free])
+        err = float(np.max(np.abs(z_k + ref - z)))
+        _require(err <= 1e-12, f"{name} damage step vs dense KKT solve: "
+                 f"max error {err:.3e}")
+        g = A @ ref - b
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(b))))
+        _require(np.all(g[at_zero] >= -tol) and np.all(g[at_top] <= tol),
+                 f"{name} damage step: a multiplier of the wrong sign")
 
 
 def check_cfl_estimator(rng):
@@ -274,7 +299,7 @@ ALL_CHECKS = [
     ("ledger-reference", check_ledger_reference),
     ("biot-mass-conservation", check_biot_mass_conservation),
     ("damage-structure", check_damage_structure),
-    ("damage-preconditioner", check_damage_preconditioner),
+    ("damage-direct-solve", check_damage_direct_solve),
     ("cfl-estimator", check_cfl_estimator),
 ]
 

@@ -20,7 +20,6 @@ import os
 import sys
 
 from . import io as sdio
-from .checks import run_checks
 from .config import (
     build_simulation,
     integrator_config,
@@ -175,6 +174,8 @@ def cmd_converge(args):
 
 
 def cmd_check(args):
+    from .checks import run_checks
+
     failures = run_checks(seed=args.seed, quiet=args.quiet)
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 

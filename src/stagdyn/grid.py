@@ -87,8 +87,9 @@ class Discretization:
     private.  Operators fill private scratch buffers but return fresh
     arrays only, never a view of a buffer.  ``s_inactive`` and
     ``v_inactive`` list the masked-out stress and velocity DOFs (the
-    complements of ``s_active`` and ``v_active``).  Use :func:`build` to
-    construct.
+    complements of ``s_active`` and ``v_active``).  ``lap_z_bands`` holds
+    the (sub, diagonal, super) bands of the 1D :meth:`lap_z` matrix (None
+    in 2D).  Use :func:`build` to construct.
     """
 
     def __init__(self, grid, rho, moduli):
@@ -147,6 +148,9 @@ class Discretization:
         self.zs_n = nx + 1
         self.zs_weights = w.copy()
         self._z_edge_w = np.full(nx, h)
+        sub = np.append(0.0, self._z_edge_w / (h * h)) / w
+        sup = np.append(self._z_edge_w / (h * h), 0.0) / w
+        self.lap_z_bands = (sub, -(sub + sup), sup)
 
     def _init_2d(self, moduli):
         grid = self.grid
@@ -241,6 +245,7 @@ class Discretization:
         self.zs_weights = np.full(nc, h * h)
         self._z_edge_wx = np.full((nx - 1, ny), h * h)
         self._z_edge_wy = np.full((nx, ny - 1), h * h)
+        self.lap_z_bands = None  # the 5-point lap_z is not tridiagonal
 
         # adjacent-center counts per vertex (for damage averaging)
         nadj = np.full(self.shape_vert, 4.0)
@@ -410,17 +415,11 @@ class Discretization:
     # scalar internal-variable layout helpers
     # ------------------------------------------------------------------
 
-    def z_scalar_view(self, z):
-        """2D view of a scalar internal field (identity reshape in 1D)."""
-        if self.dim == 1:
-            return z
-        return z.reshape(self.shape_c)
-
     def grad_z(self, z):
         """Gradient of a scalar internal field onto its interior edges."""
         if self.dim == 1:
             return (z[1:] - z[:-1]) / self.h
-        f = self.z_scalar_view(z)
+        f = z.reshape(self.shape_c)
         gx = (f[1:, :] - f[:-1, :]) / self.h
         gy = (f[:, 1:] - f[:, :-1]) / self.h
         return np.concatenate([gx.ravel(), gy.ravel()])
@@ -466,32 +465,6 @@ class Discretization:
     def lap_z(self, z, coeff=1.0):
         """Scalar graph laplacian ``div_z(coeff * grad_z z)``; NSD."""
         return self.div_z(coeff * self.grad_z(z))
-
-    def shifted_lap_z_solver(self, shift, coeff):
-        """Exact inverse of ``shift - coeff * lap_z`` on a 1D grid.
-
-        Returns ``r -> (shift - coeff * lap_z)^-1 r``, self-adjoint in
-        :meth:`zdot`.  The no-flux laplacian on the nodes with half-weight
-        ends is diagonal in the DCT-I modes (Strang, SIAM Review 41(1),
-        1999), computed by ``numpy.fft`` on the even extension; the
-        eigenvalues are formed here, once, so each application costs two
-        transforms and a divide.  Requires ``shift > 0`` and ``coeff >= 0``.
-        """
-        if self.dim != 1:
-            raise ValueError("shifted laplacian solve is 1D only")
-        if not (shift > 0 and coeff >= 0):
-            raise ValueError("shifted laplacian solve needs shift > 0 and "
-                             "coeff >= 0")
-        n = self.grid.nx
-        k = np.arange(n + 1)
-        den = (shift + coeff * 4.0 * np.sin(0.5 * np.pi * k / n) ** 2
-               / (self.h * self.h))
-
-        def solve(r):
-            return np.fft.irfft(np.fft.hfft(r, 2 * n)[:n + 1] / den,
-                                2 * n)[:n + 1]
-
-        return solve
 
     # ------------------------------------------------------------------
     # vertex <-> center transfer (2D damage shear coupling)

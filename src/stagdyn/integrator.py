@@ -35,6 +35,7 @@ identity is used, with the physical initial energy T(v0) + Phi(Sigma0, z0)
 as the left anchor.
 """
 
+import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -407,8 +408,8 @@ def advance(state, disc, material, loading, cfg):
     v_next, u_next, _, dphi_mid, force = step_velocity(
         state, sigma_next, z_next, disc, material, loading, cfg)
     nxt = State(u=u_next, v=v_next, sigma=sigma_next, z=z_next,
-                k=state.k + 1, v_prev=state.v.copy(),
-                z_prev=state.z.copy(), dphi_mid=dphi_mid)
+                k=state.k + 1, v_prev=state.v, z_prev=state.z,
+                dphi_mid=dphi_mid)
     for name, arr in (("proto-stress", sigma_next), ("internal", z_next),
                       ("velocity", v_next)):
         _require_finite(name, arr)
@@ -502,10 +503,10 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
     (e.g. undamaged) state.
 
     The estimate is a Lanczos iteration in that inner product from a
-    random stress drawn with seed 0.  Its three-term recurrence carries
-    H q beside each Lanczos vector, so an iteration costs one T (without
-    its leading H) and one H, and memory is a few stress vectors: no
-    basis is stored and none is reorthogonalised.  The top Ritz pair (theta,
+    uniform random stress drawn with seed 0.  Its three-term recurrence
+    carries H q beside each Lanczos vector, so an iteration costs one T
+    (without its leading H) and one H, and memory is a few stress vectors:
+    no basis is stored and none is reorthogonalised.  The top Ritz pair (theta,
     y) of the j x j tridiagonal Lanczos matrix is extracted in O(j)
     (:func:`_top_ritz`, theta rounded up) every max(8, j/2) iterations
     and once at j = the number of active stress DOFs, where the Krylov
@@ -549,8 +550,9 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
 
     not_pd = ConfigError("stored energy not positive definite at probe",
                          "material")
-    rng = np.random.default_rng(0)
-    q = rng.standard_normal(disc.n_s)
+    # Python's generator: numpy.random would load OpenSSL into every run
+    q = np.frombuffer(random.Random(0).randbytes(8 * disc.n_s),
+                      dtype="<u8") / 2.0 ** 64 - 0.5
     q[disc.s_inactive] = 0.0
     hq = apply_H(q)
     norm2 = 0.5 * disc.sdot(hq, q)

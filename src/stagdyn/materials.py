@@ -558,15 +558,16 @@ class DamageMaterial(MaterialModel):
     the damage field below: each step keeps 0 <= a' <= a (a box
     constraint on the increment), so a nonnegative field stays
     nonnegative under any stress.  Healing mode replaces the upper bound
-    with a stiff quadratic penalty on positive rates and has no lower
-    bound.  With the quadratic AT coefficients the paper's difference
+    with a stiff quadratic penalty on positive rates and keeps the lower
+    bound a' >= 0.  With the quadratic AT coefficients the paper's difference
     quotient of the driving force equals the midpoint derivative the
     scheme uses.
 
     In 2D the two normal stress components live at cell centers together
     with the damage field, while the shear component lives at vertices and
     is degraded by the average of gamma over the adjacent centers; the
-    coupling stays an exact quadratic form.
+    coupling stays an exact quadratic form.  The step's operator is
+    tridiagonal in 1D, solved exactly by elimination; 2D runs projected CG.
 
     Parameters
     ----------
@@ -693,45 +694,30 @@ class DamageMaterial(MaterialModel):
 
         return apply_A
 
-    def _preconditioner(self, disc, chat, b, tau):
-        """Cosine-transform inverse of the irreversible step's operator
-        with the stiffness replaced by its weighted mean, or None.
-
-        The transform sees no walls at the points held at the bound, so it
-        is used only in 1D and only where the points that start to damage
-        (``b < 0``) form runs longer on average than
-        ``(pi / 2) sqrt(coeff / shift)`` cells.  On a shorter run the walls
-        alone lift the gradient term of every mode above four times the
-        shift, plain CG converges about as fast, and the two transforms per
-        iteration do not pay (break-even measured at nx = 256).
-        """
-        if disc.dim != 1 or self.kappa == 0.0:
+    def _quad_bands(self, disc, chat, tau, viscous):
+        """The bands of :meth:`_quad_operator` in 1D; None in 2D."""
+        if disc.lap_z_bands is None:
             return None
-        w = disc.zs_weights
-        shift = (0.5 * (float(np.dot(w, chat)) / float(np.sum(w))
-                        + 2.0 * self.g_c / self.eps) + 2.0 * self.eps1 / tau)
-        coeff = 0.5 * self.kappa
-        grow = b < 0.0
-        runs = int(grow[0]) + np.count_nonzero(grow[1:] > grow[:-1])
-        if (np.count_nonzero(grow)
-                < runs * 0.5 * np.pi * np.sqrt(coeff / shift) / disc.h):
-            return None
-        return disc.shifted_lap_z_solver(shift, coeff)
+        sub, lap_diag, sup = disc.lap_z_bands
+        c = -0.5 * self.kappa
+        shift = 2.0 * self.eps1 / tau if viscous else 0.0
+        diag = 0.5 * (chat + 2.0 * self.g_c / self.eps) + c * lap_diag + shift
+        return c * sub, diag, c * sup
 
     def internal_step(self, disc, sigma_next, z_k, tau):
         chat = self.compliance_density(disc, sigma_next)
         b = -self.dphi_dz(disc, sigma_next, z_k)
-        if self.mode == "unidirectional":
+        viscous = self.mode == "unidirectional"
+        quad = (self._quad_operator(disc, chat, tau, viscous), b, disc.zdot)
+        bands = self._quad_bands(disc, chat, tau, viscous)
+        if viscous:
             # 0 <= z_k + delta <= z_k: no healing, no damage below zero
-            delta = solve_bound_constrained(
-                self._quad_operator(disc, chat, tau, viscous=True), b,
-                disc.zdot, np.zeros_like(z_k), KKT_TOL,
-                precond=self._preconditioner(disc, chat, b, tau),
-                lower=-z_k)
+            delta = solve_bound_constrained(*quad, np.zeros_like(z_k), KKT_TOL,
+                                            lower=-z_k, bands=bands)
         else:
             delta = solve_asymmetric_quadratic(
-                self._quad_operator(disc, chat, tau, viscous=False), b,
-                disc.zdot, self.eps1 / tau, 1.0 / (self.eps1 * tau), KKT_TOL)
+                *quad, self.eps1 / tau, 1.0 / (self.eps1 * tau), KKT_TOL,
+                lower=-z_k, bands=bands)
         return z_k + delta, {}
 
     def dissipation_rate(self, disc, zdot):

@@ -469,6 +469,28 @@ def test_shipped_configs_round_trip(name):
 SHIPPED_CONFIGS = sorted(CONFIGS.glob("*.cfg"))
 
 
+def test_cli_run_loads_neither_checks_nor_oracle(tmp_path):
+    # `stagdyn run` imports the check suite and the dense oracles only
+    # for the subcommands that use them, and no numpy.random (which loads
+    # OpenSSL)
+    script = (
+        "import sys\n"
+        "from stagdyn.cli import main\n"
+        f"rc = main(['run', {str(CONFIGS / 'damage_1d.cfg')!r}, '--quiet',"
+        f" '--out-dir', {str(tmp_path)!r}])\n"
+        "print(rc, [m for m in ('stagdyn.checks', 'stagdyn.oracle',"
+        " 'numpy.random') if m in sys.modules])\n")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "0 []"
+    assert (tmp_path / "energy.csv").exists()
+
+
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
 def test_shipped_config_snapshots_after_initial_state(path):
     # a snapshot interval longer than the run writes only the initial state

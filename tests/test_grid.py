@@ -255,39 +255,66 @@ def test_layout_mismatch_raises():
 
 
 # ---------------------------------------------------------------------------
-# cosine-transform solve of shift - coeff * lap_z
+# the bands of the 1D lap_z
 # ---------------------------------------------------------------------------
 
-TRANSFORM_DISCS = {
+BAND_DISCS = {
     "nx2": lambda: disc_1d(nx=2, h=0.5),
     "nx64": lambda: disc_1d(nx=64, h=1.0 / 64, bc=("neumann", "traction")),
     "nx256": lambda: disc_1d(nx=256, h=1.0 / 256),
 }
 
 
-@pytest.mark.parametrize("name", sorted(TRANSFORM_DISCS))
+def matrix_of(bands):
+    """The tridiagonal matrix with (sub, diagonal, super) ``bands``."""
+    sub, diag, sup = bands
+    return np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+
+
+@pytest.mark.parametrize("name", sorted(BAND_DISCS))
 @pytest.mark.parametrize("shift, coeff", [(0.7, 0.013), (2.5, 0.0),
                                           (0.05, 2e-3)])
 def test_shifted_lap_z_solver_matches_dense_solve(name, shift, coeff):
+    # shift - coeff * lap_z from the bands, solved on every row by
+    # elimination, against a dense solve of the matrix-free operator
     from stagdyn.oracle import dense_operator
+    from stagdyn.solvers import _solve_free_rows
 
-    d = TRANSFORM_DISCS[name]()
+    d = BAND_DISCS[name]()
     n = d.zs_n
     A = shift * np.eye(n) - coeff * dense_operator(d.lap_z, n)
-    solve = d.shifted_lap_z_solver(shift, coeff)
+    sub, diag, sup = d.lap_z_bands
+    bands = (-coeff * sub, shift - coeff * diag, -coeff * sup)
     rng = np.random.default_rng(31)
     for _ in range(3):
         r = rng.standard_normal(n)
         ref = np.linalg.solve(A, r)
-        got = solve(r)
+        got = _solve_free_rows(bands, np.ones(n, dtype=bool), r)
         assert got.shape == (n,)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("name", sorted(TRANSFORM_DISCS))
+@pytest.mark.parametrize("name", sorted(BAND_DISCS))
 def test_shifted_lap_z_solver_self_adjoint(name):
-    d = TRANSFORM_DISCS[name]()
-    solve = d.shifted_lap_z_solver(0.3, 0.02)
+    # the bands reproduce lap_z, self-adjoint in zdot, with rows summing to
+    # zero (no-flux) and a strictly negative diagonal; the shifted solve
+    # built from them is self-adjoint and positive in zdot
+    from stagdyn.oracle import dense_operator
+    from stagdyn.solvers import _solve_free_rows
+
+    d = BAND_DISCS[name]()
+    L = matrix_of(d.lap_z_bands)
+    assert_allclose(L, dense_operator(d.lap_z, d.zs_n), rtol=1e-14,
+                    atol=1e-14 * np.abs(L).max())
+    WL = d.zs_weights[:, None] * L
+    assert_allclose(WL, WL.T, rtol=1e-14, atol=1e-14 * np.abs(WL).max())
+    assert np.all(np.abs(L.sum(axis=1)) <= 1e-12 * np.abs(L).max())
+    assert np.all(d.lap_z_bands[1] < 0.0)
+
+    sub, diag, sup = d.lap_z_bands
+    bands = (-0.02 * sub, 0.3 - 0.02 * diag, -0.02 * sup)
+    free = np.ones(d.zs_n, dtype=bool)
+    solve = lambda r: _solve_free_rows(bands, free, r)
     rng = np.random.default_rng(32)
     for _ in range(5):
         a = rng.standard_normal(d.zs_n)
@@ -299,38 +326,45 @@ def test_shifted_lap_z_solver_self_adjoint(name):
 
 
 def test_shifted_lap_z_solver_rejects_singular_shift_and_2d():
+    # shift - coeff * lap_z from the bands must have strictly dominant
+    # rows: a zero shift (singular, the constants) or a negative coeff is
+    # refused; the 5-point 2D lap_z is not tridiagonal, so it has no bands
+    # and 2D damage steps keep projected CG
+    from stagdyn.solvers import solve_bound_constrained
+
     d = disc_1d(nx=4)
-    with pytest.raises(ValueError):
-        d.shifted_lap_z_solver(0.0, 1.0)
-    with pytest.raises(ValueError):
-        d.shifted_lap_z_solver(1.0, -0.5)
-    with pytest.raises(ValueError):
-        disc_2d(nx=4, ny=3).shifted_lap_z_solver(1.0, 0.5)
+    sub, diag, sup = d.lap_z_bands
+    for shift, coeff in [(0.0, 1.0), (1.0, -0.5)]:
+        bands = (-coeff * sub, shift - coeff * diag, -coeff * sup)
+        with pytest.raises(ValueError):
+            solve_bound_constrained(lambda u: u, np.ones(d.zs_n), d.zdot,
+                                    None, 1e-12, bands=bands)
+    assert disc_2d(nx=4, ny=3).lap_z_bands is None
 
 
-def test_damage_preconditioner_check_fails_on_a_wrong_transform(monkeypatch):
+def test_damage_direct_solve_check_fails_on_a_wrong_band(monkeypatch):
     from stagdyn import checks
-    from stagdyn.grid import Discretization
+    from stagdyn.materials import DamageMaterial
 
     lines = []
     monkeypatch.setattr(checks, "ALL_CHECKS", [
         (name, fn) for name, fn in checks.ALL_CHECKS
-        if name in ("damage-structure", "damage-preconditioner")])
+        if name in ("damage-structure", "damage-direct-solve")])
     assert checks.run_checks(out=lines.append) == 0
-    assert lines == ["PASS damage-structure", "PASS damage-preconditioner"]
+    assert lines == ["PASS damage-structure", "PASS damage-direct-solve"]
 
-    # the mode frequencies of a grid twice as fine: still SPD, so CG still
-    # converges with it and only the dense comparison can tell
-    def doubled(self, shift, coeff):
-        n = self.grid.nx
-        den = shift + coeff * 4.0 * np.sin(
-            np.pi * np.arange(n + 1) / n) ** 2 / self.h ** 2
-        return lambda r: np.fft.irfft(np.fft.hfft(r, 2 * n)[:n + 1] / den,
-                                      2 * n)[:n + 1]
+    # off-diagonals 10 % too strong: still dominant, so the active-set
+    # loop still settles to its tolerance and only the dense solve can tell
+    real = DamageMaterial._quad_bands
 
-    monkeypatch.setattr(Discretization, "shifted_lap_z_solver", doubled)
+    def wrong(self, *args):
+        bands = real(self, *args)  # None on the 2D grid
+        return bands and (1.1 * bands[0], bands[1], 1.1 * bands[2])
+
+    monkeypatch.setattr(DamageMaterial, "_quad_bands", wrong)
     lines.clear()
     assert checks.run_checks(out=lines.append) == 1
     assert lines[0] == "PASS damage-structure"
     assert len(lines) == 2
-    assert lines[1].startswith("FAIL damage-preconditioner: shifted")
+    assert lines[1].startswith("FAIL damage-direct-solve: smooth damage "
+                               "step vs dense KKT solve")

@@ -293,6 +293,27 @@ def test_advance_is_deterministic():
         assert a.residual == b.residual
 
 
+def test_advance_shares_the_previous_fields_and_never_writes_them():
+    # the new state's v_prev / z_prev are the old state's v / z (no
+    # copies), which stay intact through further steps
+    d = disc_1d(nx=20)
+    m = PlasticCreepMaterial(viscosity=0.5, sigma_y=0.1)
+    st = initial_state(d, m, sigma=bump_sigma(d, seed=12))
+    cfg = cfg_for(d, m, steps=5)
+    states = [st]
+    for _ in range(5):
+        states.append(advance(states[-1], d, m, no_loading(d), cfg)[0])
+    saved = [(s.u.copy(), s.v.copy(), s.sigma.copy(), s.z.copy())
+             for s in states]
+    for _ in range(3):
+        states.append(advance(states[-1], d, m, no_loading(d), cfg)[0])
+    for prev, nxt in zip(states, states[1:]):
+        assert nxt.v_prev is prev.v and nxt.z_prev is prev.z
+    for s, fields in zip(states, saved):
+        for a, b in zip((s.u, s.v, s.sigma, s.z), fields):
+            assert np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # CFL estimator and stability coefficient
 # ---------------------------------------------------------------------------

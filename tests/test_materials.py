@@ -617,20 +617,16 @@ def test_plastic_2d_creep_step_stationarity():
     assert np.max(np.abs(resid)) < 1e-13
 
 
-def count_cg_iterations(monkeypatch):
-    """Wrap ``solvers._cg`` and tally the CG iterations of every call and
-    the calls that ran with a preconditioner."""
+def count_cg_calls(monkeypatch):
+    """Wrap ``solvers._cg`` and tally its calls."""
     from stagdyn import solvers
 
-    tally = {"calls": 0, "iters": 0, "preconditioned": 0}
+    tally = {"calls": 0}
     cg = solvers._cg
 
     def counted(*args, **kwargs):
-        x, hist = cg(*args, **kwargs)
         tally["calls"] += 1
-        tally["iters"] += len(hist) - 1
-        tally["preconditioned"] += kwargs.get("precond") is not None
-        return x, hist
+        return cg(*args, **kwargs)
 
     monkeypatch.setattr(solvers, "_cg", counted)
     return tally
@@ -647,7 +643,7 @@ def smooth_random(rng, x, amplitude):
 
 
 def plain_damage_step(m, d, sigma, z_k, tau):
-    """The irreversible damage step by unpreconditioned projected CG."""
+    """The irreversible damage step by projected CG (no bands)."""
     from stagdyn.materials import KKT_TOL
     from stagdyn.solvers import solve_bound_constrained
 
@@ -659,46 +655,74 @@ def plain_damage_step(m, d, sigma, z_k, tau):
     return z_k + delta
 
 
-def test_damage_preconditioned_step_matches_plain_solve(monkeypatch):
-    # random smooth damage states where the gradient term dominates the
-    # shift, as on the fracture benchmark grid (nx = 256): the
-    # preconditioned internal step gives the plain projected-CG minimizer
-    # in at most half the CG iterations
+def dense_qp_step(m, d, sigma, z_k, tau, z):
+    """The damage step by a dense KKT solve on the active set of the step
+    ``z``: points at a bound stay there, the others solve their rows of
+    the dense operator.  Asserts that every multiplier pushes out of the
+    box (0 <= z' <= z_k, or z' >= 0 when healing)."""
+    from stagdyn.oracle import dense_operator
+
+    heal = m.mode == "healing"
+    A = dense_operator(m._quad_operator(d, m.compliance_density(d, sigma),
+                                        tau, not heal), d.zs_n)
+    if heal:
+        A += np.diag(np.where(z < z_k, 2.0 * m.eps1 / tau,
+                              2.0 / (m.eps1 * tau)))
+    b = -m.dphi_dz(d, sigma, z_k)
+    at_zero, at_top = z == 0.0, (z == z_k) & (not heal)
+    free = ~(at_zero | at_top)
+    delta = np.where(at_zero, -z_k, 0.0)
+    delta[free] = np.linalg.solve(A[np.ix_(free, free)], b[free]
+                                  - A[np.ix_(free, ~free)] @ delta[~free])
+    g = A @ delta - b
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(b))))
+    assert np.all(g[at_zero] >= -tol) and np.all(g[at_top] <= tol)
+    return z_k + delta
+
+
+@pytest.mark.parametrize("state", ["smooth", "rough"])
+def test_damage_step_matches_dense_qp(state, monkeypatch):
+    # the 1D step by elimination, on random smooth states where the
+    # gradient term dominates (as on the fracture benchmark grid, nx = 256)
+    # and under white-noise stress, which breaks the free set into runs of
+    # a few points: the dense KKT solve to round-off and the projected-CG
+    # step to its tolerance, with no CG call
     d = disc_1d(nx=256, h=1.0 / 256, bc=("dirichlet", "neumann"))
     m = DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4, viscosity=0.3)
     x = np.arange(d.n_s) / d.grid.nx
-    rng = np.random.default_rng(41)
-    tally = count_cg_iterations(monkeypatch)
-    plain_iters = pc_iters = 0
-    for _ in range(4):
-        sigma = smooth_random(rng, x, 2.0)
-        z_k = np.clip(0.8 + smooth_random(rng, x, 0.2), 0.05, 1.0)
-        tau = float(rng.uniform(0.5, 1.5)) * d.h
-        tally["iters"] = tally["preconditioned"] = 0
+    smooth = state == "smooth"
+    rng = np.random.default_rng(41 if smooth else 43)
+    tally = count_cg_calls(monkeypatch)
+    for _ in range(4 if smooth else 3):
+        if smooth:
+            sigma = smooth_random(rng, x, 2.0)
+            z_k = np.clip(0.8 + smooth_random(rng, x, 0.2), 0.05, 1.0)
+            tau = float(rng.uniform(0.5, 1.5)) * d.h
+        else:
+            sigma = 3.0 * rng.standard_normal(d.n_s)
+            z_k = rng.uniform(0.3, 1.0, d.zs_n)
+            tau = 0.25 * d.h
+        tally["calls"] = 0
         z, _ = m.internal_step(d, sigma, z_k, tau)
-        pc_iters += tally["iters"]
-        assert tally["preconditioned"] > 0
-        tally["iters"] = 0
-        plain = plain_damage_step(m, d, sigma, z_k, tau)
-        plain_iters += tally["iters"]
-        assert_allclose(z, plain, rtol=0.0, atol=1e-10)
+        assert tally["calls"] == 0
+        assert_allclose(z, dense_qp_step(m, d, sigma, z_k, tau, z),
+                        rtol=0.0, atol=1e-12)
+        assert_allclose(z, plain_damage_step(m, d, sigma, z_k, tau),
+                        rtol=0.0, atol=1e-10)
         assert np.all(z <= z_k)
         assert np.any(z < z_k - 1e-4) and np.any(z == z_k)
-    assert 0 < pc_iters <= 0.5 * plain_iters, (pc_iters, plain_iters)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [2])
 def test_damage_step_on_rough_or_2d_states_runs_plain_cg(dim, monkeypatch):
-    # grid-scale noise breaks the damaging set into runs shorter than the
-    # gradient length, and 2D has no transform solve: both take the plain
-    # projected CG, bit for bit
-    if dim == 1:
-        d = disc_1d(nx=256, h=1.0 / 256, bc=("dirichlet", "neumann"))
-    else:
-        d = disc_2d(nx=16, ny=12, h=1.0 / 64)
+    # 2D has no bands (its lap_z is 5-point): the step runs the plain
+    # projected CG, bit for bit.  1D rough states solve by elimination
+    # (test_damage_step_matches_dense_qp).
+    d = disc_2d(nx=16, ny=12, h=1.0 / 64)
+    assert d.dim == dim and d.lap_z_bands is None
     m = DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4, viscosity=0.3)
     rng = np.random.default_rng(43)
-    tally = count_cg_iterations(monkeypatch)
+    tally = count_cg_calls(monkeypatch)
     for _ in range(3):
         sigma = 3.0 * rng.standard_normal(d.n_s)
         z_k = rng.uniform(0.3, 1.0, d.zs_n)
@@ -706,7 +730,7 @@ def test_damage_step_on_rough_or_2d_states_runs_plain_cg(dim, monkeypatch):
         z, _ = m.internal_step(d, sigma, z_k, tau)
         assert np.array_equal(z, plain_damage_step(m, d, sigma, z_k, tau))
         assert np.any(z < z_k)
-    assert tally["calls"] > 0 and tally["preconditioned"] == 0
+    assert tally["calls"] > 0
 
 
 @pytest.mark.parametrize("dim, amplitude, tau", [(1, 3.0, 0.004),
@@ -743,9 +767,31 @@ def test_damage_rough_stress_stays_nonnegative(dim, amplitude, tau):
     assert np.all(g[at_top] <= tol) and np.all(g[at_zero] >= -tol)
 
 
+@pytest.mark.parametrize("dim, amplitude, tau", [(1, 3.0, 0.004),
+                                                 (2, 6.0, 0.02)])
+def test_damage_healing_rough_stress_stays_nonnegative(dim, amplitude, tau):
+    # healing mode under white-noise stress on a partly damaged field: the
+    # step without a lower bound ends below zero (min -0.067 in 1D); every
+    # sign round now solves with z' >= 0, and the step is the dense KKT
+    # solve on its active set
+    if dim == 1:
+        d = disc_1d(nx=256, h=1.0 / 256, bc=("dirichlet", "neumann"))
+    else:
+        d = disc_2d(nx=16, ny=12, h=1.0 / 64)
+    m = DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4, viscosity=0.3,
+                       mode="healing")
+    rng = np.random.default_rng(44)
+    sigma = amplitude * rng.standard_normal(d.n_s)
+    z_k = rng.uniform(0.3, 1.0, d.zs_n)
+    z, _ = m.internal_step(d, sigma, z_k, tau)
+    assert np.all(z >= 0.0) and np.any(z == 0.0) and np.any(z > z_k)
+    assert_allclose(z, dense_qp_step(m, d, sigma, z_k, tau, z), rtol=0.0,
+                    atol=1e-9 if dim == 2 else 1e-12)
+
+
 def test_damage_steps_import_numpy_only():
-    # the cosine transforms come from numpy.fft: one 1D (preconditioned)
-    # and one 2D damage step load no scipy
+    # one 1D (elimination) and one 2D (projected CG) damage step load no
+    # scipy
     import os
     import subprocess
     import sys

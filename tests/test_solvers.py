@@ -109,37 +109,42 @@ def test_unconstrained_minimizer_feasible():
                     atol=1e-10)
 
 
-def spd_precond(S, w=None):
-    """``r -> W^-1 S r`` for a dense SPD ``S``: self-adjoint and positive
-    definite in the ``w``-weighted product (plain product for None)."""
-    if w is None:
-        return lambda r: S @ r
-    return lambda r: (S @ r) / w
+def bands_of(A):
+    """The (sub, diagonal, super) bands of a tridiagonal matrix."""
+    return (np.append(0.0, np.diag(A, -1)), np.diag(A).copy(),
+            np.append(np.diag(A, 1), 0.0))
 
 
-def random_spd(rng, n):
-    Q = rng.standard_normal((n, n))
-    return Q @ Q.T + 0.5 * n * np.eye(n)
+def random_tridiagonal(rng, n, w=None, symmetric=True):
+    """A random tridiagonal matrix with strictly dominant rows and its
+    bands.  With weights ``w`` it is ``W^-1 S`` for a symmetric ``S``
+    (self-adjoint in the ``w``-weighted product)."""
+    lo = rng.standard_normal(n - 1)
+    up = lo if symmetric else rng.standard_normal(n - 1)
+    S = np.diag(lo, -1) + np.diag(up, 1)
+    S += np.diag(np.abs(S).sum(axis=1) + rng.uniform(0.1, 2.0, n))
+    A = S if w is None else S / w[:, None]
+    return A, bands_of(A)
 
 
-def check_one_dof_kkt_hand_case(precond):
+def check_one_dof_kkt_hand_case(direct):
     # min 1/2*2*x^2 - 10x  s.t. x <= 1  ->  x=1, multiplier 8
     A = np.array([[2.0]])
     b = np.array([10.0])
     ub = np.array([1.0])
     x = solve_bound_constrained(*dense_problem(A, b), upper=ub, tol=1e-12,
-                                precond=precond)
+                                bands=bands_of(A) if direct else None)
     assert_allclose(x, [1.0], atol=1e-12)
     mult = -(A @ x - b)  # -gradient at the bound
     assert_allclose(mult, [8.0], atol=1e-10)
 
 
 def test_one_dof_kkt_hand_case():
-    check_one_dof_kkt_hand_case(None)
+    check_one_dof_kkt_hand_case(False)
 
 
-def test_one_dof_kkt_hand_case_preconditioned():
-    check_one_dof_kkt_hand_case(spd_precond(np.array([[0.3]])))
+def test_one_dof_kkt_hand_case_direct():
+    check_one_dof_kkt_hand_case(True)
 
 
 def enumerate_bound_qp(A, b, ub):
@@ -166,52 +171,54 @@ def enumerate_bound_qp(A, b, ub):
     return best
 
 
-def check_random_bound_qp_against_enumeration(precond_rng):
+def check_random_bound_qp_against_enumeration(direct):
     rng = np.random.default_rng(7)
     for _ in range(25):
-        M = rng.standard_normal((6, 6))
-        A = M @ M.T + 6 * np.eye(6)
+        if direct:
+            A, bands = random_tridiagonal(rng, 6)
+        else:
+            M = rng.standard_normal((6, 6))
+            A, bands = M @ M.T + 6 * np.eye(6), None
         b = rng.standard_normal(6) * 3.0
         ub = rng.standard_normal(6)
-        P = None if precond_rng is None else spd_precond(
-            random_spd(precond_rng, 6))
         x = solve_bound_constrained(*dense_problem(A, b), upper=ub,
-                                    tol=1e-12, precond=P)
+                                    tol=1e-12, bands=bands)
         x_ref = enumerate_bound_qp(A, b, ub)
         assert_allclose(x, x_ref, atol=1e-9)
 
 
 def test_random_bound_qp_against_enumeration():
-    check_random_bound_qp_against_enumeration(None)
+    check_random_bound_qp_against_enumeration(False)
 
 
-def test_random_bound_qp_against_enumeration_preconditioned():
-    check_random_bound_qp_against_enumeration(np.random.default_rng(70))
+def test_random_bound_qp_against_enumeration_direct():
+    check_random_bound_qp_against_enumeration(True)
 
 
-def check_bound_qp_weighted_inner_product(precond_rng):
+def check_bound_qp_weighted_inner_product(direct):
     rng = np.random.default_rng(8)
     w = rng.uniform(0.5, 2.0, 5)
-    M = rng.standard_normal((5, 5))
-    As = M @ M.T + 5 * np.eye(5)
-    Aw = np.diag(1.0 / w) @ As
+    if direct:
+        Aw, bands = random_tridiagonal(rng, 5, w=w)
+    else:
+        M = rng.standard_normal((5, 5))
+        As = M @ M.T + 5 * np.eye(5)
+        Aw, bands = np.diag(1.0 / w) @ As, None
     b = rng.standard_normal(5) * 2.0
     ub = rng.standard_normal(5)
-    P = None if precond_rng is None else spd_precond(
-        random_spd(precond_rng, 5), w=w)
     x = solve_bound_constrained(*dense_problem(Aw, b, w=w), upper=ub,
-                                tol=1e-12, precond=P)
+                                tol=1e-12, bands=bands)
     # oracle in the flat metric: objective 1/2 x' (W Aw) x - (w b)' x
     x_ref = enumerate_bound_qp(np.diag(w) @ Aw, w * b, ub)
     assert_allclose(x, x_ref, atol=1e-9)
 
 
 def test_bound_qp_weighted_inner_product():
-    check_bound_qp_weighted_inner_product(None)
+    check_bound_qp_weighted_inner_product(False)
 
 
-def test_bound_qp_weighted_inner_product_preconditioned():
-    check_bound_qp_weighted_inner_product(np.random.default_rng(80))
+def test_bound_qp_weighted_inner_product_direct():
+    check_bound_qp_weighted_inner_product(True)
 
 
 def enumerate_box_qp(A, b, lb, ub):
@@ -237,21 +244,23 @@ def enumerate_box_qp(A, b, lb, ub):
 
 @pytest.mark.parametrize("seed", [None, 71])
 def test_random_box_qp_against_enumeration(seed):
-    # lower bounds that bind, with and without a preconditioner; the
+    # lower bounds that bind, on dense instances by projected CG (seed
+    # None) and on tridiagonal ones drawn from ``seed`` by elimination; the
     # right-hand sides are large enough that most points hit a bound
     rng = np.random.default_rng(12)
+    tri = None if seed is None else np.random.default_rng(seed)
     hits = 0
     for _ in range(20):
         M = rng.standard_normal((6, 6))
-        A = M @ M.T + 6 * np.eye(6)
+        A, bands = M @ M.T + 6 * np.eye(6), None
+        if tri is not None:
+            A, bands = random_tridiagonal(tri, 6)
         b = rng.standard_normal(6) * 8.0
         ub = rng.uniform(-0.5, 1.0, 6)
         lb = ub - rng.uniform(0.0, 1.5, 6)
         lb[0] = ub[0]  # one point held at both bounds
-        P = None if seed is None else spd_precond(
-            random_spd(np.random.default_rng(seed), 6))
         x = solve_bound_constrained(*dense_problem(A, b), upper=ub,
-                                    tol=1e-12, precond=P, lower=lb)
+                                    tol=1e-12, lower=lb, bands=bands)
         x_ref = enumerate_box_qp(A, b, lb, ub)
         assert_allclose(x, x_ref, atol=1e-9)
         assert np.all(lb <= x) and np.all(x <= ub)
@@ -272,34 +281,45 @@ def test_box_without_binding_lower_bound_is_the_upper_bound_solve():
     assert np.array_equal(x, x_box)
 
 
-def test_preconditioned_cg_matches_plain_cg():
-    # same solution, far fewer iterations with the exact inverse, in the
-    # weighted product
+def test_direct_solve_matches_plain_cg():
+    # same solution in the weighted product; with no bound the direct
+    # solve applies the operator only for its two KKT tests
     rng = np.random.default_rng(81)
     w = rng.uniform(0.5, 2.0, 30)
-    S = random_spd(rng, 30) + 50.0 * np.eye(30)
-    Aw = np.diag(1.0 / w) @ S
+    Aw, bands = random_tridiagonal(rng, 30, w=w)
     b = rng.standard_normal(30)
-    problem = dense_problem(Aw, b, w=w)
+    apply_A, _, dot = problem = dense_problem(Aw, b, w=w)
     x_plain, hist_plain = solvers._cg(*problem, 1e-12)
-    S_inv = np.linalg.inv(S)
-    x_pc, hist_pc = solvers._cg(*problem, 1e-12,
-                                precond=lambda r: S_inv @ (w * r))
-    assert_allclose(x_pc, x_plain, rtol=1e-9, atol=1e-12)
-    assert len(hist_pc) <= 3 < len(hist_plain)
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return apply_A(x)
+
+    x_direct = solve_bound_constrained(counted, b, dot, None, 1e-12,
+                                       bands=bands)
+    assert_allclose(x_direct, x_plain, rtol=1e-9, atol=1e-12)
+    assert len(calls) <= 2 < len(hist_plain)
 
 
-@pytest.mark.parametrize("precond", [lambda r: -r, lambda r: 0.0 * r])
-def test_indefinite_preconditioner_raises(precond):
-    rng = np.random.default_rng(82)
-    S = random_spd(rng, 6)
-    b = rng.standard_normal(6)
-    problem = dense_problem(S, b)
-    with pytest.raises(SolverError, match="preconditioner"):
-        solvers._cg(*problem, 1e-12, precond=precond)
-    with pytest.raises(SolverError, match="preconditioner"):
-        solve_bound_constrained(*problem, upper=np.full(6, 10.0), tol=1e-12,
-                                precond=precond)
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_elimination_matches_dense_solve(symmetric):
+    # the free rows of random dominant tridiagonal systems: empty, single
+    # points (ends and middle), all points, gapped and random free sets
+    rng = np.random.default_rng(83)
+    n = 9
+    pattern = np.array([1, 1, 0, 1, 0, 0, 1, 1, 1], dtype=bool)
+    frees = [np.zeros(n, bool), np.ones(n, bool), pattern, ~pattern]
+    frees += [np.arange(n) == i for i in (0, 4, n - 1)]
+    frees += [rng.random(n) < 0.6 for _ in range(20)]
+    for free in frees:
+        A, bands = random_tridiagonal(rng, n, symmetric=symmetric)
+        r = rng.standard_normal(n)
+        ref = np.zeros(n)
+        ref[free] = np.linalg.solve(A[np.ix_(free, free)], r[free])
+        got = solvers._solve_free_rows(bands, free, r)
+        assert got.shape == (n,) and np.all(got[~free] == 0.0)
+        assert_allclose(got, ref, rtol=1e-13, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +365,29 @@ def test_asymmetric_quadratic_coupled():
     for _ in range(300):
         d = rng.standard_normal(4) * 1e-4
         assert brute_objective_asym(A, b, am, ap, x + d) >= f0 - 1e-12
+
+
+@pytest.mark.parametrize("direct", [False, True])
+def test_asymmetric_quadratic_lower_bound_kkt(direct):
+    # a lower bound that binds (by CG, or by elimination with shifted
+    # bands): free points are stationary, bound points pushed below it
+    rng = np.random.default_rng(11)
+    hits = 0
+    for _ in range(10):
+        A, bands = random_tridiagonal(rng, 8)
+        b = rng.standard_normal(8) * 6.0
+        am, ap = rng.uniform(0.1, 1.0, 8), rng.uniform(0.1, 1.0, 8)
+        lb = -rng.uniform(0.0, 1.0, 8)
+        x = solve_asymmetric_quadratic(*dense_problem(A, b), am, ap, 1e-13,
+                                       lower=lb,
+                                       bands=bands if direct else None)
+        g = A @ x - b + 2.0 * np.where(x < 0, am, ap) * x
+        at_lb = x == lb
+        assert np.all(x >= lb)
+        assert np.all(np.abs(g[~at_lb]) <= 1e-9)
+        assert np.all(g[at_lb] >= -1e-9)
+        hits += int(np.count_nonzero(at_lb))
+    assert hits > 0
 
 
 # ---------------------------------------------------------------------------
