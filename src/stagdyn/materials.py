@@ -567,7 +567,8 @@ class DamageMaterial(MaterialModel):
     with the damage field, while the shear component lives at vertices and
     is degraded by the average of gamma over the adjacent centers; the
     coupling stays an exact quadratic form.  The step's operator is
-    tridiagonal in 1D, solved exactly by elimination; 2D runs projected CG.
+    tridiagonal in 1D: its bands form the gradients and are solved
+    exactly by elimination.  2D applies it matrix-free in projected CG.
 
     Parameters
     ----------
@@ -674,8 +675,9 @@ class DamageMaterial(MaterialModel):
             out -= self.eps_grad * disc.laplacian_stress(e)
         return out
 
-    def dphi_dz(self, disc, sigma, z):
-        chat = self.compliance_density(disc, sigma)
+    def dphi_dz(self, disc, sigma, z, chat=None):
+        """``chat``: the compliance density of ``sigma``, if known."""
+        chat = self.compliance_density(disc, sigma) if chat is None else chat
         out = 0.5 * self.dgamma(z) * chat + self.dphi_d(z)
         if self.kappa != 0.0:
             out -= self.kappa * disc.lap_z(z)
@@ -706,19 +708,20 @@ class DamageMaterial(MaterialModel):
 
     def internal_step(self, disc, sigma_next, z_k, tau):
         chat = self.compliance_density(disc, sigma_next)
-        b = -self.dphi_dz(disc, sigma_next, z_k)
+        b = -self.dphi_dz(disc, sigma_next, z_k, chat=chat)
         viscous = self.mode == "unidirectional"
         quad = (self._quad_operator(disc, chat, tau, viscous), b, disc.zdot)
         bands = self._quad_bands(disc, chat, tau, viscous)
+        info = {}
         if viscous:
             # 0 <= z_k + delta <= z_k: no healing, no damage below zero
             delta = solve_bound_constrained(*quad, np.zeros_like(z_k), KKT_TOL,
-                                            lower=-z_k, bands=bands)
+                                            lower=-z_k, bands=bands, info=info)
         else:
             delta = solve_asymmetric_quadratic(
                 *quad, self.eps1 / tau, 1.0 / (self.eps1 * tau), KKT_TOL,
-                lower=-z_k, bands=bands)
-        return z_k + delta, {}
+                lower=-z_k, bands=bands, info=info)
+        return z_k + delta, info
 
     def dissipation_rate(self, disc, zdot):
         if self.mode == "unidirectional":

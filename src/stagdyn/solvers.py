@@ -5,8 +5,10 @@ All incremental problems produced by the materials are convex quadratics
 dissipation potential is convex), possibly with simple upper bounds or a
 per-point asymmetric quadratic term.  Solvers are matrix-free: the operator
 is an apply callback, which keeps stencil operators (laplacians,
-vertex-center couplings) unassembled; a tridiagonal one may also pass
-its bands, to be solved exactly by elimination (1D damage).
+vertex-center couplings) unassembled.  A tridiagonal operator (1D damage)
+passes its bands, which are then the whole operator, for gradients and
+elimination alike; the damage material's ``_quad_operator`` stays the 2D
+operator and the dense reference.
 
 Every solver minimizes ``1/2 <A x, x> - <b, x>`` in the inner product
 ``dot(x, y)``, the one ``apply_A`` is self-adjoint in: the weighted
@@ -60,18 +62,25 @@ def _cg(apply_A, b, dot, tol, x0=None, project=None, max_iter=None):
                       last_iterate=x, residuals=history)
 
 
+def _band_product(bands, x):
+    """(sub, diagonal, super) ``bands`` times ``x``; sub[0] = sup[-1] = 0."""
+    sub, diag, sup = bands
+    y = diag * x
+    y[1:] += sub[1:] * x[:-1]
+    y[:-1] += sup[:-1] * x[1:]
+    return y
+
+
 def _solve_free_rows(bands, free, r):
     """Solve the rows ``free`` of the tridiagonal system with (sub,
     diagonal, super) ``bands`` exactly, block by block between the gaps of
     the free set; zero elsewhere.  Elimination needs no pivoting, as every
     row must be strictly diagonally dominant."""
-    d = np.zeros_like(r)
-    idx = np.flatnonzero(free)
-    sub, diag, sup = (band[idx] for band in bands)
-    start = np.diff(idx, prepend=-2) != 1  # the first point of each block
-    sub[start] = 0.0
-    sup[:-1][start[1:]] = 0.0
-    sub, diag, sup, x = (a.tolist() for a in (sub, diag, sup, r[idx]))
+    idx = free.nonzero()[0]
+    sub, diag, sup, x = (a[idx].tolist() for a in (*bands, r))
+    for i in (idx[1:] != idx[:-1] + 1).nonzero()[0].tolist():
+        sub[i + 1] = sup[i] = 0.0
+    sub[:1] = [0.0]
     c = [0.0] * len(x)
     for i in range(len(x)):  # i = 0 reads c[-1] = 0 and sub[0] = 0
         piv = diag[i] - sub[i] * c[i - 1]
@@ -79,6 +88,7 @@ def _solve_free_rows(bands, free, r):
         x[i] = (x[i] - sub[i] * x[i - 1]) / piv
     for i in range(len(x) - 2, -1, -1):
         x[i] -= c[i] * x[i + 1]
+    d = np.zeros(r.shape)
     d[idx] = x
     return d
 
@@ -90,49 +100,51 @@ def solve_linear_spd(apply_A, b, dot, tol):
 
 
 def solve_bound_constrained(apply_A, b, dot, upper, tol, lower=None,
-                            bands=None):
+                            bands=None, info=None):
     """Minimize subject to ``lower <= x <= upper`` (either bound may be
     None; else ``lower <= upper``) by an active-set refresh, starting from
     0 clipped into the box.
 
-    Each round solves for the step on the free points: exactly, by
-    elimination, when ``bands`` gives the (sub, diagonal, super) bands of
-    a tridiagonal ``apply_A`` whose rows are strictly diagonally dominant
-    (else ValueError); else by projected CG to ``0.1 * tol``.
+    Given the (sub, diagonal, super) ``bands`` of a tridiagonal operator
+    with strictly diagonally dominant rows (else ValueError), each round
+    forms the gradient by their banded product and solves for the step on
+    the free points exactly, by elimination; ``apply_A`` may be None.
+    Else each round applies ``apply_A`` and runs projected CG to ``0.1 *
+    tol``.  An ``info`` dict receives ``rounds``, the rounds that solved.
 
     KKT at the solution: inactive points have zero gradient, points at the
     upper bound have gradient <= 0 and points at the lower bound gradient
     >= 0 (multiplier = the gradient's push out of the box >= 0), all within
     the scaled tolerance.  A point with ``lower == upper`` is fixed.
     """
-    kkt_tol = tol * max(1.0, float(np.max(np.abs(b), initial=0.0)))
-    if bands is not None and np.any(
-            bands[1] <= np.abs(bands[0]) + np.abs(bands[2])):
-        raise ValueError("bands must be strictly diagonally dominant")
+    kkt_tol = tol * max(1.0, float(np.abs(b).max(initial=0.0)))
+    if bands is not None:
+        if (bands[1] <= np.abs(bands[0]) + np.abs(bands[2])).any():
+            raise ValueError("bands must be strictly diagonally dominant")
+        apply_A = lambda u: _band_product(bands, u)
     upper = np.full_like(b, np.inf) if upper is None else upper
     lower = np.full_like(b, -np.inf) if lower is None else lower
 
     def slack(bound):
-        return 1e-14 * float(np.max(np.abs(bound), initial=1.0,
-                                    where=np.isfinite(bound)))
+        return 1e-14 * float(np.abs(bound).max(initial=1.0,
+                                               where=np.isfinite(bound)))
 
     near_upper, near_lower = upper - slack(upper), lower + slack(lower)
     x = np.maximum(np.minimum(np.zeros_like(b), upper), lower)
-    for _ in range(2 * b.shape[0] + 30):
+    for rounds in range(2 * b.shape[0] + 30):
         g = apply_A(x) - b
-        at_upper = x >= near_upper
-        at_lower = x <= near_lower
-        # the push of the gradient out of the box at the bound points,
-        # which the multiplier must balance: g at the upper bound, -g at
-        # the lower, none at a point held at both
-        push = np.where(at_upper, g, 0.0)
-        np.subtract(push, g, out=push, where=at_lower)
-        at_bound = at_upper | at_lower
-        viol_in = np.where(~at_bound, np.abs(g), 0.0)
-        if max(viol_in.max(initial=0.0), push.max(initial=0.0)) <= kkt_tol:
+        off_upper, off_lower = x < near_upper, x > near_lower
+        # each point's violation of KKT: |g| strictly inside the box; at a
+        # bound, the push of the gradient out of the box that the
+        # multiplier must balance, clipped at 0: g at the upper bound, -g
+        # at the lower, none at a point held at both
+        viol = np.maximum(g * off_lower, -g * off_upper)
+        if viol.max(initial=0.0) <= kkt_tol:
+            if info is not None:
+                info["rounds"] = rounds
             return x
         # free everything strictly inside plus bound points wanting release
-        free = (~at_bound) | (push > kkt_tol)
+        free = (off_upper & off_lower) | (viol > kkt_tol)
         if bands is None:
             mask = free.astype(float)
             project = lambda u: mask * u
@@ -145,28 +157,36 @@ def solve_bound_constrained(apply_A, b, dot, upper, tol, lower=None,
 
 
 def solve_asymmetric_quadratic(apply_A, b, dot, a_minus, a_plus, tol,
-                               lower=None, bands=None):
+                               lower=None, bands=None, info=None):
     """Minimize with the added per-point term ``a_minus*x^2`` for x < 0 and
     ``a_plus*x^2`` for x >= 0 (scalars or per-point arrays, >= 0), subject
     to ``x >= lower`` (no bound when None).
 
     The term is C^1, so a semismooth sign-refresh iteration converges from
     zero: freeze the sign pattern, solve the resulting quadratic by
-    :func:`solve_bound_constrained` (``bands`` shifted), recompute signs.
+    :func:`solve_bound_constrained` (``bands`` shifted; ``apply_A`` may
+    then be None), recompute signs.  An ``info`` dict receives
+    ``sign_rounds``, the sign patterns solved for, and ``rounds``, their
+    active-set rounds in total.
     """
     if np.any(a_minus < 0) or np.any(a_plus < 0):
         raise ValueError("asymmetric coefficients must be nonnegative")
     x = np.zeros_like(b)
     signs = x < 0
-    for _ in range(60):
+    solve_info, rounds = {}, 0
+    for sign_rounds in range(1, 61):
         coeff = np.where(signs, a_minus, a_plus)
         shifted = None if bands is None else (
             bands[0], bands[1] + 2.0 * coeff, bands[2])
         x = solve_bound_constrained(lambda u: apply_A(u) + 2.0 * coeff * u,
                                     b, dot, None, tol, lower=lower,
-                                    bands=shifted)
+                                    bands=shifted, info=solve_info)
+        rounds += solve_info["rounds"]
         new_signs = x < 0
         if np.array_equal(new_signs, signs):
+            if info is not None:
+                info["sign_rounds"] = sign_rounds
+                info["rounds"] = rounds
             return x
         signs = new_signs
     raise SolverError("asymmetric-quadratic sign iteration did not settle",

@@ -713,6 +713,74 @@ def test_damage_step_matches_dense_qp(state, monkeypatch):
         assert np.any(z < z_k - 1e-4) and np.any(z == z_k)
 
 
+@pytest.mark.parametrize("nx", [2, 64, 256])
+@pytest.mark.parametrize("bc", [("dirichlet", "dirichlet"),
+                                ("neumann", "neumann"),
+                                ("dirichlet", "neumann"),
+                                ("traction", "dirichlet")])
+@pytest.mark.parametrize("mode", ["unidirectional", "healing"])
+def test_damage_bands_apply_the_quad_operator(mode, bc, nx):
+    # in 1D the bands are the step's whole operator: their banded product
+    # equals the matrix-free operator to round-off, with the viscous shift
+    # or a healing sign round's shift
+    from stagdyn.solvers import _band_product
+
+    d = disc_1d(nx=nx, h=1.0 / nx, bc=bc)
+    m = DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4, viscosity=0.3,
+                       mode=mode)
+    viscous = mode == "unidirectional"
+    rng = np.random.default_rng(47)
+    tau = 0.25 / nx
+    for _ in range(3):
+        chat = m.compliance_density(d, 3.0 * rng.standard_normal(d.n_s))
+        sub, diag, sup = m._quad_bands(d, chat, tau, viscous)
+        shift = 0.0 if viscous else 2.0 * np.where(
+            rng.random(d.zs_n) < 0.5, m.eps1 / tau, 1.0 / (m.eps1 * tau))
+        x = rng.standard_normal(d.zs_n)
+        ref = m._quad_operator(d, chat, tau, viscous)(x) + shift * x
+        got = _band_product((sub, diag + shift, sup), x)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mode", ["unidirectional", "healing"])
+def test_1d_damage_step_calls_lap_z_once(mode, monkeypatch):
+    # the bands form the gradient of every active-set round, so the one
+    # lap_z of a 1D step is the driving force's, in dphi_dz; the step
+    # reports its rounds
+    from stagdyn.grid import Discretization
+
+    d = disc_1d(nx=256, h=1.0 / 256, bc=("dirichlet", "neumann"))
+    m = DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4, viscosity=0.3,
+                       mode=mode)
+    rng = np.random.default_rng(44)
+    sigma = 3.0 * rng.standard_normal(d.n_s)
+    z_k = rng.uniform(0.3, 1.0, d.zs_n)
+    calls, in_dphi_dz = [], [False]
+    lap_z, dphi_dz = Discretization.lap_z, DamageMaterial.dphi_dz
+
+    def counted_lap_z(self, *args, **kwargs):
+        calls.append(in_dphi_dz[0])
+        return lap_z(self, *args, **kwargs)
+
+    def flagged_dphi_dz(self, *args, **kwargs):
+        in_dphi_dz[0] = True
+        try:
+            return dphi_dz(self, *args, **kwargs)
+        finally:
+            in_dphi_dz[0] = False
+
+    monkeypatch.setattr(Discretization, "lap_z", counted_lap_z)
+    monkeypatch.setattr(DamageMaterial, "dphi_dz", flagged_dphi_dz)
+    _, info = m.internal_step(d, sigma, z_k, 0.004)
+    assert calls == [True]
+    assert info["rounds"] >= 2
+    if mode == "healing":
+        assert set(info) == {"sign_rounds", "rounds"}
+        assert 1 <= info["sign_rounds"] <= info["rounds"]
+    else:
+        assert set(info) == {"rounds"}
+
+
 @pytest.mark.parametrize("dim", [2])
 def test_damage_step_on_rough_or_2d_states_runs_plain_cg(dim, monkeypatch):
     # 2D has no bands (its lap_z is 5-point): the step runs the plain

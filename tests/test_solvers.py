@@ -302,6 +302,42 @@ def test_direct_solve_matches_plain_cg():
     assert len(calls) <= 2 < len(hist_plain)
 
 
+@pytest.mark.parametrize("direct", [False, True])
+def test_bound_constrained_reports_rounds_on_hand_case(direct):
+    # tridiag(-1, 3, -1), b = (1, -6, 1), x >= -1.  Round 1 frees every
+    # point and solves to (-3/7, -16/7, -3/7), clipped to (-3/7, -1, -3/7).
+    # Round 2: the gradient is (-9/7, 27/7, -9/7), so the middle stays at
+    # the bound (push -27/7) and the ends solve 3 x = 1 + (-1): x = 0.
+    # Then the KKT test passes: two rounds.
+    A = np.diag([3.0] * 3) - np.diag([1.0] * 2, -1) - np.diag([1.0] * 2, 1)
+    b = np.array([1.0, -6.0, 1.0])
+    info = {}
+    apply_A, _, dot = dense_problem(A, b)
+    x = solve_bound_constrained(None if direct else apply_A, b, dot, None,
+                                1e-12, lower=np.full(3, -1.0),
+                                bands=bands_of(A) if direct else None,
+                                info=info)
+    assert_allclose(x, [0.0, -1.0, 0.0], atol=1e-12)
+    assert info == {"rounds": 2}
+
+
+@pytest.mark.parametrize("direct", [False, True])
+def test_asymmetric_quadratic_reports_rounds_on_hand_case(direct):
+    # min 1/2 x^2 + x + (x^2 if x < 0): the first sign round takes x >= 0
+    # (no added term) and solves to x = -1 in one round; the second takes
+    # x < 0, solves 3 x = -1 in one round and keeps its sign
+    A = np.array([[1.0]])
+    b = np.array([-1.0])
+    info = {}
+    apply_A, _, dot = dense_problem(A, b)
+    x = solve_asymmetric_quadratic(None if direct else apply_A, b, dot,
+                                   np.array([1.0]), np.array([0.0]), 1e-13,
+                                   bands=bands_of(A) if direct else None,
+                                   info=info)
+    assert_allclose(x, [-1.0 / 3.0], atol=1e-13)
+    assert info == {"sign_rounds": 2, "rounds": 2}
+
+
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_elimination_matches_dense_solve(symmetric):
     # the free rows of random dominant tridiagonal systems: empty, single
