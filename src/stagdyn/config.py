@@ -115,9 +115,9 @@ _SCHEMA = {
         "shear_modulus": (_parse_float, _OMIT),
         "viscosity": (_parse_float, _OMIT),
         "yield_stress": (_parse_float, 0.0),
-        "hardening": (_parse_float, 0.0),
-        "hardening_bulk": (_parse_float, 0.0),
-        "hardening_shear": (_parse_float, 0.0),
+        "hardening": (_parse_float, _OMIT),
+        "hardening_bulk": (_parse_float, _OMIT),
+        "hardening_shear": (_parse_float, _OMIT),
         "biot_modulus": (_parse_float, _OMIT),
         "biot_coefficient": (_parse_float, _OMIT),
         "l_coefficient": (_parse_float, 0.0),
@@ -243,6 +243,15 @@ def serialize_config(cfg):
     return "\n".join(lines)
 
 
+# keys a config of the other dimension would ignore, and the hardening
+# keys that default to 0, per dimension
+_OTHER_DIM_KEYS = {1: ("grid.ny", "grid.bc_bottom", "grid.bc_top",
+                       "material.bulk_modulus", "material.shear_modulus",
+                       "material.hardening_bulk", "material.hardening_shear"),
+                   2: ("material.modulus", "material.hardening")}
+_HARDENING = {1: ("hardening",), 2: ("hardening_bulk", "hardening_shear")}
+
+
 def _validate(cfg):
     g = cfg.grid
     if g["dim"] not in (1, 2):
@@ -251,6 +260,12 @@ def _validate(cfg):
         for key in ("ny", "bc_bottom", "bc_top"):
             if key not in g:
                 raise ConfigError("required in 2D", f"grid.{key}")
+    for loc in _OTHER_DIM_KEYS[g["dim"]]:
+        section, key = loc.split(".")
+        if key in cfg.section(section):
+            raise ConfigError(f"not used in {g['dim']}D", loc)
+    for key in _HARDENING[g["dim"]]:
+        cfg.material.setdefault(key, 0.0)
     it = cfg.integrator
     if it["tau"] == "auto" and "eta" not in it:
         raise ConfigError("tau = auto requires eta", "integrator.eta")

@@ -335,7 +335,8 @@ class Discretization:
         combine(out_yy, t, out=out_yy)
 
     def apply_C(self, e):
-        """Generalized elasticity map, strain layout -> stress layout."""
+        """Generalized elasticity map, strain layout -> stress layout; also
+        C I and C* I* of the scheme (C is symmetric, I = id: conforming)."""
         self._check_s(e)
         if self.dim == 1:
             return self.c_mod * e
@@ -346,10 +347,6 @@ class Discretization:
                          self.sxx_view(out), self.syy_view(out), np.add)
         np.multiply(self.sxy_view(e), 2.0 * G, out=self.sxy_view(out))
         return out
-
-    def apply_C_adjoint(self, s):
-        """Adjoint of the elasticity map; equals apply_C (symmetric tensor)."""
-        return self.apply_C(s)
 
     def apply_C_inv(self, s):
         """Inverse elasticity map (compliance)."""
@@ -367,11 +364,6 @@ class Discretization:
         np.divide(oyy, det, out=oyy)
         np.divide(self.sxy_view(s), 2.0 * G, out=self.sxy_view(out))
         return out
-
-    def apply_I(self, s):
-        """Interpolation onto the stress subspace; identity (conforming)."""
-        self._check_s(s)
-        return s
 
     # ------------------------------------------------------------------
     # stress-layout laplacian (strain-gradient regularization)

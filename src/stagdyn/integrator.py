@@ -205,7 +205,7 @@ def step_sigma(state, disc, loading, cfg):
         _require_finite("proto-stress", state.sigma)
     tau_eff = 0.5 * cfg.tau if state.k == 0 else cfg.tau
     # sigma + tau_eff * (I C E v)
-    sigma_next = disc.apply_I(disc.apply_C(disc.apply_E(state.v)))
+    sigma_next = disc.apply_C(disc.apply_E(state.v))
     sigma_next *= tau_eff
     np.add(state.sigma, sigma_next, out=sigma_next)
     dg = loading.d_increment(state.k, cfg.tau)
@@ -239,7 +239,7 @@ def step_velocity(state, sigma_next, z_next, disc, material, loading, cfg):
     else:
         z_mid = z_next
     dphi_mid = material.dphi_dsigma(disc, sigma_next, z_mid)
-    s_true = disc.apply_C_adjoint(disc.apply_I(dphi_mid))
+    s_true = disc.apply_C(dphi_mid)
     force = disc.apply_E_adjoint(s_true)
     # v + (tau / M) * (F - E* S), with the inactive rows left at rest
     v_next = np.subtract(loading.body_force, force)
@@ -296,8 +296,17 @@ def stability_coefficient(disc, material, sigma, z, tau, phi=None,
 def _end_gradient(disc, material, sigma, z, z_other, dphi_mid):
     """dPhi_s(sigma, z) from ``dphi_mid`` = dPhi_s(sigma, (z + z_other)/2),
     and its true stress C* I* dPhi_s(sigma, z)."""
-    g = material.dphi_dsigma_end(disc, sigma, z, z_other, dphi_mid)
-    return g, disc.apply_C_adjoint(disc.apply_I(g))
+    if not z.size:
+        g = dphi_mid    # z-free: the midpoint gradient is the gradient
+    elif material.dphi_dsigma_shift is None:
+        g = material.dphi_dsigma(disc, sigma, z)
+    else:
+        # dphi_mid + A(1/2 (z - z_other)), A the shift of the gradient
+        dz = np.subtract(z, z_other)
+        dz *= 0.5
+        g = material.dphi_dsigma_shift(disc, dz)
+        g += dphi_mid
+    return g, disc.apply_C(g)
 
 
 def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None,
@@ -309,12 +318,12 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None,
     the dissipation potential is smooth away from zero and is <= 0 (up to
     solver tolerance) otherwise.
 
-    The stress gradient at the end of the step, dPhi_s(Sigma', z'), comes
-    from the step's midpoint gradient through
-    ``material.dphi_dsigma_end``, and the jump term through
-    ``material.anchor_jump``; both are closed forms for materials affine
-    in z.  That gradient and its true stress S' = C* I* dPhi_s(Sigma', z')
-    give the stored energy and the stability coefficient.
+    The stress gradient at the end of the step, dPhi_s(Sigma', z'), and
+    the jump term come from the step's midpoint gradients in closed form
+    when the material gives ``dphi_dsigma_shift`` (materials affine in
+    z), and from full evaluation when it does not.  That gradient and its
+    true stress S' = C* I* dPhi_s(Sigma', z') give the stored energy and
+    the stability coefficient.
 
     Values carried on the states (``prev.energy``, ``prev.dphi_mid``,
     ``nxt.dphi_mid``) are used as they are; missing ones are computed
@@ -352,7 +361,7 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None,
         if dg is not None:
             work += disc.sdot(p_avg, dg)
         # <C*(P_avg - dPhi_s(Sigma', z-mid)), E v0>_w closes the half step
-        s_gap = disc.apply_C_adjoint(disc.apply_I(p_avg - dphi_mid_next))
+        s_gap = disc.apply_C(p_avg - dphi_mid_next)
         correction = 0.5 * tau * disc.sdot(s_gap, disc.apply_E(prev.v))
         residual = (kinetic + phi_next) - energy_prev + diss - work - correction
         # the bootstrap row, once per run, evaluates the true stress of
@@ -373,14 +382,23 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None,
                 material.phi(disc, prev.sigma, prev.z, g=g_prev,
                              s_true=s_prev))
         work = tau * float(np.sum(loading.body_force * prev.v))
-        if has_z:
-            # jump of the stress-side gradient away from the z^k anchor,
-            # for both half-level stresses entering the velocity average
-            correction = material.anchor_jump(
-                disc, nxt.sigma, prev.sigma, nxt.sigma - prev.sigma, nxt.z,
-                prev.z, prev.z_prev, dphi_mid_next, dphi_mid_prev)
-        else:
-            correction = 0.0
+        # jump <J, Sigma' - Sigma>_w of the two half-level gradients away
+        # from their values at the z^k anchor: J = 1/2 [dphi_mid_next -
+        # dPhi_s(Sigma', z^k)] + 1/2 [dphi_mid_prev - dPhi_s(Sigma, z^k)],
+        # which is 1/4 A(z' - 2 z^k + z^{k-1}) for a shift A of the gradient
+        correction = 0.0
+        if material.dphi_dsigma_shift is not None:
+            j = 2.0 * prev.z
+            np.subtract(nxt.z, j, out=j)
+            j += prev.z_prev
+            correction = 0.25 * disc.sdot(
+                material.dphi_dsigma_shift(disc, j), nxt.sigma - prev.sigma)
+        elif has_z:
+            jump = 0.5 * (dphi_mid_next
+                          - material.dphi_dsigma(disc, nxt.sigma, prev.z))
+            jump += 0.5 * (dphi_mid_prev
+                           - material.dphi_dsigma(disc, prev.sigma, prev.z))
+            correction = disc.sdot(jump, nxt.sigma - prev.sigma)
         dg = loading.d_increment(k, tau)
         if dg is not None:
             p_avg = 0.5 * (dphi_mid_next + dphi_mid_prev)
@@ -541,7 +559,7 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
 
     def apply_T(hs):
         # T s from hs = H s, which the recurrence carries
-        f = disc.apply_E_adjoint(disc.apply_C_adjoint(disc.apply_I(hs)))
+        f = disc.apply_E_adjoint(disc.apply_C(hs))
         f /= disc.mass
         f[disc.v_inactive] = 0.0
         t = disc.apply_C(disc.apply_E(f))

@@ -62,48 +62,28 @@ class MaterialModel:
         """Weighted gradient of phi in the proto-stress (a strain field)."""
         raise NotImplementedError
 
-    def dphi_dsigma_end(self, disc, sigma, z, z_other, dphi_mid):
-        """dphi_dsigma(sigma, z), given ``dphi_mid`` =
-        dphi_dsigma(sigma, (z + z_other)/2).
-
-        The default evaluates the gradient afresh; a material whose
-        gradient is affine in z shifts ``dphi_mid`` in closed form.
-        """
-        return self.dphi_dsigma(disc, sigma, z)
-
-    def anchor_jump(self, disc, sigma_next, sigma, dsig, z_next, z, z_prev,
-                    dphi_mid_next, dphi_mid):
-        """Jump term <J, dsig>_w of the per-step energy identity.
-
-        J averages how far the two half-level gradients
-        ``dphi_mid_next`` = dphi_dsigma(sigma_next, (z_next + z)/2) and
-        ``dphi_mid`` = dphi_dsigma(sigma, (z + z_prev)/2) sit from their
-        values at the anchor z:
-
-            J = 1/2 [dphi_mid_next - dphi_dsigma(sigma_next, z)]
-                + 1/2 [dphi_mid - dphi_dsigma(sigma, z)].
-
-        The default evaluates both anchor gradients; a material whose
-        gradient is affine in z forms J in closed form.
-        """
-        jump = 0.5 * (dphi_mid_next - self.dphi_dsigma(disc, sigma_next, z))
-        jump += 0.5 * (dphi_mid - self.dphi_dsigma(disc, sigma, z))
-        return disc.sdot(jump, dsig)
+    # Optional hook (disc, dz) -> the change of dphi_dsigma(sigma, z) when z
+    # moves by dz, for a gradient affine in z with a slope free of sigma
+    # and z; it may overwrite dz.  None: the energy audit evaluates
+    # dphi_dsigma in full where it needs it away from a midpoint.
+    dphi_dsigma_shift = None
 
     def dphi_dz(self, disc, sigma, z):
         """Weighted gradient of phi in the internal variable."""
         raise NotImplementedError
 
     def true_stress(self, disc, sigma, z):
-        """Stress entering the momentum balance: C* I* dphi_dsigma."""
-        return disc.apply_C_adjoint(disc.apply_I(self.dphi_dsigma(disc, sigma, z)))
+        """Stress entering the momentum balance: C* I* dphi_dsigma, which is
+        C dphi_dsigma on these conforming grids (I = id, C* = C)."""
+        return disc.apply_C(self.dphi_dsigma(disc, sigma, z))
 
     def internal_step(self, disc, sigma_next, z_k, tau):
         """Advance the internal variable by one implicit midpoint step.
 
         Returns ``(z_next, info)`` where ``info`` carries solver
         by-products needed by the energy ledger (e.g. the realized
-        chemical potential for nonlocal dissipation).
+        chemical potential for nonlocal dissipation) and the solver's
+        counts (``iters``, ``rounds``).
         """
         raise NotImplementedError
 
@@ -153,10 +133,6 @@ class ElasticMaterial(MaterialModel):
 
     def dphi_dsigma(self, disc, sigma, z):
         return disc.apply_C_inv(sigma)
-
-    def dphi_dsigma_end(self, disc, sigma, z, z_other, dphi_mid):
-        # z-free: the midpoint gradient is the gradient
-        return dphi_mid
 
     def dphi_dz(self, disc, sigma, z):
         return np.zeros(0)
@@ -263,20 +239,9 @@ class PlasticCreepMaterial(MaterialModel):
         g -= z
         return g
 
-    def dphi_dsigma_end(self, disc, sigma, z, z_other, dphi_mid):
-        # dphi_dsigma is C1^-1 sigma - z: dphi_mid - 1/2 (z - z_other)
-        g = z - z_other
-        g *= 0.5
-        return np.subtract(dphi_mid, g, out=g)
-
-    def anchor_jump(self, disc, sigma_next, sigma, dsig, z_next, z, z_prev,
-                    dphi_mid_next, dphi_mid):
-        # J = 1/2 (z - (z_next + z)/2) + 1/2 (z - (z + z_prev)/2)
-        #   = -1/4 (z_next - 2 z + z_prev)
-        j = 2.0 * z
-        np.subtract(z_next, j, out=j)
-        j += z_prev
-        return -0.25 * disc.sdot(j, dsig)
+    def dphi_dsigma_shift(self, disc, dz):
+        # dphi_dsigma is C1^-1 sigma - z
+        return np.negative(dz, out=dz)
 
     def dphi_dz(self, disc, sigma, z):
         return self._apply_cbar(disc, z) - sigma
@@ -470,9 +435,8 @@ class BiotMaterial(MaterialModel):
             disc, disc.apply_C_inv(sigma),
             self._coupling(disc) * self._content_mismatch(disc, sigma, z))
 
-    def dphi_dsigma_end(self, disc, sigma, z, z_other, dphi_mid):
-        return self._add_trace(disc, dphi_mid.copy(),
-                               -self._coupling(disc) * (0.5 * (z - z_other)))
+    def dphi_dsigma_shift(self, disc, dz):
+        return self._add_trace(disc, disc.zeros_s(), -self._coupling(disc) * dz)
 
     def dphi_dz(self, disc, sigma, z):
         """Chemical potential mu."""
@@ -503,10 +467,12 @@ class BiotMaterial(MaterialModel):
             # A is self-adjoint in the B-twisted weighted inner product
             return disc.zdot(self._apply_B(disc, x), y)
 
-        delta = solve_linear_spd(apply_A, rhs, dot, LINEAR_SOLVE_TOL)
+        info = {}
+        delta = solve_linear_spd(apply_A, rhs, dot, LINEAR_SOLVE_TOL,
+                                 info=info)
         z_next = z_k + delta
-        mu_mid = self.dphi_dz(disc, sigma_next, 0.5 * (z_k + z_next))
-        return z_next, {"mu_mid": mu_mid}
+        info["mu_mid"] = self.dphi_dz(disc, sigma_next, 0.5 * (z_k + z_next))
+        return z_next, info
 
     def step_dissipation(self, disc, z_k, z_next, tau, info):
         mu = info.get("mu_mid")

@@ -120,7 +120,7 @@ def dense_generalized_rayleigh(disc, material, z_probe):
         return material.dphi_dsigma(disc, s, z_probe) - dphi0
 
     def apply_N(s):
-        f = disc.apply_E_adjoint(disc.apply_C_adjoint(disc.apply_I(apply_H(s))))
+        f = disc.apply_E_adjoint(disc.apply_C(apply_H(s)))
         f = np.where(disc.v_active, f / disc.mass, 0.0)
         return apply_H(disc.apply_C(disc.apply_E(f)))
 
@@ -225,8 +225,7 @@ def implicit_reference_step(disc, material, state, tau, loading=None):
 
 def explicit_sigma_closure(state, disc, tau):
     """Shift the half-staggered proto-stress to the integer time level."""
-    return state.sigma + 0.5 * tau * disc.apply_I(
-        disc.apply_C(disc.apply_E(state.v)))
+    return state.sigma + 0.5 * tau * disc.apply_C(disc.apply_E(state.v))
 
 
 def trajectory_distance(disc, sigma_a, v_a, sigma_b, v_b):
@@ -321,7 +320,7 @@ def reference_ledger(prev, nxt, disc, material, loading, tau,
         dg = loading.d_increment(0, tau)
         if dg is not None:
             work += disc.sdot(p_avg, dg)
-        s_gap = disc.apply_C_adjoint(disc.apply_I(p_avg - dphi_mid_next))
+        s_gap = disc.apply_C(p_avg - dphi_mid_next)
         correction = -0.5 * tau * disc.sdot(s_gap, disc.apply_E(prev.v))
     else:
         energy_prev = kinetic_pair(prev.v, prev.v_prev) + material.phi(

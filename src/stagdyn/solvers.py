@@ -93,9 +93,12 @@ def _solve_free_rows(bands, free, r):
     return d
 
 
-def solve_linear_spd(apply_A, b, dot, tol):
-    """Solve the unconstrained quadratic; relative residual <= tol."""
-    x, _ = _cg(apply_A, b, dot, tol)
+def solve_linear_spd(apply_A, b, dot, tol, info=None):
+    """Solve the unconstrained quadratic; relative residual <= tol.  An
+    ``info`` dict receives ``iters``, the CG iterations taken."""
+    x, history = _cg(apply_A, b, dot, tol)
+    if info is not None:
+        info["iters"] = len(history) - 1
     return x
 
 

@@ -147,18 +147,17 @@ def test_ledger_reference_check_fails_on_a_wrong_closed_form(monkeypatch):
         if name == "ledger-reference"])
     assert checks.run_checks(out=lines.append) == 0
     assert lines == ["PASS ledger-reference"]
-    # a plastic jump that drops the z_prev term
-    monkeypatch.setattr(
-        PlasticCreepMaterial, "anchor_jump",
-        lambda self, disc, sigma_next, sigma, dsig, z_next, z, z_prev, *_:
-        -0.25 * disc.sdot(z_next - z, dsig))
+    # a plastic shift with the wrong sign
+    monkeypatch.setattr(PlasticCreepMaterial, "dphi_dsigma_shift",
+                        lambda self, disc, dz: dz)
     lines.clear()
     assert checks.run_checks(out=lines.append) == 1
     assert len(lines) == 1 and lines[0].startswith("FAIL ledger-reference")
 
 
-def test_step_evaluates_stored_energy_once(monkeypatch):
-    d, m, loading, st, cfg = _setup("viscoplastic_2d")
+@pytest.mark.parametrize("name", ["viscoplastic_2d", "biot_1d", "biot_2d"])
+def test_step_evaluates_stored_energy_once(monkeypatch, name):
+    d, m, loading, st, cfg = _setup(name)
     calls = {"phi": 0, "dphi_dsigma": 0, "true_stress": 0}
 
     def counted(attr):
@@ -176,8 +175,9 @@ def test_step_evaluates_stored_energy_once(monkeypatch):
         for attr in calls:
             calls[attr] = 0
         st, _ = advance(st, d, m, loading, cfg)
-        # the velocity update's midpoint gradient is the only one; the
-        # audit shifts it to the end of the step in closed form
+        # the velocity update's midpoint gradient is the only one: the
+        # gradient is affine in z, so the audit shifts it to the end of
+        # the step and forms the jump term from z alone
         assert calls == {"phi": 1, "dphi_dsigma": 1, "true_stress": 0}
 
 

@@ -137,6 +137,43 @@ def test_2d_requires_ny_and_bcs():
     assert ei.value.location.startswith("grid.")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("grid.ny", "4"), ("grid.bc_bottom", "neumann"), ("grid.bc_top", "neumann"),
+    ("material.bulk_modulus", "1.0"), ("material.shear_modulus", "0.5"),
+    ("material.hardening_bulk", "0.4"), ("material.hardening_shear", "0.4")])
+def test_2d_key_in_1d_config_is_rejected(key, value):
+    section, name = key.split(".")
+    text = MINIMAL_ELASTIC.replace(f"[{section}]",
+                                   f"[{section}]\n{name} = {value}")
+    with pytest.raises(ConfigError) as ei:
+        parse_config(text)
+    assert ei.value.location == key
+
+
+@pytest.mark.parametrize("key, value", [
+    ("material.modulus", "1.0"), ("material.hardening", "0.3")])
+def test_1d_key_in_2d_config_is_rejected(key, value):
+    text = (CONFIGS / "viscoplastic_2d.cfg").read_text(encoding="utf-8")
+    name = key.split(".")[1]
+    text = text.replace("[material]", f"[material]\n{name} = {value}")
+    with pytest.raises(ConfigError) as ei:
+        parse_config(text)
+    assert ei.value.location == key
+
+
+def test_hardening_defaults_follow_the_dimension():
+    cfg1 = parse_config(MINIMAL_ELASTIC)
+    assert cfg1.material["hardening"] == 0.0
+    assert "hardening_bulk" not in cfg1.material
+    text = (CONFIGS / "viscoplastic_2d.cfg").read_text(encoding="utf-8")
+    cfg2 = parse_config(text.replace(
+        "[material]", "[material]\nhardening_bulk = 0.4"))
+    assert (cfg2.material["hardening_bulk"],
+            cfg2.material["hardening_shear"]) == (0.4, 0.0)
+    assert "hardening" not in cfg2.material
+    assert parse_config(serialize_config(cfg2)) == cfg2
+
+
 def test_body_force_dimension_check():
     text = MINIMAL_ELASTIC.replace("[loading]",
                                    "[loading]\nbody_force = 1.0 2.0")

@@ -150,13 +150,7 @@ def test_apply_C_self_adjoint():
     rng = np.random.default_rng(9)
     a = rng.standard_normal(d.n_s)
     b = rng.standard_normal(d.n_s)
-    assert abs(d.sdot(d.apply_C(a), b) - d.sdot(a, d.apply_C_adjoint(b))) < 1e-12
-
-
-def test_apply_I_is_identity():
-    d = disc_1d(nx=4)
-    s = np.arange(d.n_s, dtype=float)
-    assert_allclose(d.apply_I(s), s)
+    assert abs(d.sdot(d.apply_C(a), b) - d.sdot(a, d.apply_C(b))) < 1e-12
 
 
 def test_laplacian_stress_hand_stencil():

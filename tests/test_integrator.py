@@ -388,7 +388,7 @@ def top_mode(d, m):
 
     def apply_T(s):
         hs = m.dphi_dsigma(d, s, probe) - dphi0
-        f = d.apply_E_adjoint(d.apply_C_adjoint(d.apply_I(hs)))
+        f = d.apply_E_adjoint(d.apply_C(hs))
         f = np.where(d.v_active, f / d.mass, 0.0)
         return 2.0 * d.apply_C(d.apply_E(f))
 
@@ -667,3 +667,38 @@ def test_energy_identity_hardening_plus_yield_2d():
     assert max(l.residual for l in ledgers) <= 1e-9 * e0
     assert max(abs(l.residual) for l in ledgers) <= 1e-9 * e0
     assert all(l.dissipated_step >= -1e-14 for l in ledgers)
+
+
+@pytest.mark.parametrize("viscosity, hardening", [(0.5, 0.0), (0.2, 0.5)],
+                         ids=["maxwell", "zener"])
+def test_creep_converges_to_the_exact_damped_mode(viscosity, hardening):
+    # With sigma_y = 0 the flow rule is linear, and the traction-free mode
+    # sigma = s sin(pi x), v = w cos(pi x), z = p sin(pi x) stays in its
+    # mode.  With C = rho = 1 the amplitudes solve s' = -pi w,
+    # w' = pi (s - p), D p' = s - (1 + C2) p, whose exact solution comes
+    # from the eigenvectors of that 3x3 system.  Joint (h, tau)
+    # refinement at Courant 0.5, neumann ends: every local order is 2.
+    from stagdyn.oracle import explicit_sigma_closure
+
+    t_end = 0.5
+    ode = np.array([[0.0, -np.pi, 0.0], [np.pi, 0.0, -np.pi],
+                    [1.0 / viscosity, 0.0, -(1.0 + hardening) / viscosity]])
+    lam, vecs = np.linalg.eig(ode)
+    s, w, p = (vecs @ (np.exp(lam * t_end)
+                       * np.linalg.solve(vecs, [1.0, 0.0, 0.0]))).real
+    errors = []
+    for nx in (16, 32, 64, 128):
+        d = disc_1d(nx=nx, h=1.0 / nx, bc=("neumann", "neumann"))
+        m = PlasticCreepMaterial(viscosity=viscosity, hardening=hardening)
+        x = np.linspace(0.0, 1.0, nx + 1)
+        xv = 0.5 * (x[:-1] + x[1:])
+        steps = int(np.ceil(t_end / (0.5 / nx)))
+        cfg = IntegratorConfig(tau=t_end / steps, t_end=t_end)
+        st = initial_state(d, m, sigma=np.sin(np.pi * x))
+        final, _ = run_simulation(d, m, no_loading(d), cfg, st)
+        sigma = explicit_sigma_closure(final, d, cfg.tau)
+        errors.append(max(np.max(np.abs(sigma - s * np.sin(np.pi * x))),
+                          np.max(np.abs(final.v - w * np.cos(np.pi * xv))),
+                          np.max(np.abs(final.z - p * np.sin(np.pi * x)))))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all((1.8 <= orders) & (orders <= 2.2)), (errors, orders)

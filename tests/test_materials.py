@@ -111,7 +111,7 @@ def test_true_stress_is_C_of_dphi():
     for m in mats:
         z = m.z_init(d) + 0.1 * rng.standard_normal(m.z_size(d))
         assert_allclose(m.true_stress(d, s, z),
-                        d.apply_C(d.apply_I(m.dphi_dsigma(d, s, z))),
+                        d.apply_C(m.dphi_dsigma(d, s, z)),
                         atol=1e-13)
 
 
@@ -252,6 +252,35 @@ def test_plastic_2d_step_matches_scan():
             idx = d.n_s - 3
             ref = scan_internal_objective(m, d, sigma, zk, tau, idx)
             assert abs(z[idx] - ref) < 1e-6
+
+
+def test_plastic_2d_normal_block_matches_scan():
+    # with a yield stress the normal block flows along the trace-free
+    # direction (+t, -t) only: scan the increment objective along it at
+    # one center, every other component held at z_k
+    d = disc_2d(nx=2, ny=2)
+    rng = np.random.default_rng(12)
+    m = PlasticCreepMaterial(viscosity=0.9, sigma_y=0.3, hardening=(0.2, 0.1))
+    ixx, iyy = d._xx_sl.start + 1, d._yy_sl.start + 1
+    flowed = 0
+    for _ in range(8):
+        sigma = rng.standard_normal(d.n_s)
+        zk = 0.2 * rng.standard_normal(d.n_s)
+        tau = rng.uniform(0.05, 0.4)
+        z, _ = m.internal_step(d, sigma, zk, tau)
+
+        def objective(t):
+            trial = zk.copy()
+            trial[ixx] += t
+            trial[iyy] -= t
+            return m.incremental_objective(d, sigma, zk, tau, trial)
+
+        t = brute_force_prox(objective, -2.0, 2.0)
+        assert abs((z[ixx] - zk[ixx]) - t) < 1e-6
+        assert abs((z[iyy] - zk[iyy]) + t) < 1e-6
+        flowed += abs(t) > 1e-3
+    # the samples meet both branches of the return map
+    assert 0 < flowed < 8
 
 
 def test_dissipation_rate_plasticity():

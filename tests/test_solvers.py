@@ -8,7 +8,9 @@ from numpy.testing import assert_allclose
 
 from stagdyn import solvers
 from stagdyn.errors import SolverError
+from stagdyn.grid import Grid, build
 from stagdyn.kernels import radial_return
+from stagdyn.materials import BiotMaterial
 from stagdyn.solvers import (
     solve_bound_constrained,
     solve_linear_spd,
@@ -31,6 +33,31 @@ def test_identity_system():
     b = rng.standard_normal(8)
     x = solve_linear_spd(*dense_problem(np.eye(8), b), tol=1e-10)
     assert_allclose(x, b, atol=1e-12)
+
+
+def test_linear_spd_reports_iterations_on_hand_case():
+    # CG ends once its Krylov space holds the solution: a right-hand side
+    # of zero takes no iteration, 3 I takes one, and diag(2, 2, 5) with b
+    # in both eigenspaces takes two
+    for diag, b, iters in (([3.0] * 3, [0.0] * 3, 0),
+                           ([3.0] * 3, [1.0, -2.0, 4.0], 1),
+                           ([2.0, 2.0, 5.0], [1.0, 1.0, 1.0], 2)):
+        info = {}
+        x = solve_linear_spd(*dense_problem(np.diag(diag), np.array(b)),
+                             tol=1e-12, info=info)
+        assert_allclose(x, np.array(b) / diag, atol=1e-14)
+        assert info == {"iters": iters}
+
+
+def test_biot_step_reports_its_iterations():
+    d = build(Grid(dim=1, nx=8, h=0.125, bc=("dirichlet", "dirichlet")),
+              1.0, {"modulus": 1.0})
+    m = BiotMaterial(biot_modulus=0.5, biot_coefficient=0.5, capillarity=0.02)
+    sigma = np.sin(np.linspace(0.0, np.pi, d.n_s))
+    _, info = m.internal_step(d, sigma, m.z_init(d), 0.05)
+    assert set(info) == {"iters", "mu_mid"}
+    # at most one iteration per point, exact arithmetic aside
+    assert 1 <= info["iters"] <= d.zs_n
 
 
 def test_laplacian_plus_identity_matches_dense():
