@@ -626,8 +626,7 @@ def cfl_admissible(tau, tau_max):
     return tau <= tau_max * (1.0 + 1e-12)
 
 
-def run_simulation(disc, material, loading, cfg, state, z_probe=None,
-                   on_step=None):
+def run_simulation(disc, material, loading, cfg, state, on_step=None):
     """Drive the scheme to t_end with CFL checks and a blow-up guard.
 
     Calls ``on_step(state, ledger)`` after every accepted step.  Returns
@@ -635,23 +634,21 @@ def run_simulation(disc, material, loading, cfg, state, z_probe=None,
     """
     tau = cfg.tau
     n_steps = int(round(cfg.t_end / tau))
-    probe = state.z if z_probe is None else z_probe
 
-    def check_cfl():
-        tau_max, lam = max_stable_timestep(disc, material, probe, cfg.eta)
+    def check_cfl(z):
+        tau_max, lam = max_stable_timestep(disc, material, z, cfg.eta)
         if not cfl_admissible(tau, tau_max):
             raise CflViolationError(tau, tau_max, lam)
 
     if not cfg.skip_cfl_check:
-        check_cfl()
+        check_cfl(state.z)
 
     ledgers = []
     e_ref = None
     for _ in range(n_steps):
         if (cfg.cfl_recheck_every and state.k > 0
                 and state.k % cfg.cfl_recheck_every == 0):
-            probe = state.z
-            check_cfl()
+            check_cfl(state.z)
         try:
             state, ledger = advance(state, disc, material, loading, cfg)
         except NonFiniteFieldError as exc:

@@ -160,7 +160,10 @@ class PlasticCreepMaterial(MaterialModel):
     ``sigma_y = 0`` gives the Maxwell (creep) rheology, ``sigma_y = 0`` with
     nonzero hardening the Zener standard linear solid, ``sigma_y > 0`` with
     positive viscosity the viscoplastic model.  The flow rule is local, so
-    the internal step is a pointwise closed-form return map.
+    the internal step is a pointwise closed-form return map, one radial
+    return for every yield stress.  In 2D plastic flow is trace-free: the
+    trace creeps only when ``sigma_y == 0``, and with ``sigma_y > 0``
+    ``psi`` is ``+inf`` on a rate with a trace.
 
     Parameters
     ----------
@@ -252,17 +255,12 @@ class PlasticCreepMaterial(MaterialModel):
         dvisc = self.viscosity / tau
         if disc.dim == 1:
             cbar = disc.c_mod + self._c2(disc)
-            if self.sigma_y == 0.0:
-                delta = q / (dvisc + 0.5 * cbar)
-            else:
-                scale = kernels.radial_return(np.abs(q), self.sigma_y,
-                                              dvisc + 0.5 * cbar)
-                delta = scale * q
-            return z_k + delta, {}
+            scale = kernels.radial_return(np.abs(q), self.sigma_y,
+                                          dvisc + 0.5 * cbar)
+            return z_k + scale * q, {}
 
         k2, g2 = self._c2(disc)
-        kbar = disc.k_mod + k2
-        gbar = disc.g_mod + g2
+        factor = dvisc + (disc.g_mod + g2)
         qxx = disc.sxx_view(q)
         qyy = disc.syy_view(q)
         qxy = disc.sxy_view(q)
@@ -271,33 +269,25 @@ class PlasticCreepMaterial(MaterialModel):
         nxx = disc.sxx_view(z_next)
         nyy = disc.syy_view(z_next)
         nxy = disc.sxy_view(z_next)
+        # deviatoric radial return.  (q_xx - q_yy)/sqrt(2) is the
+        # orthonormal (Mandel) deviator coordinate whose magnitude is the
+        # tensor norm of the normal-deviator part, matching the
+        # dissipation norm.  dd = s(|qd|) qd / sqrt(2), formed in place.
+        dd = np.subtract(qxx, qyy)
+        dd /= _SQRT2
+        dd *= kernels.radial_return(np.abs(dd), self.sigma_y, factor)
+        dd /= _SQRT2
+        # the deviator flow enters xx with +, yy with -
+        np.add(disc.sxx_view(z_k), dd, out=nxx)
+        np.subtract(disc.syy_view(z_k), dd, out=nyy)
+        np.multiply(kernels.radial_return(np.abs(qxy), self.sigma_y,
+                                          factor), qxy, out=nxy)
+        np.add(disc.sxy_view(z_k), nxy, out=nxy)
         if self.sigma_y == 0.0:
-            # diagonalize Cbar on (mean, deviator, shear); midpoint solve
-            qu = 0.5 * (qxx + qyy)
-            qd = 0.5 * (qxx - qyy)
-            du = qu / (dvisc + kbar)
-            dd = qd / (dvisc + gbar)
-            np.add(du, dd, out=nxx)
-            np.subtract(du, dd, out=nyy)
-            np.divide(qxy, dvisc + gbar, out=nxy)
-            z_next += z_k
-        else:
-            # deviatoric radial return; the trace direction carries no
-            # flow.  (q_xx - q_yy)/sqrt(2) is the orthonormal (Mandel)
-            # deviator coordinate whose magnitude is the tensor norm of
-            # the normal-deviator part, matching the dissipation norm.
-            factor = dvisc + gbar
-            # dd = s(|qd|) qd / sqrt(2), formed in place from qd
-            dd = np.subtract(qxx, qyy)
-            dd /= _SQRT2
-            dd *= kernels.radial_return(np.abs(dd), self.sigma_y, factor)
-            dd /= _SQRT2
-            # the deviator flow enters xx with +, yy with -
-            np.add(disc.sxx_view(z_k), dd, out=nxx)
-            np.subtract(disc.syy_view(z_k), dd, out=nyy)
-            np.multiply(kernels.radial_return(np.abs(qxy), self.sigma_y,
-                                              factor), qxy, out=nxy)
-            np.add(disc.sxy_view(z_k), nxy, out=nxy)
+            # the trace creeps, through Kbar, only without a yield stress
+            du = 0.5 * (qxx + qyy) / (dvisc + (disc.k_mod + k2))
+            nxx += du
+            nyy += du
         return z_next, {}
 
     def _flow_norm_integral(self, disc, zdot):
@@ -316,15 +306,16 @@ class PlasticCreepMaterial(MaterialModel):
 
     def dissipation_rate(self, disc, zdot):
         quad = self.viscosity * disc.sdot(zdot, zdot)
-        if self.sigma_y == 0.0:
-            return quad
         return self.sigma_y * self._flow_norm_integral(disc, zdot) + quad
 
     def psi(self, disc, zdot):
+        if disc.dim == 2 and self.sigma_y > 0.0:
+            # plastic flow is trace-free: a trace rate is inadmissible
+            tr = np.abs(disc.sxx_view(zdot) + disc.syy_view(zdot))
+            if np.any(tr > 1e-12 * max(1.0, float(np.max(np.abs(zdot))))):
+                return np.inf
         # same yield term as Xi, half the viscous term
         quad = 0.5 * self.viscosity * disc.sdot(zdot, zdot)
-        if self.sigma_y == 0.0:
-            return quad
         return self.sigma_y * self._flow_norm_integral(disc, zdot) + quad
 
     def supports_reference_integrator(self):
@@ -442,26 +433,22 @@ class BiotMaterial(MaterialModel):
         """Chemical potential mu."""
         mu = -self.M * self._content_mismatch(disc, sigma, z)
         mu += self.L * (z - self.zeta_eq)
-        if self.kappa != 0.0:
-            mu -= self.kappa * disc.lap_z(z)
+        mu -= self.kappa * disc.lap_z(z)
         return mu
 
     def _apply_B(self, disc, f):
         # Hessian of phi in zeta: (M + L) I - kappa * lap
         out = (self.M + self.L) * f
-        if self.kappa != 0.0:
-            out -= self.kappa * disc.lap_z(f)
+        out -= self.kappa * disc.lap_z(f)
         return out
-
-    def _apply_LM(self, disc, f):
-        return disc.div_z(self.mobility * disc.grad_z(f))
 
     def internal_step(self, disc, sigma_next, z_k, tau):
         mu_k = self.dphi_dz(disc, sigma_next, z_k)
-        rhs = self._apply_LM(disc, mu_k)
+        rhs = disc.lap_z(mu_k, self.mobility)
 
         def apply_A(x):
-            return x / tau - 0.5 * self._apply_LM(disc, self._apply_B(disc, x))
+            return x / tau - 0.5 * disc.lap_z(self._apply_B(disc, x),
+                                              self.mobility)
 
         def dot(x, y):
             # A is self-adjoint in the B-twisted weighted inner product
@@ -495,7 +482,7 @@ class BiotMaterial(MaterialModel):
         def project(f):
             return f - disc.zdot(f, np.ones_like(f)) / float(np.sum(wz))
 
-        mu, _ = _cg(lambda x: -self._apply_LM(disc, x), project(-zdot),
+        mu, _ = _cg(lambda x: -disc.lap_z(x, self.mobility), project(-zdot),
                     disc.zdot, LINEAR_SOLVE_TOL, project=project)
         return -disc.zdot(mu, zdot)
 
@@ -508,7 +495,7 @@ class BiotMaterial(MaterialModel):
 
     def zdot_linear(self, disc, sigma, z):
         """Continuous flow rate div(M grad mu)."""
-        return self._apply_LM(disc, self.dphi_dz(disc, sigma, z))
+        return disc.lap_z(self.dphi_dz(disc, sigma, z), self.mobility)
 
 
 # ---------------------------------------------------------------------------
@@ -645,8 +632,7 @@ class DamageMaterial(MaterialModel):
         """``chat``: the compliance density of ``sigma``, if known."""
         chat = self.compliance_density(disc, sigma) if chat is None else chat
         out = 0.5 * self.dgamma(z) * chat + self.dphi_d(z)
-        if self.kappa != 0.0:
-            out -= self.kappa * disc.lap_z(z)
+        out -= self.kappa * disc.lap_z(z)
         return out
 
     def _quad_operator(self, disc, chat, tau, viscous):
@@ -654,8 +640,7 @@ class DamageMaterial(MaterialModel):
 
         def apply_A(x):
             out = stiff * x
-            if self.kappa != 0.0:
-                out -= 0.5 * self.kappa * disc.lap_z(x)
+            out -= 0.5 * self.kappa * disc.lap_z(x)
             if viscous:
                 out += (2.0 * self.eps1 / tau) * x
             return out

@@ -8,6 +8,7 @@ would only show when the benchmark runs; these tests show it at once.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import stagdyn
 import stagdyn.cli
 from stagdyn import kernels
 from stagdyn.grid import Grid, build
+from stagdyn.integrator import run_simulation
 from stagdyn.materials import PlasticCreepMaterial
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -45,6 +47,8 @@ def test_run_path_names_resolve():
     # the run-mode environment line and the stencil ladder
     assert isinstance(stagdyn.kernels.get_backend(), str)
     assert callable(stagdyn.build) and callable(stagdyn.cli.main)
+    # layers.Probe stamps each step through this hook
+    assert "on_step" in inspect.signature(run_simulation).parameters
     d = stagdyn.build(stagdyn.Grid(dim=2, nx=4, ny=4, h=0.25,
                                    bc=("dirichlet",) * 4),
                       rho=1.0, moduli={"bulk_modulus": 1.0,

@@ -283,6 +283,29 @@ def test_plastic_2d_normal_block_matches_scan():
     assert 0 < flowed < 8
 
 
+def test_plastic_2d_trace_rate_never_lowers_the_objective():
+    # with a yield stress plastic flow is trace-free, so psi is +inf on a
+    # trace rate and the step is the minimizer of the increment objective:
+    # moving the step's z along (+t, +t) at one center never lowers it
+    d = disc_2d(nx=2, ny=2)
+    rng = np.random.default_rng(12)
+    m = PlasticCreepMaterial(viscosity=0.9, sigma_y=0.3, hardening=(0.2, 0.1))
+    ixx, iyy = d._xx_sl.start + 1, d._yy_sl.start + 1
+    for _ in range(8):
+        sigma = rng.standard_normal(d.n_s)
+        zk = 0.2 * rng.standard_normal(d.n_s)
+        tau = rng.uniform(0.05, 0.4)
+        z, _ = m.internal_step(d, sigma, zk, tau)
+        j_step = m.incremental_objective(d, sigma, zk, tau, z)
+        assert np.isfinite(j_step)
+        for t in np.linspace(-1.0, 1.0, 201):
+            trial = z.copy()
+            trial[ixx] += t
+            trial[iyy] += t
+            j = m.incremental_objective(d, sigma, zk, tau, trial)
+            assert j >= j_step - 1e-12 * max(1.0, abs(j_step)), t
+
+
 def test_dissipation_rate_plasticity():
     # sigma_y=0.5, D=1, scalar rate 2 -> 0.5*2 + 1*4 = 5 per unit volume
     d = disc_1d(nx=2, h=1.0)
@@ -352,7 +375,7 @@ def test_biot_step_matches_dense_solve():
     n = d.zs_n
     from stagdyn.oracle import dense_operator
 
-    LM = dense_operator(lambda f: m._apply_LM(d, f), n)
+    LM = dense_operator(lambda f: d.lap_z(f, m.mobility), n)
     B = dense_operator(lambda f: m._apply_B(d, f), n)
     A = np.eye(n) / tau - 0.5 * LM @ B
     rhs = LM @ m.dphi_dz(d, sigma, zk)
@@ -644,6 +667,42 @@ def test_plastic_2d_creep_step_stationarity():
     resid = (m.viscosity * (z - zk) / tau
              + m._apply_cbar(d, 0.5 * (z + zk)) - sigma)
     assert np.max(np.abs(resid)) < 1e-13
+
+
+@pytest.mark.parametrize("hardening", [0.0, 0.4], ids=["maxwell", "zener"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_creep_return_map_matches_the_midpoint_closed_form(dim, hardening):
+    # sigma_y = 0 runs through the same radial return as plasticity; the
+    # closed-form midpoint solves it replaced are its oracle here
+    rng = np.random.default_rng(53)
+    tau, visc = 0.17, 0.7
+    d = disc_1d(nx=5, c=1.3) if dim == 1 else disc_2d(nx=3, ny=2)
+    hard = hardening if dim == 1 else (hardening, 0.5 * hardening)
+    m = PlasticCreepMaterial(viscosity=visc, sigma_y=0.0, hardening=hard)
+    zk = 0.3 * rng.standard_normal(d.n_s)
+    sigma = rng.standard_normal(d.n_s)
+    # no driving force at one point (a shear in 2D): the return takes 0/0
+    i0 = 0 if dim == 1 else d._xy_sl.start
+    sigma[i0] = m._apply_cbar(d, zk)[i0]
+    q = sigma - m._apply_cbar(d, zk)
+    assert q[i0] == 0.0
+    dvisc = visc / tau
+    ref = zk.copy()
+    if dim == 1:
+        cbar = d.c_mod + hardening
+        ref += q / (dvisc + 0.5 * cbar)
+    else:
+        # diagonalize Cbar on (mean, deviator, shear)
+        kbar, gbar = d.k_mod + hard[0], d.g_mod + hard[1]
+        qxx, qyy = d.sxx_view(q), d.syy_view(q)
+        du = 0.5 * (qxx + qyy) / (dvisc + kbar)
+        dd = 0.5 * (qxx - qyy) / (dvisc + gbar)
+        d.sxx_view(ref)[:] += du + dd
+        d.syy_view(ref)[:] += du - dd
+        d.sxy_view(ref)[:] += d.sxy_view(q) / (dvisc + gbar)
+    z, _ = m.internal_step(d, sigma, zk, tau)
+    assert z[i0] == zk[i0]
+    assert np.max(np.abs(z - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def count_cg_calls(monkeypatch):
