@@ -176,46 +176,51 @@ def check_damage_structure(rng):
 
 
 def check_damage_direct_solve(rng):
-    # the 1D step by elimination, at the shipped size and the benchmark's,
-    # against a dense KKT solve of the matrix-free operator: points held at
-    # a bound stay there, the others solve their rows of the dense operator
-    # and every multiplier pushes out of the box.  The bands are the step's
-    # whole operator, so a wrong band solves a wrong system exactly and
-    # passes its own KKT test: only the dense solve can tell.
-    for nx, name in [(nx, name) for nx in (64, 256)
-                     for name in ("smooth", "rough", "healing")]:
-        d = _disc_1d(nx=nx, h=1.0 / nx, bc=("dirichlet", "neumann"))
+    # the step against a dense KKT solve of the Hessian plus the rate
+    # term's diagonal 2 a+-: points held at a bound stay there, the others
+    # solve their rows of the dense operator and every multiplier pushes
+    # out of the box.  1D solves by elimination, at the shipped size and
+    # the benchmark's: the bands are the step's whole operator, so a wrong
+    # band solves a wrong system exactly and passes its own KKT test, and
+    # only the dense solve can tell.  2D runs projected CG to its
+    # tolerance.
+    cases = [(_disc_1d(nx=nx, h=1.0 / nx, bc=("dirichlet", "neumann")),
+              name, 1e-12) for nx in (64, 256)
+             for name in ("smooth", "rough", "healing")]
+    cases += [(_disc_2d(), name, 1e-10) for name in ("rough", "healing")]
+    for d, name, gate in cases:
         n, tau, x = d.zs_n, 0.02, np.linspace(0.0, 1.0, d.zs_n)
+        where = f"nx = {d.grid.nx}" if d.dim == 1 else "in 2D"
         if name == "smooth":
             sigma = 2.0 * np.cos(np.pi * x) + 1.0
             z_k = 0.8 + 0.15 * np.cos(2.0 * np.pi * x)
         else:
-            sigma, z_k = 6.0 * rng.standard_normal(n), rng.uniform(0.3, 1.0, n)
+            sigma = 6.0 * rng.standard_normal(d.n_s)
+            z_k = rng.uniform(0.3, 1.0, n)
         heal = name == "healing"
         m = DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4, viscosity=0.3,
                            mode="healing" if heal else "unidirectional")
         z, _ = m.internal_step(d, sigma, z_k, tau)
-        A = dense_operator(m._quad_operator(
-            d, m.compliance_density(d, sigma), tau, not heal), n)
-        if heal:
-            A += np.diag(np.where(z < z_k, 2.0 * m.eps1 / tau,
-                                  2.0 / (m.eps1 * tau)))
+        a_plus = 1.0 / (m.eps1 * tau) if heal else m.eps1 / tau
+        A = dense_operator(m._quad_operator(d, m.compliance_density(d, sigma)),
+                           n) + np.diag(2.0 * np.where(z < z_k, m.eps1 / tau,
+                                                       a_plus))
         b = -m.dphi_dz(d, sigma, z_k)
         at_zero, at_top = z == 0.0, (z == z_k) & (not heal)
         free = ~(at_zero | at_top)
         _require(np.any(free) and not np.all(free),
-                 f"{name} damage step: no free or no bound point at nx = {nx}")
+                 f"{name} damage step: no free or no bound point {where}")
         ref = np.where(at_zero, -z_k, 0.0)
         ref[free] = np.linalg.solve(A[np.ix_(free, free)], b[free]
                                     - A[np.ix_(free, ~free)] @ ref[~free])
         err = float(np.max(np.abs(z_k + ref - z)))
-        _require(err <= 1e-12, f"{name} damage step vs dense KKT solve: "
-                 f"max error {err:.3e} at nx = {nx}")
+        _require(err <= gate, f"{name} damage step vs dense KKT solve: "
+                 f"max error {err:.3e} {where}")
         g = A @ ref - b
         tol = 1e-9 * max(1.0, float(np.max(np.abs(b))))
         _require(np.all(g[at_zero] >= -tol) and np.all(g[at_top] <= tol),
-                 f"{name} damage step: a multiplier of the wrong sign at "
-                 f"nx = {nx}")
+                 f"{name} damage step: a multiplier of the wrong sign "
+                 f"{where}")
 
 
 def check_cfl_estimator(rng):

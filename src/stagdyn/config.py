@@ -287,9 +287,18 @@ def _validate(cfg):
                           or "shear_modulus" not in cfg.material):
         raise ConfigError("2D materials need bulk_modulus and shear_modulus",
                           "material.bulk_modulus")
-    cfg.loading.setdefault("body_force", (0.0,) * g["dim"])
-    bf = cfg.loading["body_force"]
-    if len(bf) != g["dim"]:
+    for loc in ("output.snapshot_every", "integrator.cfl_recheck_every",
+                "integrator.energy_tolerance"):
+        section, key = loc.split(".")
+        if cfg.section(section)[key] < 0:
+            raise ConfigError("must be >= 0", loc)
+    ld = cfg.loading
+    side = ld["traction_side"]
+    if ld["traction"] != "none" and g.get(f"bc_{side}") != "traction":
+        raise ConfigError(f"the drive needs bc_{side} = traction",
+                          "loading.traction_side")
+    ld.setdefault("body_force", (0.0,) * g["dim"])
+    if len(ld["body_force"]) != g["dim"]:
         raise ConfigError(f"body_force needs {g['dim']} component(s)",
                           "loading.body_force")
 

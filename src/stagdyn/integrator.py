@@ -190,7 +190,7 @@ class EnergyLedger:
 # ---------------------------------------------------------------------------
 
 def _require_finite(name, arr):
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise NonFiniteFieldError(f"non-finite values in {name}")
 
 
@@ -228,27 +228,22 @@ def step_velocity(state, sigma_next, z_next, disc, material, loading, cfg):
     (z' + z)/2, the same time level as the updated proto-stress, which
     keeps the update centered (second order) for coupled materials.
 
-    Returns ``(v_next, u_next, s_true, dphi_mid, force)`` with
-    ``dphi_mid`` the stress-side gradient dPhi_s(Sigma', (z' + z)/2)
-    behind ``s_true = C* I* dphi_mid`` and ``force`` = E* s_true, before
-    masking; the energy audit reuses them.
+    Returns ``(v_next, u_next, s_true, dphi_mid)`` with ``dphi_mid`` the
+    stress-side gradient dPhi_s(Sigma', (z' + z)/2) behind ``s_true =
+    C* I* dphi_mid``; the energy audit reuses it.
     """
-    if z_next.size:
-        z_mid = z_next + state.z
-        z_mid *= 0.5
-    else:
-        z_mid = z_next
+    z_mid = z_next + state.z
+    z_mid *= 0.5
     dphi_mid = material.dphi_dsigma(disc, sigma_next, z_mid)
     s_true = disc.apply_C(dphi_mid)
-    force = disc.apply_E_adjoint(s_true)
     # v + (tau / M) * (F - E* S), with the inactive rows left at rest
-    v_next = np.subtract(loading.body_force, force)
+    v_next = np.subtract(loading.body_force, disc.apply_E_adjoint(s_true))
     v_next *= cfg.tau / disc.mass
     v_next[disc.v_inactive] = 0.0
     np.add(state.v, v_next, out=v_next)
     u_next = cfg.tau * v_next
     np.add(state.u, u_next, out=u_next)
-    return v_next, u_next, s_true, dphi_mid, force
+    return v_next, u_next, s_true, dphi_mid
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +257,7 @@ def _kinetic_pair(disc, va, vb):
 
 
 def stability_coefficient(disc, material, sigma, z, tau, phi=None,
-                          s_true=None, force=None):
+                          s_true=None):
     """Positivity coefficient of the staggered energy at one state.
 
     With F = 0 the staggered energy splits exactly as
@@ -272,21 +267,19 @@ def stability_coefficient(disc, material, sigma, z, tau, phi=None,
 
     because v' - v = -tau M^-1 E*S contributes T((v'-v)/2) =
     (tau^2/8) <E*S, M^-1 E*S> to the kinetic split.  a >= eta is
-    guaranteed whenever tau <= max_stable_timestep(eta).  ``phi``,
-    ``s_true`` and ``force``, when given, are Phi(sigma, z), the true
-    stress S and E*S, already formed by the caller; ``force`` is read,
-    not changed.  A state with no stored energy has a = 1.
+    guaranteed whenever tau <= max_stable_timestep(eta).  ``phi`` and
+    ``s_true``, when given, are Phi(sigma, z) and the true stress S,
+    already formed by the caller.  A state with no stored energy has
+    a = 1.
     """
     if phi is None:
         phi = material.phi(disc, sigma, z)
     if phi <= 0.0:
         return 1.0
-    if force is None:
-        if s_true is None:
-            s_true = material.true_stress(disc, sigma, z)
-        force = disc.apply_E_adjoint(s_true)
-    # sum of f^2 / M over the active rows
-    f2 = np.square(force)
+    if s_true is None:
+        s_true = material.true_stress(disc, sigma, z)
+    # sum of (E* S)^2 / M over the active rows
+    f2 = np.square(disc.apply_E_adjoint(s_true))
     f2[disc.v_inactive] = 0.0
     f2 /= disc.mass
     quad = float(np.sum(f2))
@@ -296,9 +289,7 @@ def stability_coefficient(disc, material, sigma, z, tau, phi=None,
 def _end_gradient(disc, material, sigma, z, z_other, dphi_mid):
     """dPhi_s(sigma, z) from ``dphi_mid`` = dPhi_s(sigma, (z + z_other)/2),
     and its true stress C* I* dPhi_s(sigma, z)."""
-    if not z.size:
-        g = dphi_mid    # z-free: the midpoint gradient is the gradient
-    elif material.dphi_dsigma_shift is None:
+    if material.dphi_dsigma_shift is None:
         g = material.dphi_dsigma(disc, sigma, z)
     else:
         # dphi_mid + A(1/2 (z - z_other)), A the shift of the gradient
@@ -309,8 +300,7 @@ def _end_gradient(disc, material, sigma, z, z_other, dphi_mid):
     return g, disc.apply_C(g)
 
 
-def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None,
-                 force=None):
+def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
     """Populate the ledger for the step ``prev -> nxt`` (pure diagnostic).
 
     The residual is the defect of the exact per-step energy identity of
@@ -328,26 +318,19 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None,
     Values carried on the states (``prev.energy``, ``prev.dphi_mid``,
     ``nxt.dphi_mid``) are used as they are; missing ones are computed
     here by the same operations, so the ledger does not depend on which.
-    ``force`` is the step's E* of its midpoint true stress; for a z-free
-    material that stress is S', and after the bootstrap the stability
-    coefficient reuses it instead of applying E* again.
     """
     tau = cfg.tau
     k = prev.k
-    has_z = bool(material.z_size(disc))
     dphi_mid_next = nxt.dphi_mid
     if dphi_mid_next is None:
-        z_mid_next = 0.5 * (nxt.z + prev.z) if has_z else nxt.z
-        dphi_mid_next = material.dphi_dsigma(disc, nxt.sigma, z_mid_next)
+        dphi_mid_next = material.dphi_dsigma(disc, nxt.sigma,
+                                             0.5 * (nxt.z + prev.z))
     g_next, s_next = _end_gradient(disc, material, nxt.sigma, nxt.z,
                                    prev.z, dphi_mid_next)
     phi_next = material.phi(disc, nxt.sigma, nxt.z, g=g_next, s_true=s_next)
     kinetic = _kinetic_pair(disc, nxt.v, prev.v)
-    if has_z:
-        diss = tau * material.step_dissipation(disc, prev.z, nxt.z, tau,
-                                               step_info or {})
-    else:
-        diss = 0.0
+    diss = tau * material.step_dissipation(disc, prev.z, nxt.z, tau,
+                                           step_info or {})
 
     if k == 0:
         # exact half-step bootstrap identity, anchored at the physical
@@ -371,8 +354,8 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None,
     else:
         dphi_mid_prev = prev.dphi_mid
         if dphi_mid_prev is None:
-            z_mid_prev = 0.5 * (prev.z + prev.z_prev) if has_z else prev.z
-            dphi_mid_prev = material.dphi_dsigma(disc, prev.sigma, z_mid_prev)
+            dphi_mid_prev = material.dphi_dsigma(disc, prev.sigma,
+                                                 0.5 * (prev.z + prev.z_prev))
         energy_prev = prev.energy
         if energy_prev is None:
             # as the previous step's ledger evaluated it
@@ -386,28 +369,26 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None,
         # from their values at the z^k anchor: J = 1/2 [dphi_mid_next -
         # dPhi_s(Sigma', z^k)] + 1/2 [dphi_mid_prev - dPhi_s(Sigma, z^k)],
         # which is 1/4 A(z' - 2 z^k + z^{k-1}) for a shift A of the gradient
-        correction = 0.0
-        if material.dphi_dsigma_shift is not None:
-            j = 2.0 * prev.z
-            np.subtract(nxt.z, j, out=j)
-            j += prev.z_prev
-            correction = 0.25 * disc.sdot(
-                material.dphi_dsigma_shift(disc, j), nxt.sigma - prev.sigma)
-        elif has_z:
+        if material.dphi_dsigma_shift is None:
             jump = 0.5 * (dphi_mid_next
                           - material.dphi_dsigma(disc, nxt.sigma, prev.z))
             jump += 0.5 * (dphi_mid_prev
                            - material.dphi_dsigma(disc, prev.sigma, prev.z))
             correction = disc.sdot(jump, nxt.sigma - prev.sigma)
+        else:
+            j = 2.0 * prev.z
+            np.subtract(nxt.z, j, out=j)
+            j += prev.z_prev
+            correction = 0.25 * disc.sdot(
+                material.dphi_dsigma_shift(disc, j), nxt.sigma - prev.sigma)
         dg = loading.d_increment(k, tau)
         if dg is not None:
             p_avg = 0.5 * (dphi_mid_next + dphi_mid_prev)
             work += disc.sdot(p_avg, dg)
         residual = ((kinetic + phi_next) - energy_prev + diss - work
                     + correction)
-        a_coeff = stability_coefficient(
-            disc, material, nxt.sigma, nxt.z, tau, phi=phi_next,
-            s_true=s_next, force=None if has_z else force)
+        a_coeff = stability_coefficient(disc, material, nxt.sigma, nxt.z,
+                                        tau, phi=phi_next, s_true=s_next)
 
     return EnergyLedger(
         step=k, time=(k + 1) * tau, kinetic=kinetic, stored=phi_next,
@@ -423,7 +404,7 @@ def advance(state, disc, material, loading, cfg):
     """One full staggered step; returns (new state, ledger)."""
     sigma_next = step_sigma(state, disc, loading, cfg)
     z_next, info = step_internal(state, sigma_next, material, disc, cfg)
-    v_next, u_next, _, dphi_mid, force = step_velocity(
+    v_next, u_next, _, dphi_mid = step_velocity(
         state, sigma_next, z_next, disc, material, loading, cfg)
     nxt = State(u=u_next, v=v_next, sigma=sigma_next, z=z_next,
                 k=state.k + 1, v_prev=state.v, z_prev=state.z,
@@ -432,7 +413,7 @@ def advance(state, disc, material, loading, cfg):
                       ("velocity", v_next)):
         _require_finite(name, arr)
     ledger = energy_audit(state, nxt, disc, material, loading, cfg,
-                          step_info=info, force=force)
+                          step_info=info)
     nxt.energy = ledger.total
     return nxt, ledger
 

@@ -22,12 +22,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, SolverError
-from .solvers import (
-    solve_bound_constrained,
-    solve_asymmetric_quadratic,
-    solve_linear_spd,
-    _cg,
-)
+from .solvers import solve_asymmetric_quadratic, solve_linear_spd, _cg
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -136,6 +131,10 @@ class ElasticMaterial(MaterialModel):
 
     def dphi_dz(self, disc, sigma, z):
         return np.zeros(0)
+
+    def dphi_dsigma_shift(self, disc, dz):
+        # dphi_dsigma is free of z
+        return disc.zeros_s()
 
     def internal_step(self, disc, sigma_next, z_k, tau):
         return z_k, {}
@@ -314,7 +313,7 @@ class PlasticCreepMaterial(MaterialModel):
             tr = np.abs(disc.sxx_view(zdot) + disc.syy_view(zdot))
             if np.any(tr > 1e-12 * max(1.0, float(np.max(np.abs(zdot))))):
                 return np.inf
-        # same yield term as Xi, half the viscous term
+        # same yield term as Xi, half the rate term
         quad = 0.5 * self.viscosity * disc.sdot(zdot, zdot)
         return self.sigma_y * self._flow_norm_integral(disc, zdot) + quad
 
@@ -635,43 +634,40 @@ class DamageMaterial(MaterialModel):
         out -= self.kappa * disc.lap_z(z)
         return out
 
-    def _quad_operator(self, disc, chat, tau, viscous):
+    def _quad_operator(self, disc, chat):
+        """The Hessian of phi in z, 1/2 (chat + 2 g_c/eps) - 1/2 kappa lap_z,
+        for ``chat`` the compliance density."""
         stiff = 0.5 * (chat + 2.0 * self.g_c / self.eps)
 
         def apply_A(x):
             out = stiff * x
             out -= 0.5 * self.kappa * disc.lap_z(x)
-            if viscous:
-                out += (2.0 * self.eps1 / tau) * x
             return out
 
         return apply_A
 
-    def _quad_bands(self, disc, chat, tau, viscous):
+    def _quad_bands(self, disc, chat):
         """The bands of :meth:`_quad_operator` in 1D; None in 2D."""
         if disc.lap_z_bands is None:
             return None
         sub, lap_diag, sup = disc.lap_z_bands
         c = -0.5 * self.kappa
-        shift = 2.0 * self.eps1 / tau if viscous else 0.0
-        diag = 0.5 * (chat + 2.0 * self.g_c / self.eps) + c * lap_diag + shift
+        diag = 0.5 * (chat + 2.0 * self.g_c / self.eps) + c * lap_diag
         return c * sub, diag, c * sup
 
     def internal_step(self, disc, sigma_next, z_k, tau):
+        # the rate term's slopes below and above zero: eps1 and 1/eps1
+        # when healing; irreversible steps keep eps1 and bound the
+        # increment by 0 instead, the infinite slope of psi
         chat = self.compliance_density(disc, sigma_next)
         b = -self.dphi_dz(disc, sigma_next, z_k, chat=chat)
-        viscous = self.mode == "unidirectional"
-        quad = (self._quad_operator(disc, chat, tau, viscous), b, disc.zdot)
-        bands = self._quad_bands(disc, chat, tau, viscous)
+        heal = self.mode == "healing"
         info = {}
-        if viscous:
-            # 0 <= z_k + delta <= z_k: no healing, no damage below zero
-            delta = solve_bound_constrained(*quad, np.zeros_like(z_k), KKT_TOL,
-                                            lower=-z_k, bands=bands, info=info)
-        else:
-            delta = solve_asymmetric_quadratic(
-                *quad, self.eps1 / tau, 1.0 / (self.eps1 * tau), KKT_TOL,
-                lower=-z_k, bands=bands, info=info)
+        delta = solve_asymmetric_quadratic(
+            self._quad_operator(disc, chat), b, disc.zdot, self.eps1 / tau,
+            1.0 / (self.eps1 * tau) if heal else self.eps1 / tau, KKT_TOL,
+            lower=-z_k, upper=None if heal else 0.0,
+            bands=self._quad_bands(disc, chat), info=info)
         return z_k + delta, info
 
     def dissipation_rate(self, disc, zdot):

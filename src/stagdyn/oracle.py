@@ -294,7 +294,6 @@ def reference_ledger(prev, nxt, disc, material, loading, tau,
     by-products, as for the audit.
     """
     k = prev.k
-    has_z = bool(material.z_size(disc))
 
     def grad(sigma, z):
         return material.dphi_dsigma(disc, sigma, z)
@@ -302,16 +301,11 @@ def reference_ledger(prev, nxt, disc, material, loading, tau,
     def kinetic_pair(va, vb):
         return 0.5 * float(np.sum(disc.mass * va * vb))
 
-    def midpoint(za, zb):
-        return 0.5 * (za + zb) if has_z else za
-
     phi_next = material.phi(disc, nxt.sigma, nxt.z)
     kinetic = kinetic_pair(nxt.v, prev.v)
-    diss = 0.0
-    if has_z:
-        diss = tau * material.step_dissipation(disc, prev.z, nxt.z, tau,
-                                               step_info or {})
-    dphi_mid_next = grad(nxt.sigma, midpoint(nxt.z, prev.z))
+    diss = tau * material.step_dissipation(disc, prev.z, nxt.z, tau,
+                                           step_info or {})
+    dphi_mid_next = grad(nxt.sigma, 0.5 * (nxt.z + prev.z))
     if k == 0:
         energy_prev = kinetic_pair(prev.v, prev.v) + material.phi(
             disc, prev.sigma, prev.z)
@@ -326,12 +320,10 @@ def reference_ledger(prev, nxt, disc, material, loading, tau,
         energy_prev = kinetic_pair(prev.v, prev.v_prev) + material.phi(
             disc, prev.sigma, prev.z)
         work = tau * float(np.sum(loading.body_force * prev.v))
-        dphi_mid_prev = grad(prev.sigma, midpoint(prev.z, prev.z_prev))
-        correction = 0.0
-        if has_z:
-            jump = 0.5 * (dphi_mid_next - grad(nxt.sigma, prev.z))
-            jump += 0.5 * (dphi_mid_prev - grad(prev.sigma, prev.z))
-            correction = disc.sdot(jump, nxt.sigma - prev.sigma)
+        dphi_mid_prev = grad(prev.sigma, 0.5 * (prev.z + prev.z_prev))
+        jump = 0.5 * (dphi_mid_next - grad(nxt.sigma, prev.z))
+        jump += 0.5 * (dphi_mid_prev - grad(prev.sigma, prev.z))
+        correction = disc.sdot(jump, nxt.sigma - prev.sigma)
         dg = loading.d_increment(k, tau)
         if dg is not None:
             work += disc.sdot(0.5 * (dphi_mid_next + dphi_mid_prev), dg)

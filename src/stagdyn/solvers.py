@@ -160,37 +160,36 @@ def solve_bound_constrained(apply_A, b, dot, upper, tol, lower=None,
 
 
 def solve_asymmetric_quadratic(apply_A, b, dot, a_minus, a_plus, tol,
-                               lower=None, bands=None, info=None):
+                               lower=None, upper=None, bands=None, info=None):
     """Minimize with the added per-point term ``a_minus*x^2`` for x < 0 and
     ``a_plus*x^2`` for x >= 0 (scalars or per-point arrays, >= 0), subject
-    to ``x >= lower`` (no bound when None).
+    to ``lower <= x <= upper`` (no bound when None).
 
     The term is C^1, so a semismooth sign-refresh iteration converges from
-    zero: freeze the sign pattern, solve the resulting quadratic by
-    :func:`solve_bound_constrained` (``bands`` shifted; ``apply_A`` may
-    then be None), recompute signs.  An ``info`` dict receives
-    ``sign_rounds``, the sign patterns solved for, and ``rounds``, their
-    active-set rounds in total.
+    zero: freeze the per-point coefficients, solve the resulting quadratic
+    by :func:`solve_bound_constrained` (``bands`` shifted; ``apply_A`` may
+    then be None), and stop once the signs of the solution give the same
+    coefficients, which equal slopes do after one round.  An ``info`` dict
+    receives ``sign_rounds``, the coefficient patterns solved for, and
+    ``rounds``, their active-set rounds in total.
     """
-    if np.any(a_minus < 0) or np.any(a_plus < 0):
+    if np.minimum(a_minus, a_plus).min() < 0:
         raise ValueError("asymmetric coefficients must be nonnegative")
-    x = np.zeros_like(b)
-    signs = x < 0
+    coeff = np.full_like(b, a_plus)  # the start x = 0 is >= 0 everywhere
     solve_info, rounds = {}, 0
     for sign_rounds in range(1, 61):
-        coeff = np.where(signs, a_minus, a_plus)
         shifted = None if bands is None else (
             bands[0], bands[1] + 2.0 * coeff, bands[2])
         x = solve_bound_constrained(lambda u: apply_A(u) + 2.0 * coeff * u,
-                                    b, dot, None, tol, lower=lower,
+                                    b, dot, upper, tol, lower=lower,
                                     bands=shifted, info=solve_info)
         rounds += solve_info["rounds"]
-        new_signs = x < 0
-        if np.array_equal(new_signs, signs):
+        new_coeff = np.where(x < 0, a_minus, a_plus)
+        if (new_coeff == coeff).all():
             if info is not None:
                 info["sign_rounds"] = sign_rounds
                 info["rounds"] = rounds
             return x
-        signs = new_signs
+        coeff = new_coeff
     raise SolverError("asymmetric-quadratic sign iteration did not settle",
                       last_iterate=x, residuals=[])

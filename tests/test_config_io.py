@@ -457,6 +457,46 @@ def test_cli_negative_hardening_exits_64_before_output(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("output.snapshot_every", "-2"), ("integrator.cfl_recheck_every", "-2"),
+    ("integrator.energy_tolerance", "-1.0")])
+def test_negative_count_or_tolerance_exits_64(tmp_path, key, value):
+    section, name = key.split(".")
+    text = MINIMAL_ELASTIC.replace(f"[{section}]",
+                                   f"[{section}]\n{name} = {value}")
+    with pytest.raises(ConfigError) as ei:
+        parse_config(text)
+    assert ei.value.location == key
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path, text), "--quiet",
+                 "--out-dir", str(out)]) == 64
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid_keys, side", [
+    ("dim = 1\nnx = 40\nh = 0.025\nbc_left = neumann", "left"),
+    ("dim = 2\nnx = 4\nny = 4\nh = 0.25\nbc_bottom = traction\n"
+     "bc_top = dirichlet", "right")], ids=["1d_neumann", "2d_dirichlet"])
+def test_drive_on_a_side_that_is_not_traction_exits_64(tmp_path, grid_keys,
+                                                      side):
+    # the 1D neumann side masks the drive's stress row, and the 2D
+    # dirichlet side is bc_right's default: either would drop the drive
+    text = MINIMAL_ELASTIC.replace("dim = 1\nnx = 40\nh = 0.025", grid_keys)
+    if "dim = 2" in grid_keys:
+        text = text.replace("modulus = 1.0",
+                            "bulk_modulus = 1.0\nshear_modulus = 0.6")
+    text = text.replace("[loading]", "[loading]\ntraction = ramp\n"
+                        f"traction_rate = 1.0\ntraction_side = {side}")
+    with pytest.raises(ConfigError) as ei:
+        parse_config(text)
+    assert ei.value.location == "loading.traction_side"
+    assert main(["run", write_cfg(tmp_path, text), "--quiet",
+                 "--out-dir", str(tmp_path / "out")]) == 64
+    driven = text.replace("bc_left = neumann", "bc_left = traction").replace(
+        "bc_bottom = traction", "bc_right = traction\nbc_bottom = traction")
+    assert parse_config(driven).loading["traction_side"] == side
+
+
 def test_cli_missing_config_file_exits_5(tmp_path):
     with pytest.raises(SystemExit) as ei:
         main(["run", str(tmp_path / "nope.cfg")])

@@ -596,7 +596,7 @@ def test_internal_step_objective_optimality():
                 from stagdyn.solvers import solve_linear_spd
                 chat = m.compliance_density(d, sigma)
                 delta = solve_linear_spd(
-                    m._quad_operator(d, chat, tau, viscous=True),
+                    irreversible_operator(m, d, chat, tau),
                     -m.dphi_dz(d, sigma, zk), d.zdot, 1e-12)
                 z_uncon = zk + np.minimum(delta, 0.0)
                 j_proj = m.incremental_objective(d, sigma, zk, tau, z_uncon)
@@ -730,6 +730,20 @@ def smooth_random(rng, x, amplitude):
     return amplitude * out
 
 
+def irreversible_operator(m, d, chat, tau):
+    """The irreversible step's operator: the Hessian plus the rate term's
+    2 eps1/tau, applied as the sign round applies it."""
+    apply_H = m._quad_operator(d, chat)
+    return lambda u: apply_H(u) + 2.0 * (m.eps1 / tau) * u
+
+
+def rate_diagonal(m, z, z_k, tau):
+    """2 a+- of the step ``z``: eps1/tau below zero, and above it
+    1/(eps1 tau) when healing or eps1/tau when irreversible."""
+    a_plus = 1.0 / (m.eps1 * tau) if m.mode == "healing" else m.eps1 / tau
+    return 2.0 * np.where(z < z_k, m.eps1 / tau, a_plus)
+
+
 def plain_damage_step(m, d, sigma, z_k, tau):
     """The irreversible damage step by projected CG (no bands)."""
     from stagdyn.materials import KKT_TOL
@@ -737,7 +751,7 @@ def plain_damage_step(m, d, sigma, z_k, tau):
 
     chat = m.compliance_density(d, sigma)
     delta = solve_bound_constrained(
-        m._quad_operator(d, chat, tau, viscous=True),
+        irreversible_operator(m, d, chat, tau),
         -m.dphi_dz(d, sigma, z_k), d.zdot, np.zeros_like(z_k), KKT_TOL,
         lower=-z_k)
     return z_k + delta
@@ -751,11 +765,8 @@ def dense_qp_step(m, d, sigma, z_k, tau, z):
     from stagdyn.oracle import dense_operator
 
     heal = m.mode == "healing"
-    A = dense_operator(m._quad_operator(d, m.compliance_density(d, sigma),
-                                        tau, not heal), d.zs_n)
-    if heal:
-        A += np.diag(np.where(z < z_k, 2.0 * m.eps1 / tau,
-                              2.0 / (m.eps1 * tau)))
+    A = dense_operator(m._quad_operator(d, m.compliance_density(d, sigma)),
+                       d.zs_n) + np.diag(rate_diagonal(m, z, z_k, tau))
     b = -m.dphi_dz(d, sigma, z_k)
     at_zero, at_top = z == 0.0, (z == z_k) & (not heal)
     free = ~(at_zero | at_top)
@@ -808,24 +819,22 @@ def test_damage_step_matches_dense_qp(state, monkeypatch):
                                 ("traction", "dirichlet")])
 @pytest.mark.parametrize("mode", ["unidirectional", "healing"])
 def test_damage_bands_apply_the_quad_operator(mode, bc, nx):
-    # in 1D the bands are the step's whole operator: their banded product
-    # equals the matrix-free operator to round-off, with the viscous shift
-    # or a healing sign round's shift
+    # in 1D the bands are the step's whole operator: their banded product,
+    # with a sign round's shift on the diagonal, equals the matrix-free
+    # operator to round-off
     from stagdyn.solvers import _band_product
 
     d = disc_1d(nx=nx, h=1.0 / nx, bc=bc)
     m = DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4, viscosity=0.3,
                        mode=mode)
-    viscous = mode == "unidirectional"
     rng = np.random.default_rng(47)
     tau = 0.25 / nx
     for _ in range(3):
         chat = m.compliance_density(d, 3.0 * rng.standard_normal(d.n_s))
-        sub, diag, sup = m._quad_bands(d, chat, tau, viscous)
-        shift = 0.0 if viscous else 2.0 * np.where(
-            rng.random(d.zs_n) < 0.5, m.eps1 / tau, 1.0 / (m.eps1 * tau))
+        sub, diag, sup = m._quad_bands(d, chat)
+        shift = rate_diagonal(m, rng.random(d.zs_n), 0.5, tau)  # any signs
         x = rng.standard_normal(d.zs_n)
-        ref = m._quad_operator(d, chat, tau, viscous)(x) + shift * x
+        ref = m._quad_operator(d, chat)(x) + shift * x
         got = _band_product((sub, diag + shift, sup), x)
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
@@ -862,11 +871,29 @@ def test_1d_damage_step_calls_lap_z_once(mode, monkeypatch):
     _, info = m.internal_step(d, sigma, z_k, 0.004)
     assert calls == [True]
     assert info["rounds"] >= 2
-    if mode == "healing":
-        assert set(info) == {"sign_rounds", "rounds"}
-        assert 1 <= info["sign_rounds"] <= info["rounds"]
+    assert set(info) == {"sign_rounds", "rounds"}
+    assert 1 <= info["sign_rounds"] <= info["rounds"]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_irreversible_damage_step_takes_one_sign_round(dim):
+    # equal slopes on both sides of zero: the sign round's coefficients
+    # repeat after the first solve whatever the signs of the increment,
+    # so the step solves once, here with points damaging, points held at
+    # z_k and points held at 0
+    if dim == 1:
+        d = disc_1d(nx=256, h=1.0 / 256, bc=("dirichlet", "neumann"))
     else:
-        assert set(info) == {"rounds"}
+        d = disc_2d(nx=16, ny=12, h=1.0 / 64)
+    m = DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4, viscosity=0.3)
+    rng = np.random.default_rng(45)
+    z_k = rng.uniform(0.3, 1.0, d.zs_n)
+    z, info = m.internal_step(d, 6.0 * rng.standard_normal(d.n_s), z_k,
+                              0.004 if dim == 1 else 0.02)
+    assert np.any(z == 0.0) and np.any(z == z_k)
+    assert np.any((z > 0.0) & (z < z_k))
+    assert info["sign_rounds"] == 1
+    assert info["rounds"] >= 2
 
 
 @pytest.mark.parametrize("dim", [2])
@@ -906,8 +933,8 @@ def test_damage_rough_stress_stays_nonnegative(dim, amplitude, tau):
     rng = np.random.default_rng(44)
     sigma = amplitude * rng.standard_normal(d.n_s)
     z_k = rng.uniform(0.3, 1.0, d.zs_n)
-    apply_A = m._quad_operator(d, m.compliance_density(d, sigma), tau,
-                               viscous=True)
+    apply_A = irreversible_operator(m, d, m.compliance_density(d, sigma),
+                                    tau)
     b = -m.dphi_dz(d, sigma, z_k)
     unbounded = z_k + solve_bound_constrained(apply_A, b, d.zdot,
                                               np.zeros_like(z_k), KKT_TOL)
