@@ -163,10 +163,7 @@ def cmd_converge(args):
         study = temporal_self_convergence
     else:
         study = temporal_finest_grid
-    # with tau = auto the config's tau is the bound the study needs
-    tau_max = icfg.tau if cfg.integrator["tau"] == "auto" else None
-    report = study(disc, material, loading, state, icfg, taus,
-                   tau_max=tau_max)
+    report = study(disc, material, loading, state, icfg, taus)
     print(report.table())
     for row in report.rows():
         print(row)

@@ -355,8 +355,8 @@ def build_loading(cfg, disc):
     if disc.dim == 1:
         bf = ld["body_force"][0] * vols
     else:
-        bf[disc._vx_sl] = ld["body_force"][0] * vols[disc._vx_sl]
-        bf[disc._vy_sl] = ld["body_force"][1] * vols[disc._vy_sl]
+        disc.vx_view(bf)[:] = ld["body_force"][0] * disc.vx_view(vols)
+        disc.vy_view(bf)[:] = ld["body_force"][1] * disc.vy_view(vols)
     bf[~disc.v_active] = 0.0
     kind = ld["traction"]
     if kind == "none":
@@ -420,20 +420,20 @@ def build_simulation(cfg):
 def integrator_config(cfg, disc, material, state):
     """Integrator settings of a config.
 
-    With tau = auto, tau is the bound estimated at the initial state, so
-    the run's initial CFL check is skipped rather than estimated again;
-    ``cfl_recheck_every`` rechecks still run.
+    With tau = auto, tau is the bound estimated at the initial state, and
+    the config carries it as ``tau_max``, so neither the run nor a
+    convergence study estimates it again; ``cfl_recheck_every`` rechecks
+    still do.
     """
     from .integrator import max_stable_timestep
 
     it = cfg.integrator
-    auto = it["tau"] == "auto"
-    if auto:
-        tau, _ = max_stable_timestep(disc, material, state.z, it["eta"])
-    else:
-        tau = it["tau"]
+    tau, tau_max = it["tau"], None
+    if tau == "auto":
+        tau = tau_max = max_stable_timestep(disc, material, state.z,
+                                            it["eta"])[0]
     return IntegratorConfig(
         tau=tau, t_end=it["t_end"], eta=it["eta"],
         cfl_recheck_every=it["cfl_recheck_every"],
         enforce_energy_inequality=it["enforce_energy_inequality"],
-        energy_tol=it["energy_tolerance"], skip_cfl_check=auto)
+        energy_tol=it["energy_tolerance"], tau_max=tau_max)

@@ -33,7 +33,7 @@ class CflViolationError(StagdynError):
     tau_max : float
         Measured bound.
     quotient : float
-        Measured generalized Rayleigh quotient behind ``tau_max``.
+        Rayleigh quotient ``8 (1 - eta) / tau_max^2`` behind ``tau_max``.
     """
 
     def __init__(self, tau, tau_max, quotient):

@@ -104,6 +104,7 @@ class Discretization:
             self._init_1d(moduli)
         else:
             self._init_2d(moduli)
+        self.moduli = self.c_mod if self.dim == 1 else (self.k_mod, self.g_mod)
 
         if not np.all(self.mass > 0):
             raise ConfigError("zero mass entry in discretization", "grid")
@@ -334,13 +335,15 @@ class Discretization:
         np.multiply(a_xx, q, out=t)
         combine(out_yy, t, out=out_yy)
 
-    def apply_C(self, e):
+    def apply_C(self, e, moduli=None):
         """Generalized elasticity map, strain layout -> stress layout; also
-        C I and C* I* of the scheme (C is symmetric, I = id: conforming)."""
+        C I and C* I* of the scheme (C is symmetric, I = id: conforming).
+        ``moduli``: C in 1D, (K, G) in 2D; by default ``self.moduli``."""
         self._check_s(e)
+        m = self.moduli if moduli is None else moduli
         if self.dim == 1:
-            return self.c_mod * e
-        K, G = self.k_mod, self.g_mod
+            return m * e
+        K, G = m
         out = np.empty_like(e)
         # xx: (K+G) exx + (K-G) eyy,  yy: (K-G) exx + (K+G) eyy
         self._apply_pair(self.sxx_view(e), self.syy_view(e), K + G, K - G,
@@ -353,7 +356,7 @@ class Discretization:
         self._check_s(s)
         if self.dim == 1:
             return s / self.c_mod
-        K, G = self.k_mod, self.g_mod
+        K, G = self.moduli
         det = 4.0 * K * G
         out = np.empty_like(s)
         # xx: ((K+G) sxx - (K-G) syy) / det,  yy: ((K+G) syy - (K-G) sxx) / det

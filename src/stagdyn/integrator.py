@@ -141,8 +141,8 @@ class IntegratorConfig:
 
     ``eta`` is the CFL safety margin in (0, 1): the fraction of the stored
     energy guaranteed to survive the staggered kinetic split at every step.
-    ``cfl_recheck_every = 0`` disables rechecking; ``skip_cfl_check``
-    skips only the check before the first step.  When
+    ``tau_max`` is the bound at ``eta`` and the initial state, if already
+    measured; ``cfl_recheck_every = 0`` disables rechecking.  When
     ``enforce_energy_inequality`` is set, a step whose ledger residual
     exceeds ``energy_tol * max(1, |E^k|)``, with E^k the step's own left
     anchor ``ledger.energy_prev``, raises :class:`EnergyInequalityError`
@@ -155,7 +155,7 @@ class IntegratorConfig:
     cfl_recheck_every: int = 0
     enforce_energy_inequality: bool = False
     energy_tol: float = 1e-9
-    skip_cfl_check: bool = False
+    tau_max: Optional[float] = None
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -610,19 +610,22 @@ def cfl_admissible(tau, tau_max):
 def run_simulation(disc, material, loading, cfg, state, on_step=None):
     """Drive the scheme to t_end with CFL checks and a blow-up guard.
 
-    Calls ``on_step(state, ledger)`` after every accepted step.  Returns
-    the final state and the list of ledgers.
+    The first check uses ``cfg.tau_max`` unless it is None.  Calls
+    ``on_step(state, ledger)`` after every accepted step.  Returns the
+    final state and the list of ledgers.
     """
     tau = cfg.tau
     n_steps = int(round(cfg.t_end / tau))
 
-    def check_cfl(z):
-        tau_max, lam = max_stable_timestep(disc, material, z, cfg.eta)
+    def check_cfl(z, tau_max=None):
+        if tau_max is None:
+            tau_max, lam = max_stable_timestep(disc, material, z, cfg.eta)
+        else:
+            lam = 8.0 * (1.0 - cfg.eta) / tau_max ** 2
         if not cfl_admissible(tau, tau_max):
             raise CflViolationError(tau, tau_max, lam)
 
-    if not cfg.skip_cfl_check:
-        check_cfl(state.z)
+    check_cfl(state.z, cfg.tau_max)
 
     ledgers = []
     e_ref = None

@@ -194,27 +194,12 @@ class PlasticCreepMaterial(MaterialModel):
         self.hardening = (k2, g2)
 
     def _c2(self, disc):
-        """C2 in 1D (the first modulus), (K2, G2) in 2D."""
+        """C2 in the form of ``disc.moduli``: C2 in 1D, (K2, G2) in 2D."""
         return self.hardening[0] if disc.dim == 1 else self.hardening
 
-    def _apply_cbar(self, disc, p):
-        """(C1 + C2) applied pointwise."""
-        return self._add_c2(disc, p, disc.apply_C(p))
-
-    def _add_c2(self, disc, p, out):
-        """out + C2 p, updating ``out`` in place."""
-        if disc.dim == 1:
-            out += self._c2(disc) * p
-            return out
-        k2, g2 = self._c2(disc)
-        if k2 == 0.0 and g2 == 0.0:
-            return out
-        pxx = disc.sxx_view(p)
-        pyy = disc.syy_view(p)
-        disc.sxx_view(out)[:] += (k2 + g2) * pxx + (k2 - g2) * pyy
-        disc.syy_view(out)[:] += (k2 - g2) * pxx + (k2 + g2) * pyy
-        disc.sxy_view(out)[:] += 2.0 * g2 * disc.sxy_view(p)
-        return out
+    def _cbar(self, disc):
+        """C1 + C2 in Python floats (numpy scalars slow the ufuncs)."""
+        return np.add(disc.moduli, self._c2(disc)).tolist()
 
     def z_size(self, disc):
         return disc.n_s
@@ -233,7 +218,7 @@ class PlasticCreepMaterial(MaterialModel):
             s_true = disc.apply_C(g)
         val = 0.5 * disc.sdot(s_true, g)
         if np.any(self._c2(disc)):
-            val += 0.5 * disc.sdot(self._add_c2(disc, z, np.zeros_like(z)), z)
+            val += 0.5 * disc.sdot(disc.apply_C(z, self._c2(disc)), z)
         return val
 
     def dphi_dsigma(self, disc, sigma, z):
@@ -246,20 +231,20 @@ class PlasticCreepMaterial(MaterialModel):
         return np.negative(dz, out=dz)
 
     def dphi_dz(self, disc, sigma, z):
-        return self._apply_cbar(disc, z) - sigma
+        return disc.apply_C(z, self._cbar(disc)) - sigma
 
     def internal_step(self, disc, sigma_next, z_k, tau):
-        q = self._apply_cbar(disc, z_k)
+        cbar = self._cbar(disc)
+        q = disc.apply_C(z_k, cbar)
         np.subtract(sigma_next, q, out=q)
         dvisc = self.viscosity / tau
         if disc.dim == 1:
-            cbar = disc.c_mod + self._c2(disc)
             scale = kernels.radial_return(np.abs(q), self.sigma_y,
                                           dvisc + 0.5 * cbar)
             return z_k + scale * q, {}
 
-        k2, g2 = self._c2(disc)
-        factor = dvisc + (disc.g_mod + g2)
+        kbar, gbar = cbar
+        factor = dvisc + gbar
         qxx = disc.sxx_view(q)
         qyy = disc.syy_view(q)
         qxy = disc.sxy_view(q)
@@ -284,7 +269,7 @@ class PlasticCreepMaterial(MaterialModel):
         np.add(disc.sxy_view(z_k), nxy, out=nxy)
         if self.sigma_y == 0.0:
             # the trace creeps, through Kbar, only without a yield stress
-            du = 0.5 * (qxx + qyy) / (dvisc + (disc.k_mod + k2))
+            du = 0.5 * (qxx + qyy) / (dvisc + kbar)
             nxx += du
             nyy += du
         return z_next, {}
@@ -298,9 +283,9 @@ class PlasticCreepMaterial(MaterialModel):
         nrm_c = np.square(disc.sxx_view(zdot))
         nrm_c += np.square(disc.syy_view(zdot))
         np.sqrt(nrm_c, out=nrm_c)
-        nrm_c *= w[disc._xx_sl].reshape(disc.shape_c)
+        nrm_c *= disc.sxx_view(w)
         abs_v = np.abs(disc.sxy_view(zdot))
-        abs_v *= w[disc._xy_sl].reshape(disc.shape_vert)
+        abs_v *= disc.sxy_view(w)
         return float(np.sum(nrm_c)) + float(np.sum(abs_v))
 
     def dissipation_rate(self, disc, zdot):
@@ -322,7 +307,7 @@ class PlasticCreepMaterial(MaterialModel):
 
     def zdot_linear(self, disc, sigma, z):
         """Continuous flow rate D^-1 (sigma - Cbar z); creep only."""
-        return (sigma - self._apply_cbar(disc, z)) / self.viscosity
+        return -self.dphi_dz(disc, sigma, z) / self.viscosity
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +589,7 @@ class DamageMaterial(MaterialModel):
         val = disc.zdot(0.5 * gam * qc + self.phi_d(z), np.ones_like(z))
         if qv is not None:
             gam_v = disc.avg_centers_to_vertices(gam).ravel()
-            wv = disc.sweights[disc._xy_sl]
+            wv = disc.sxy_view(disc.sweights).ravel()
             val += 0.5 * float(np.sum(wv * gam_v * qv))
         val += 0.5 * self.kappa * disc.grad_z_norm2(z)
         if self.eps_grad != 0.0:

@@ -404,17 +404,18 @@ def fit_order(resolutions, errors):
     return float(slope)
 
 
-def _level_runs(disc, material, loading, state0, cfg, taus, tau_max=None):
+def _level_runs(disc, material, loading, state0, cfg, taus):
     """Run the scheme to ``cfg.t_end`` at each CFL-admissible level.
 
-    Each tau is shortened to divide t_end.  The bound ``tau_max`` at
-    ``cfg.eta`` and the initial state is estimated once when not given,
-    and every admissible level runs with the other settings of ``cfg``.
-    Returns ``(levels, excluded)`` with levels a list of ``(tau_eff,
-    final state)``.
+    Each tau is shortened to divide t_end.  The bound at ``cfg.eta`` and
+    the initial state is ``cfg.tau_max``, estimated once when that is
+    None, and every admissible level runs with it and the other settings
+    of ``cfg``.  Returns ``(levels, excluded)`` with levels a list of
+    ``(tau_eff, final state)``.
     """
     from .integrator import cfl_admissible, max_stable_timestep, run_simulation
 
+    tau_max = cfg.tau_max
     if tau_max is None:
         tau_max, _ = max_stable_timestep(disc, material, state0.z, cfg.eta)
     levels = []
@@ -426,7 +427,7 @@ def _level_runs(disc, material, loading, state0, cfg, taus, tau_max=None):
             excluded.append(f"tau={tau_eff:.3g} violates CFL bound "
                             f"{tau_max:.3g}")
             continue
-        level = replace(cfg, tau=tau_eff, skip_cfl_check=True)
+        level = replace(cfg, tau=tau_eff, tau_max=tau_max)
         final, _ = run_simulation(disc, material, loading, level,
                                   state0.copy())
         levels.append((tau_eff, final))
@@ -434,19 +435,19 @@ def _level_runs(disc, material, loading, state0, cfg, taus, tau_max=None):
 
 
 def temporal_self_convergence(disc, material, loading, state0, cfg, taus,
-                              oracle_refine=16, tau_max=None):
+                              oracle_refine=16):
     """Explicit staggered vs midpoint oracle under tau refinement.
 
     ``cfg`` is the run's :class:`IntegratorConfig`: its ``t_end`` is the
-    horizon, its ``eta`` the CFL margin, and its other settings reach
-    every level.  ``tau_max``, when given, is the stability bound at that
-    ``eta`` and ``state0``, already estimated by the caller.  The oracle
+    horizon, its ``eta`` the CFL margin, its ``tau_max`` the stability
+    bound at that ``eta`` and ``state0`` when already measured, and its
+    other settings reach every level.  The oracle
     runs at ``tau/oracle_refine`` so its own time error is negligible
     against the measured one; spatial operators are shared, so the
     comparison isolates the time discretization.
     """
     levels, excluded = _level_runs(disc, material, loading, state0, cfg,
-                                   taus, tau_max)
+                                   taus)
     errors = []
     for tau_eff, final in levels:
         sig_exp = explicit_sigma_closure(final, disc, tau_eff)
@@ -463,16 +464,15 @@ def temporal_self_convergence(disc, material, loading, state0, cfg, taus,
 
 
 def temporal_finest_grid(disc, material, loading, state0, cfg, taus,
-                         refine=4, tau_max=None):
+                         refine=4):
     """Tau refinement against the finest run (nonlinear materials).
 
-    ``cfg`` and ``tau_max`` are as in :func:`temporal_self_convergence`.
+    ``cfg`` is as in :func:`temporal_self_convergence`.
     The reference is the same explicit scheme at ``min(taus)/refine``;
     errors are measured in the mass-weighted (v, Sigma) norm at t_end.
     """
     levels, excluded = _level_runs(disc, material, loading, state0, cfg,
-                                   list(taus) + [min(taus) / refine],
-                                   tau_max)
+                                   list(taus) + [min(taus) / refine])
     if len(levels) < 4:
         raise StagdynError("too few CFL-admissible levels for a fit")
     finished = [(explicit_sigma_closure(final, disc, tau_eff), final.v)

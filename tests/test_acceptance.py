@@ -75,10 +75,10 @@ def test_criterion_1_discrete_conservation():
     tau_max, _ = max_stable_timestep(d, m, st.z, 0.1)
     tau = 0.9 * tau_max
     # warm up (first-call allocations, caches) outside the timed region
-    warm = IntegratorConfig(tau=tau, t_end=10 * tau, skip_cfl_check=True)
+    warm = IntegratorConfig(tau=tau, t_end=10 * tau, tau_max=tau_max)
     run_simulation(d, m, no_loading(d), warm, st.copy())
 
-    cfg = IntegratorConfig(tau=tau, t_end=10_000 * tau, skip_cfl_check=True)
+    cfg = IntegratorConfig(tau=tau, t_end=10_000 * tau, tau_max=tau_max)
     t0 = time.perf_counter()
     _, ledgers = run_simulation(d, m, no_loading(d), cfg, st)
     elapsed = time.perf_counter() - t0
@@ -146,8 +146,8 @@ def test_criterion_3_cfl_sharpness():
 
     tau_stable, _ = max_stable_timestep(d, m, st.z, 0.01)
     cfg = IntegratorConfig(tau=0.99 * tau_stable,
-                           t_end=5000 * 0.99 * tau_stable,
-                           skip_cfl_check=True)
+                           t_end=5000 * 0.99 * tau_stable, eta=0.01,
+                           tau_max=tau_stable)
     _, ledgers = run_simulation(d, m, no_loading(d), cfg, st.copy())
     bounded = max(l.total for l in ledgers) <= 2.0 * e0
 
@@ -155,9 +155,10 @@ def test_criterion_3_cfl_sharpness():
     rng = np.random.default_rng(99)
     st2 = initial_state(d, m, sigma=np.sin(np.pi * np.linspace(0, 1, d.n_s))
                         + 1e-6 * rng.standard_normal(d.n_s))
+    # above the bound on purpose: no CFL check
     cfg2 = IntegratorConfig(tau=1.05 * tau_unstable,
                             t_end=5000 * 1.05 * tau_unstable,
-                            skip_cfl_check=True)
+                            tau_max=np.inf)
     blew_up = False
     try:
         _, ledgers2 = run_simulation(d, m, no_loading(d), cfg2, st2)

@@ -10,12 +10,15 @@ the stability bound once.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stagdyn import checks, integrator
 from stagdyn.cli import main
+from stagdyn.config import build_simulation, integrator_config, parse_config
+from stagdyn.errors import CflViolationError
 from stagdyn.grid import Discretization, Grid, build
 from stagdyn.integrator import (
     IntegratorConfig,
@@ -35,6 +38,7 @@ from stagdyn.materials import (
 from stagdyn.oracle import ledger_defects, reference_ledger
 
 STEPS = 20
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _disc_1d(bc):
@@ -272,6 +276,25 @@ def test_recheck_reestimates_every_n_steps(tmp_path, cfl_calls, tau):
     steps = len(log) - 1
     # one initial estimate plus one before every step k = 3, 6, ... < steps
     assert len(cfl_calls) == 1 + (steps - 1) // 3
+
+
+def test_carried_bound_rejects_a_larger_tau_without_estimating(cfl_calls):
+    # tau = auto carries the bound it measured; a larger tau put into the
+    # same settings fails against that bound with no second estimate
+    cfg = parse_config((CONFIGS / "maxwell_creep_1d.cfg").read_text(
+        encoding="utf-8"))
+    disc, material, loading, state = build_simulation(cfg)
+    icfg = integrator_config(cfg, disc, material, state)
+    assert len(cfl_calls) == 1 and icfg.tau_max == icfg.tau
+    # the name imported here is the uncounted estimator
+    _, lam = max_stable_timestep(disc, material, state.z, icfg.eta)
+    cfl_calls.clear()
+    larger = dataclasses.replace(icfg, tau=1.2 * icfg.tau)
+    with pytest.raises(CflViolationError) as ei:
+        integrator.run_simulation(disc, material, loading, larger, state)
+    assert cfl_calls == []
+    assert ei.value.tau_max == icfg.tau_max
+    assert abs(ei.value.quotient - lam) <= 1e-12 * lam
 
 
 DAMAGE_CLI_CFG = """

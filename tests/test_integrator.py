@@ -414,8 +414,7 @@ def test_auto_tau_keeps_eta_on_top_mode(make):
     eta = 0.1
     st = initial_state(d, m, sigma=top_mode(d, m))
     tau, _ = max_stable_timestep(d, m, st.z, eta)
-    cfg = IntegratorConfig(tau=tau, t_end=20 * tau, eta=eta,
-                           skip_cfl_check=True)
+    cfg = IntegratorConfig(tau=tau, t_end=20 * tau, eta=eta, tau_max=tau)
     _, ledgers = run_simulation(d, m, no_loading(d), cfg, st)
     assert min(l.stability_coeff for l in ledgers) >= eta - 1e-12
 
@@ -495,7 +494,7 @@ def test_nonfinite_initial_field_is_an_instability(field):
     m = ElasticMaterial()
     st = initial_state(d, m, sigma=bump_sigma(d))
     getattr(st, field)[3] = np.inf
-    cfg = IntegratorConfig(tau=0.01, t_end=0.1, skip_cfl_check=True)
+    cfg = IntegratorConfig(tau=0.01, t_end=0.1, tau_max=np.inf)
     with pytest.raises(InstabilityError):
         run_simulation(d, m, no_loading(d), cfg, st)
 
@@ -506,7 +505,7 @@ def test_blowup_guard_trips():
     tau0, _ = max_stable_timestep(d, m, m.z_init(d), 0.0)
     st = initial_state(d, m, sigma=bump_sigma(d, seed=17))
     cfg = IntegratorConfig(tau=1.05 * tau0, t_end=5000 * 1.05 * tau0,
-                           skip_cfl_check=True)
+                           tau_max=np.inf)
     with pytest.raises(InstabilityError):
         run_simulation(d, m, no_loading(d), cfg, st)
 
@@ -572,7 +571,7 @@ def test_cfl_recheck_catches_softening():
     tau_max, _ = max_stable_timestep(d, m, m.z_init(d), 0.1)
     st = initial_state(d, m, sigma=1e-8 * bump_sigma(d))
     cfg = IntegratorConfig(tau=1.005 * tau_max, t_end=50 * tau_max,
-                           skip_cfl_check=True, cfl_recheck_every=5)
+                           tau_max=np.inf, cfl_recheck_every=5)
     with pytest.raises((CflViolationError, InstabilityError)):
         run_simulation(d, m, no_loading(d), cfg, st)
 

@@ -618,7 +618,7 @@ def test_internal_step_stationary_point():
     d = disc_1d(nx=3, c=1.0)
     m = PlasticCreepMaterial(viscosity=0.8, sigma_y=0.2, hardening=0.5)
     zk = np.linspace(-0.4, 0.4, d.n_s)
-    sigma = m._apply_cbar(d, zk)  # dphi_dz(sigma, zk) = 0
+    sigma = d.apply_C(zk, d.c_mod + 0.5)  # dphi_dz(sigma, zk) = 0
     z, _ = m.internal_step(d, sigma, zk, tau=0.1)
     assert_allclose(z, zk, atol=1e-15)
 
@@ -665,7 +665,8 @@ def test_plastic_2d_creep_step_stationarity():
     tau = 0.17
     z, _ = m.internal_step(d, sigma, zk, tau)
     resid = (m.viscosity * (z - zk) / tau
-             + m._apply_cbar(d, 0.5 * (z + zk)) - sigma)
+             + d.apply_C(0.5 * (z + zk), (d.k_mod + 0.3, d.g_mod + 0.2))
+             - sigma)
     assert np.max(np.abs(resid)) < 1e-13
 
 
@@ -683,17 +684,18 @@ def test_creep_return_map_matches_the_midpoint_closed_form(dim, hardening):
     sigma = rng.standard_normal(d.n_s)
     # no driving force at one point (a shear in 2D): the return takes 0/0
     i0 = 0 if dim == 1 else d._xy_sl.start
-    sigma[i0] = m._apply_cbar(d, zk)[i0]
-    q = sigma - m._apply_cbar(d, zk)
+    cbar = d.c_mod + hard if dim == 1 else (d.k_mod + hard[0],
+                                            d.g_mod + hard[1])
+    sigma[i0] = d.apply_C(zk, cbar)[i0]
+    q = sigma - d.apply_C(zk, cbar)
     assert q[i0] == 0.0
     dvisc = visc / tau
     ref = zk.copy()
     if dim == 1:
-        cbar = d.c_mod + hardening
         ref += q / (dvisc + 0.5 * cbar)
     else:
         # diagonalize Cbar on (mean, deviator, shear)
-        kbar, gbar = d.k_mod + hard[0], d.g_mod + hard[1]
+        kbar, gbar = cbar
         qxx, qyy = d.sxx_view(q), d.syy_view(q)
         du = 0.5 * (qxx + qyy) / (dvisc + kbar)
         dd = 0.5 * (qxx - qyy) / (dvisc + gbar)
