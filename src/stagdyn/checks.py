@@ -16,6 +16,7 @@ from .integrator import (
     IntegratorConfig,
     Loading,
     advance,
+    cfl_admissible,
     initial_state,
     max_stable_timestep,
     no_loading,
@@ -114,7 +115,8 @@ def check_elastic_conservation(rng):
     st = initial_state(d, m, sigma=np.sin(np.pi * x))
     e0 = m.phi(d, st.sigma, st.z)
     tau_max, _ = max_stable_timestep(d, m, st.z, 0.1)
-    cfg = IntegratorConfig(tau=0.9 * tau_max, t_end=500 * 0.9 * tau_max)
+    cfg = IntegratorConfig(tau=0.9 * tau_max, t_end=500 * 0.9 * tau_max,
+                           tau_max=tau_max)
     _, ledgers = run_simulation(d, m, no_loading(d), cfg, st)
     drift = max(abs(l.total - e0) for l in ledgers)
     _require(drift <= 1e-10 * e0, f"energy drift {drift:.3e}")
@@ -131,13 +133,39 @@ def check_energy_inequality(rng):
         st = initial_state(d, m, sigma=0.4 * np.sin(np.pi * x))
         e0 = max(1.0, m.phi(d, st.sigma, st.z))
         tau_max, _ = max_stable_timestep(d, m, m.z_init(d), 0.1)
-        cfg = IntegratorConfig(tau=tau_max, t_end=150 * tau_max)
+        cfg = IntegratorConfig(tau=tau_max, t_end=150 * tau_max,
+                               tau_max=tau_max)
         _, ledgers = run_simulation(d, m, no_loading(d), cfg, st)
         res = max(abs(l.residual) for l in ledgers)
         _require(res <= 1e-9 * e0, f"{m.name}: energy residual {res:.3e}")
         a_min = min(l.stability_coeff for l in ledgers)
         _require(a_min >= 0.1 - 1e-12,
                  f"{m.name}: stability coefficient {a_min:.9g} < eta")
+
+
+def check_healing_bound(rng):
+    # healing stiffens a damaged start: at tau = the bound measured there
+    # the run stays stable, and tau holds at the state it ends in, which
+    # irreversible mode, the same energy, probes as it is
+    d = _disc_1d(nx=32, h=1.0 / 32.0, bc=("neumann", "neumann"))
+    heal, irr = (DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4, viscosity=0.3,
+                                mode=mode)
+                 for mode in ("healing", "unidirectional"))
+    x = np.linspace(0, 1, d.n_s)
+    st = initial_state(d, heal, sigma=0.05 * np.exp(-60.0 * (x - 0.45) ** 2),
+                       z=np.full(d.zs_n, 0.2))
+    tau, _ = max_stable_timestep(d, heal, st.z, 0.1)
+    final, ledgers = run_simulation(d, heal, no_loading(d), IntegratorConfig(
+        tau=tau, t_end=100 * tau, tau_max=tau), st)
+    for l in ledgers:
+        tol = 1e-9 * max(1.0, abs(l.energy_prev))
+        _require(abs(l.residual) <= tol and l.total <= l.energy_prev + tol,
+                 f"step {l.step}: energy {l.energy_prev:.6g} -> "
+                 f"{l.total:.6g}, residual {l.residual:.3e}")
+    bound, _ = max_stable_timestep(d, irr, final.z, 0.1)
+    _require(final.z.max() <= 1.0 and cfl_admissible(tau, bound),
+             f"max z {final.z.max():.17g}; tau {tau:.6g}, bound at the "
+             f"final state {bound:.6g}")
 
 
 def check_biot_mass_conservation(rng):
@@ -208,11 +236,12 @@ def check_damage_direct_solve(rng):
                            n) + np.diag(2.0 * np.where(z < z_k, m.eps1 / tau,
                                                        a_plus))
         b = -m.dphi_dz(d, sigma, z_k)
-        at_zero, at_top = z == 0.0, (z == z_k) & (not heal)
+        upper = np.maximum(1.0 - z_k, 0.0) if heal else np.zeros(n)
+        at_zero, at_top = z == 0.0, z == z_k + upper
         free = ~(at_zero | at_top)
         _require(np.any(free) and not np.all(free),
                  f"{name} damage step: no free or no bound point {where}")
-        ref = np.where(at_zero, -z_k, 0.0)
+        ref = np.where(at_zero, -z_k, upper)
         ref[free] = np.linalg.solve(A[np.ix_(free, free)], b[free]
                                     - A[np.ix_(free, ~free)] @ ref[~free])
         err = float(np.max(np.abs(z_k + ref - z)))
@@ -307,6 +336,7 @@ ALL_CHECKS = [
     ("elastic-conservation", check_elastic_conservation),
     ("wave-convergence-2d", check_wave_convergence_2d),
     ("energy-inequality", check_energy_inequality),
+    ("healing-bound", check_healing_bound),
     ("ledger-reference", check_ledger_reference),
     ("biot-mass-conservation", check_biot_mass_conservation),
     ("damage-structure", check_damage_structure),

@@ -134,7 +134,6 @@ _SCHEMA = {
         "tau": (_parse_tau, None),
         "eta": (_parse_float, _OMIT),
         "t_end": (_parse_float, None),
-        "cfl_recheck_every": (_parse_int, 0),
         "enforce_energy_inequality": (_parse_bool, False),
         "energy_tolerance": (_parse_float, 1e-9),
     },
@@ -287,8 +286,7 @@ def _validate(cfg):
                           or "shear_modulus" not in cfg.material):
         raise ConfigError("2D materials need bulk_modulus and shear_modulus",
                           "material.bulk_modulus")
-    for loc in ("output.snapshot_every", "integrator.cfl_recheck_every",
-                "integrator.energy_tolerance"):
+    for loc in ("output.snapshot_every", "integrator.energy_tolerance"):
         section, key = loc.split(".")
         if cfg.section(section)[key] < 0:
             raise ConfigError("must be >= 0", loc)
@@ -422,8 +420,7 @@ def integrator_config(cfg, disc, material, state):
 
     With tau = auto, tau is the bound estimated at the initial state, and
     the config carries it as ``tau_max``, so neither the run nor a
-    convergence study estimates it again; ``cfl_recheck_every`` rechecks
-    still do.
+    convergence study estimates it again.
     """
     from .integrator import max_stable_timestep
 
@@ -434,6 +431,5 @@ def integrator_config(cfg, disc, material, state):
                                             it["eta"])[0]
     return IntegratorConfig(
         tau=tau, t_end=it["t_end"], eta=it["eta"],
-        cfl_recheck_every=it["cfl_recheck_every"],
         enforce_energy_inequality=it["enforce_energy_inequality"],
         energy_tol=it["energy_tolerance"], tau_max=tau_max)

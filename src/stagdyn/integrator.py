@@ -142,7 +142,7 @@ class IntegratorConfig:
     ``eta`` is the CFL safety margin in (0, 1): the fraction of the stored
     energy guaranteed to survive the staggered kinetic split at every step.
     ``tau_max`` is the bound at ``eta`` and the initial state, if already
-    measured; ``cfl_recheck_every = 0`` disables rechecking.  When
+    measured; it holds for the whole run.  When
     ``enforce_energy_inequality`` is set, a step whose ledger residual
     exceeds ``energy_tol * max(1, |E^k|)``, with E^k the step's own left
     anchor ``ledger.energy_prev``, raises :class:`EnergyInequalityError`
@@ -152,7 +152,6 @@ class IntegratorConfig:
     tau: float
     t_end: float
     eta: float = 0.1
-    cfl_recheck_every: int = 0
     enforce_energy_inequality: bool = False
     energy_tol: float = 1e-9
     tau_max: Optional[float] = None
@@ -497,9 +496,8 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
 
     with H the proto-stress Hessian of the stored energy at the probe
     internal state, i.e. the top eigenvalue of T = 2 C E M^-1 E* C I H,
-    which is self-adjoint in the H/2 inner product.  ``z_probe`` selects
-    the stiffness state; softening materials should probe the stiffest
-    (e.g. undamaged) state.
+    which is self-adjoint in the H/2 inner product.  The probe is
+    ``material.stiffest_state(z_probe)``: the bound holds for a whole run.
 
     The estimate is a Lanczos iteration in that inner product from a
     uniform random stress drawn with seed 0.  Its three-term recurrence
@@ -531,6 +529,7 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
     if not 0 <= eta < 1:
         raise ConfigError("cfl margin eta must be in [0, 1)",
                           "integrator.eta")
+    z_probe = material.stiffest_state(z_probe)
     dphi0 = material.dphi_dsigma(disc, disc.zeros_s(), z_probe)
 
     def apply_H(s):
@@ -608,31 +607,25 @@ def cfl_admissible(tau, tau_max):
 
 
 def run_simulation(disc, material, loading, cfg, state, on_step=None):
-    """Drive the scheme to t_end with CFL checks and a blow-up guard.
+    """Drive the scheme to t_end with a CFL check and a blow-up guard.
 
-    The first check uses ``cfg.tau_max`` unless it is None.  Calls
+    The check uses ``cfg.tau_max`` unless it is None.  Calls
     ``on_step(state, ledger)`` after every accepted step.  Returns the
     final state and the list of ledgers.
     """
     tau = cfg.tau
     n_steps = int(round(cfg.t_end / tau))
 
-    def check_cfl(z, tau_max=None):
-        if tau_max is None:
-            tau_max, lam = max_stable_timestep(disc, material, z, cfg.eta)
-        else:
-            lam = 8.0 * (1.0 - cfg.eta) / tau_max ** 2
-        if not cfl_admissible(tau, tau_max):
-            raise CflViolationError(tau, tau_max, lam)
-
-    check_cfl(state.z, cfg.tau_max)
+    tau_max = cfg.tau_max
+    if tau_max is None:
+        tau_max, _ = max_stable_timestep(disc, material, state.z, cfg.eta)
+    if not cfl_admissible(tau, tau_max):
+        raise CflViolationError(tau, tau_max,
+                                8.0 * (1.0 - cfg.eta) / tau_max ** 2)
 
     ledgers = []
     e_ref = None
     for _ in range(n_steps):
-        if (cfg.cfl_recheck_every and state.k > 0
-                and state.k % cfg.cfl_recheck_every == 0):
-            check_cfl(state.z)
         try:
             state, ledger = advance(state, disc, material, loading, cfg)
         except NonFiniteFieldError as exc:

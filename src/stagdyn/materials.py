@@ -67,6 +67,10 @@ class MaterialModel:
         """Weighted gradient of phi in the internal variable."""
         raise NotImplementedError
 
+    def stiffest_state(self, z):
+        """The stiffest internal state a run from ``z`` can reach."""
+        return z
+
     def true_stress(self, disc, sigma, z):
         """Stress entering the momentum balance: C* I* dphi_dsigma, which is
         C dphi_dsigma on these conforming grids (I = id, C* = C)."""
@@ -494,11 +498,12 @@ class DamageMaterial(MaterialModel):
     means a decreasing.  Unidirectional mode forbids healing and bounds
     the damage field below: each step keeps 0 <= a' <= a (a box
     constraint on the increment), so a nonnegative field stays
-    nonnegative under any stress.  Healing mode replaces the upper bound
-    with a stiff quadratic penalty on positive rates and keeps the lower
-    bound a' >= 0.  With the quadratic AT coefficients the paper's difference
-    quotient of the driving force equals the midpoint derivative the
-    scheme uses.
+    nonnegative under any stress.  Healing mode puts a stiff quadratic
+    penalty on positive rates and keeps 0 <= a' <= max(1, a), a bound the
+    midpoint step alone can overshoot, so gamma is largest at max(1, a0)
+    for the whole run.  With the quadratic AT coefficients the paper's
+    difference quotient of the driving force equals the midpoint
+    derivative the scheme uses.
 
     In 2D the two normal stress components live at cell centers together
     with the damage field, while the shear component lives at vertices and
@@ -565,6 +570,9 @@ class DamageMaterial(MaterialModel):
 
     def z_weights(self, disc):
         return disc.zs_weights
+
+    def stiffest_state(self, z):
+        return np.maximum(z, 1.0) if self.mode == "healing" else z
 
     def _split_energy_density(self, disc, sigma):
         """(center part, vertex part) of C^-1 sigma : sigma pointwise."""
@@ -647,13 +655,18 @@ class DamageMaterial(MaterialModel):
         chat = self.compliance_density(disc, sigma_next)
         b = -self.dphi_dz(disc, sigma_next, z_k, chat=chat)
         heal = self.mode == "healing"
-        info = {}
-        delta = solve_asymmetric_quadratic(
-            self._quad_operator(disc, chat), b, disc.zdot, self.eps1 / tau,
-            1.0 / (self.eps1 * tau) if heal else self.eps1 / tau, KKT_TOL,
-            lower=-z_k, upper=None if heal else 0.0,
-            bands=self._quad_bands(disc, chat), info=info)
-        return z_k + delta, info
+        info, upper = {}, None if heal else 0.0
+        while True:
+            z = z_k + solve_asymmetric_quadratic(
+                self._quad_operator(disc, chat), b, disc.zdot, self.eps1 / tau,
+                1.0 / (self.eps1 * tau) if heal else self.eps1 / tau, KKT_TOL,
+                lower=-z_k, upper=upper, bands=self._quad_bands(disc, chat),
+                info=info)
+            # a healing step within z' <= max(1, z_k) minimizes over that
+            # box too; one that leaves it solves again with the box
+            if upper is not None or np.all(z <= np.maximum(z_k, 1.0)):
+                return z, info
+            upper = np.maximum(1.0 - z_k, 0.0)
 
     def dissipation_rate(self, disc, zdot):
         if self.mode == "unidirectional":

@@ -120,7 +120,8 @@ def test_criterion_2_energy_inequality():
             st = sine_state(d, m, amplitude=0.4)
             e_scale = max(1.0, abs(m.phi(d, st.sigma, st.z)))
             tau_max, _ = max_stable_timestep(d, m, m.z_init(d), 0.1)
-            cfg = IntegratorConfig(tau=tau_max, t_end=1000 * tau_max)
+            cfg = IntegratorConfig(tau=tau_max, t_end=1000 * tau_max,
+                                   tau_max=tau_max)
             _, ledgers = run_simulation(d, m, no_loading(d), cfg, st)
             tol = 1e-9 * e_scale
             res = [l.residual for l in ledgers]
@@ -267,8 +268,8 @@ def test_criterion_5_prox_oracle_equivalence():
             ref = min(brute_force_prox(obj, zk[1] - 2.0, zk[1],
                                        grid_points=201), zk[1])
         else:
-            ref = brute_force_prox(obj, zk[1] - 2.0, zk[1] + 2.0,
-                                   grid_points=201)
+            ref = min(brute_force_prox(obj, zk[1] - 2.0, zk[1] + 2.0,
+                                       grid_points=201), max(1.0, zk[1]))
         gap = max(gap, abs(z[1] - ref))
     worst["damage"] = gap
 

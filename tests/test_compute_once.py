@@ -5,8 +5,8 @@ midpoint stress gradients of this step and the previous one, and the
 previous step's total energy); these tests pin that the ledgers built
 from them equal, bit for bit, the ledgers an audit computes from scratch,
 that the audit's closed forms agree with a full-evaluation reference
-ledger to round-off, and that a run, and a convergence study, estimate
-the stability bound once.
+ledger to round-off, and that a run, a convergence study and each case
+of the check suite estimate the stability bound once.
 """
 
 import dataclasses
@@ -227,7 +227,6 @@ modulus = 1.0
 tau = {tau}
 eta = 0.1
 t_end = 0.2
-cfl_recheck_every = {every}
 
 [loading]
 initial = sine_stress
@@ -250,10 +249,10 @@ def cfl_calls(monkeypatch):
     return calls
 
 
-def _run(tmp_path, tau, every=0):
+def _run(tmp_path, tau):
     path = tmp_path / "sim.cfg"
-    path.write_text(CLI_CFG.format(tau=tau, every=every,
-                                   out=tmp_path / "out"), encoding="utf-8")
+    path.write_text(CLI_CFG.format(tau=tau, out=tmp_path / "out"),
+                    encoding="utf-8")
     return main(["run", str(path), "--quiet"])
 
 
@@ -267,15 +266,6 @@ def test_fixed_tau_above_bound_exits_2_after_one_estimate(tmp_path,
                                                           cfl_calls):
     assert _run(tmp_path, "0.1") == 2
     assert len(cfl_calls) == 1
-
-
-@pytest.mark.parametrize("tau", ["auto", "0.01"])
-def test_recheck_reestimates_every_n_steps(tmp_path, cfl_calls, tau):
-    assert _run(tmp_path, tau, every=3) == 0
-    log = (tmp_path / "out" / "energy.csv").read_text().splitlines()
-    steps = len(log) - 1
-    # one initial estimate plus one before every step k = 3, 6, ... < steps
-    assert len(cfl_calls) == 1 + (steps - 1) // 3
 
 
 def test_carried_bound_rejects_a_larger_tau_without_estimating(cfl_calls):
@@ -332,9 +322,20 @@ def test_converge_estimates_bound_once(tmp_path, cfl_calls, capsys, text,
     # with tau = auto the study reuses the config's estimate; with a fixed
     # tau it estimates the bound once for all of its levels
     path = tmp_path / "sim.cfg"
-    path.write_text(text.format(tau=tau, every=0, out=tmp_path / "out"),
+    path.write_text(text.format(tau=tau, out=tmp_path / "out"),
                     encoding="utf-8")
     assert main(["converge", str(path), "--levels", "3"]) == 0
     out = capsys.readouterr().out
     assert out.count("row,") == 3 and "excluded" not in out
+    assert len(cfl_calls) == estimates
+
+
+@pytest.mark.parametrize("name, estimates", [("elastic-conservation", 1),
+                                             ("energy-inequality", 3)])
+def test_check_entries_estimate_each_bound_once(monkeypatch, cfl_calls,
+                                                name, estimates):
+    # each case measures its bound once and hands it to its run
+    monkeypatch.setattr(checks, "max_stable_timestep",
+                        integrator.max_stable_timestep)
+    dict(checks.ALL_CHECKS)[name](np.random.default_rng(1234))
     assert len(cfl_calls) == estimates

@@ -92,11 +92,21 @@ def test_auto_tau_requires_eta():
     assert ei.value.location == "integrator.eta"
 
 
-def test_unknown_key_is_hard_error():
-    text = MINIMAL_ELASTIC.replace("nx = 40", "nx = 40\nnnx = 3")
-    with pytest.raises(ConfigError) as ei:
-        parse_config(text)
-    assert ei.value.location == "grid.nnx"
+def test_unknown_key_is_hard_error(tmp_path):
+    # cfl_recheck_every is unknown too: the bound at the initial state
+    # holds for the whole run, so no setting re-estimates it
+    for after, line, location in [
+            ("nx = 40", "nnx = 3", "grid.nnx"),
+            ("t_end = 0.2", "cfl_recheck_every = 3",
+             "integrator.cfl_recheck_every")]:
+        text = MINIMAL_ELASTIC.replace(after, f"{after}\n{line}")
+        with pytest.raises(ConfigError) as ei:
+            parse_config(text)
+        assert ei.value.location == location
+        out = tmp_path / "out"
+        assert main(["run", write_cfg(tmp_path, text), "--quiet",
+                     "--out-dir", str(out)]) == 64
+        assert not out.exists()
 
 
 def test_type_mismatch_location():
@@ -458,8 +468,7 @@ def test_cli_negative_hardening_exits_64_before_output(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("output.snapshot_every", "-2"), ("integrator.cfl_recheck_every", "-2"),
-    ("integrator.energy_tolerance", "-1.0")])
+    ("output.snapshot_every", "-2"), ("integrator.energy_tolerance", "-1.0")])
 def test_negative_count_or_tolerance_exits_64(tmp_path, key, value):
     section, name = key.split(".")
     text = MINIMAL_ELASTIC.replace(f"[{section}]",

@@ -488,6 +488,7 @@ def test_damage_pointwise_scan_kappa_zero():
             else:
                 ref = scan_internal_objective(m, d, sigma, alpha, tau, idx,
                                               halfwidth=2.5, tol=1e-10)
+                ref = min(ref, max(1.0, alpha[idx]))
             assert abs(z[idx] - ref) < 1e-7, mode
 
 
@@ -521,6 +522,22 @@ def test_damage_healing_mode_recovers():
     alpha = np.full(d.zs_n, 0.4)
     z, _ = m.internal_step(d, d.zeros_s(), alpha, tau=0.5)
     assert np.all(z > alpha)  # healing allowed with zero stress
+
+
+@pytest.mark.parametrize("bc", [("dirichlet", "neumann"),
+                                ("neumann", "neumann")])
+def test_damage_healing_step_stays_at_most_one(bc):
+    # at zero stress the midpoint step overshoots: from z_k = 0.2 with
+    # tau = 1 > 2 eps / (g_c eps1) it ended at 1.073 without the bound
+    # z' <= max(1, z_k), which now holds every point at 1
+    d = disc_1d(nx=64, h=1.0 / 64, bc=bc)
+    m = DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4, viscosity=0.3,
+                       mode="healing")
+    sigma, z_k = d.zeros_s(), np.full(d.zs_n, 0.2)
+    z, _ = m.internal_step(d, sigma, z_k, 1.0)
+    assert np.all(z == 1.0)
+    assert_allclose(z, dense_qp_step(m, d, sigma, z_k, 1.0, z), rtol=0.0,
+                    atol=1e-12)
 
 
 def test_damage_vi_optimality_unidirectional():
@@ -763,16 +780,16 @@ def dense_qp_step(m, d, sigma, z_k, tau, z):
     """The damage step by a dense KKT solve on the active set of the step
     ``z``: points at a bound stay there, the others solve their rows of
     the dense operator.  Asserts that every multiplier pushes out of the
-    box (0 <= z' <= z_k, or z' >= 0 when healing)."""
+    box (0 <= z' <= z_k, or 0 <= z' <= max(1, z_k) when healing)."""
     from stagdyn.oracle import dense_operator
 
-    heal = m.mode == "healing"
     A = dense_operator(m._quad_operator(d, m.compliance_density(d, sigma)),
                        d.zs_n) + np.diag(rate_diagonal(m, z, z_k, tau))
     b = -m.dphi_dz(d, sigma, z_k)
-    at_zero, at_top = z == 0.0, (z == z_k) & (not heal)
+    upper = np.maximum(1.0 - z_k, 0.0) * (m.mode == "healing")
+    at_zero, at_top = z == 0.0, z == z_k + upper
     free = ~(at_zero | at_top)
-    delta = np.where(at_zero, -z_k, 0.0)
+    delta = np.where(at_zero, -z_k, upper)
     delta[free] = np.linalg.solve(A[np.ix_(free, free)], b[free]
                                   - A[np.ix_(free, ~free)] @ delta[~free])
     g = A @ delta - b
