@@ -468,8 +468,11 @@ def test_cli_negative_hardening_exits_64_before_output(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("output.snapshot_every", "-2"), ("integrator.energy_tolerance", "-1.0")])
+    ("output.snapshot_every", "-2"), ("integrator.cfl_recheck_every", "-2"),
+    ("integrator.energy_tolerance", "-1.0")])
 def test_negative_count_or_tolerance_exits_64(tmp_path, key, value):
+    # cfl_recheck_every is no longer a key: an old config that sets it is
+    # refused as unknown, at the same location and with the same exit code
     section, name = key.split(".")
     text = MINIMAL_ELASTIC.replace(f"[{section}]",
                                    f"[{section}]\n{name} = {value}")
