@@ -212,11 +212,14 @@ def check_damage_direct_solve(rng):
     # the benchmark's: the bands are the step's whole operator, so a wrong
     # band solves a wrong system exactly and passes its own KKT test, and
     # only the dense solve can tell.  2D runs projected CG to its
-    # tolerance.
-    cases = [(_disc_1d(nx=nx, h=1.0 / nx, bc=("dirichlet", "neumann")),
-              name, 1e-12) for nx in (64, 256)
+    # tolerance.  A warm step starts from a previous increment that is 0
+    # at some points, under a weaker stress, and ends on both bounds.
+    d1 = [_disc_1d(nx=nx, h=1.0 / nx, bc=("dirichlet", "neumann"))
+          for nx in (64, 256)]
+    cases = [(d, name, 1e-12) for d in d1
              for name in ("smooth", "rough", "healing")]
     cases += [(_disc_2d(), name, 1e-10) for name in ("rough", "healing")]
+    cases += [(d, "warm", 1e-12) for d in d1] + [(_disc_2d(), "warm", 1e-10)]
     for d, name, gate in cases:
         n, tau, x = d.zs_n, 0.02, np.linspace(0.0, 1.0, d.zs_n)
         where = f"nx = {d.grid.nx}" if d.dim == 1 else "in 2D"
@@ -224,13 +227,16 @@ def check_damage_direct_solve(rng):
             sigma = 2.0 * np.cos(np.pi * x) + 1.0
             z_k = 0.8 + 0.15 * np.cos(2.0 * np.pi * x)
         else:
-            sigma = 6.0 * rng.standard_normal(d.n_s)
+            sigma = rng.standard_normal(d.n_s)
+            sigma *= 2.0 if name == "warm" else 6.0
             sigma[:n:7] = 25.0  # these points (in 2D, xx at centers) go to 0
             z_k = rng.uniform(0.3, 1.0, n)
+        z_prev = None if name != "warm" else z_k + np.where(
+            rng.random(n) < 0.5, rng.uniform(0.0, 0.3, n), 0.0)
         heal = name == "healing"
         m = DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4, viscosity=0.3,
                            mode="healing" if heal else "unidirectional")
-        z, _ = m.internal_step(d, sigma, z_k, tau)
+        z, _ = m.internal_step(d, sigma, z_k, tau, z_prev=z_prev)
         a_plus = 1.0 / (m.eps1 * tau) if heal else m.eps1 / tau
         A = dense_operator(m._quad_operator(d, m.compliance_density(d, sigma)),
                            n) + np.diag(2.0 * np.where(z < z_k, m.eps1 / tau,
@@ -239,7 +245,8 @@ def check_damage_direct_solve(rng):
         upper = np.maximum(1.0 - z_k, 0.0) if heal else np.zeros(n)
         at_zero, at_top = z == 0.0, z == z_k + upper
         free = ~(at_zero | at_top)
-        _require(np.any(free) and not np.all(free),
+        _require(np.any(free) and not np.all(free) and (
+            z_prev is None or np.any(at_zero) and np.any(at_top)),
                  f"{name} damage step: no free or no bound point {where}")
         ref = np.where(at_zero, -z_k, upper)
         ref[free] = np.linalg.solve(A[np.ix_(free, free)], b[free]

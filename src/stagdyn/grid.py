@@ -423,14 +423,12 @@ class Discretization:
         """Weighted squared gradient norm ``sum_e w_e m |grad z|^2``."""
         g = self.grad_z(z)
         if self.dim == 1:
-            return float(np.sum(self._z_edge_w * mobility * g * g))
+            return float((self._z_edge_w * mobility * g * g).sum())
         nxe = self._z_edge_wx.size
         gx = g[:nxe].reshape(self._z_edge_wx.shape)
         gy = g[nxe:].reshape(self._z_edge_wy.shape)
-        return float(
-            np.sum(self._z_edge_wx * mobility * gx * gx)
-            + np.sum(self._z_edge_wy * mobility * gy * gy)
-        )
+        return float((self._z_edge_wx * mobility * gx * gx).sum()
+                     + (self._z_edge_wy * mobility * gy * gy).sum())
 
     def div_z(self, flux):
         """Negative weighted transpose of :meth:`grad_z` (discrete div).
@@ -497,13 +495,13 @@ class Discretization:
         """Weighted stress-layout inner product (fixed reduction order)."""
         p = np.multiply(self.sweights, a, out=self._sw)
         p *= b
-        return float(np.sum(p))
+        return float(p.sum())
 
     def zdot(self, a, b):
         """Weighted scalar-internal-layout inner product."""
         p = self.zs_weights * a
         p *= b
-        return float(np.sum(p))
+        return float(p.sum())
 
     def traction_pattern(self, side):
         """Unit stress-space pattern driven by the boundary source G.

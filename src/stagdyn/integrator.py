@@ -57,18 +57,18 @@ ENERGY_BLOWUP_FACTOR = 1e6
 class State:
     """Discrete fields at one time level (plus leap-frog bookkeeping).
 
-    ``energy`` and ``dphi_mid`` are values the step that produced this
-    state already computed, carried so the next energy audit need not
-    recompute them: ``energy`` is E^k = 1/2 <M v^k, v^{k-1}> +
-    Phi(Sigma^k, z^k) and ``dphi_mid`` is dPhi_s(Sigma^k, (z^k +
-    z^{k-1})/2).  Both are None on states not made by :func:`advance`
-    (initial states, and every :meth:`copy`, which drops them), and the
-    audit then computes them afresh.  :func:`advance` checks the fields
-    it makes for finiteness, so the next step checks ``v`` and ``sigma``
-    only when ``dphi_mid`` is None.  A caller that edits ``v``,
-    ``sigma`` or ``z`` of an advanced state in place must edit a copy or
-    set both to None first, or the next ledger uses stale values and the
-    next step trusts the edited fields.
+    ``energy``, ``dphi_mid`` and ``dphi_end`` are values the step that
+    made this state already computed, carried for the next energy audit:
+    E^k = 1/2 <M v^k, v^{k-1}> + Phi(Sigma^k, z^k), dPhi_s(Sigma^k, (z^k
+    + z^{k-1})/2) and, only for a material without ``dphi_dsigma_shift``,
+    dPhi_s(Sigma^k, z^k).  They are None on states not made by
+    :func:`advance` (initial states, and every :meth:`copy`, which drops
+    them), and the audit then computes them afresh.  :func:`advance`
+    checks the fields it makes for finiteness, so the next step checks
+    ``v`` and ``sigma`` only when ``dphi_mid`` is None.  A caller that
+    edits ``v``, ``sigma`` or ``z`` of an advanced state in place must
+    edit a copy or set all three to None first, or the next ledger uses
+    stale values and the next step trusts the edited fields.
     """
 
     u: np.ndarray
@@ -80,6 +80,7 @@ class State:
     z_prev: np.ndarray = None
     energy: Optional[float] = None
     dphi_mid: Optional[np.ndarray] = None
+    dphi_end: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.v_prev is None:
@@ -216,8 +217,9 @@ def step_sigma(state, disc, loading, cfg):
 
 def step_internal(state, sigma_next, material, disc, cfg):
     """Implicit midpoint step for the internal variable (order matters:
-    it sees the already-updated proto-stress)."""
-    return material.internal_step(disc, sigma_next, state.z, cfg.tau)
+    it sees the already-updated proto-stress), seeded by ``z_prev``."""
+    return material.internal_step(disc, sigma_next, state.z, cfg.tau,
+                                  z_prev=state.z_prev)
 
 
 def step_velocity(state, sigma_next, z_next, disc, material, loading, cfg):
@@ -252,7 +254,7 @@ def step_velocity(state, sigma_next, z_next, disc, material, loading, cfg):
 def _kinetic_pair(disc, va, vb):
     p = disc.mass * va
     p *= vb
-    return 0.5 * float(np.sum(p))
+    return 0.5 * float(p.sum())
 
 
 def stability_coefficient(disc, material, sigma, z, tau, phi=None,
@@ -281,7 +283,7 @@ def stability_coefficient(disc, material, sigma, z, tau, phi=None,
     f2 = np.square(disc.apply_E_adjoint(s_true))
     f2[disc.v_inactive] = 0.0
     f2 /= disc.mass
-    quad = float(np.sum(f2))
+    quad = float(f2.sum())
     return 1.0 - 0.125 * tau * tau * quad / phi
 
 
@@ -310,13 +312,14 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
     The stress gradient at the end of the step, dPhi_s(Sigma', z'), and
     the jump term come from the step's midpoint gradients in closed form
     when the material gives ``dphi_dsigma_shift`` (materials affine in
-    z), and from full evaluation when it does not.  That gradient and its
-    true stress S' = C* I* dPhi_s(Sigma', z') give the stored energy and
-    the stability coefficient.
+    z), and else from full evaluation, kept on ``nxt.dphi_end``.  That
+    gradient and its true stress S' = C* I* dPhi_s(Sigma', z') give the
+    stored energy and the stability coefficient.
 
     Values carried on the states (``prev.energy``, ``prev.dphi_mid``,
-    ``nxt.dphi_mid``) are used as they are; missing ones are computed
-    here by the same operations, so the ledger does not depend on which.
+    ``prev.dphi_end``, ``nxt.dphi_mid``) are used as they are; missing
+    ones are computed here by the same operations, so the ledger does not
+    depend on which.
     """
     tau = cfg.tau
     k = prev.k
@@ -338,7 +341,7 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
             disc, prev.sigma, prev.z)
         p_avg = 0.5 * (material.dphi_dsigma(disc, nxt.sigma, prev.z)
                        + material.dphi_dsigma(disc, prev.sigma, prev.z))
-        work = 0.5 * tau * float(np.sum(loading.body_force * prev.v))
+        work = 0.5 * tau * float((loading.body_force * prev.v).sum())
         dg = loading.d_increment(0, tau)
         if dg is not None:
             work += disc.sdot(p_avg, dg)
@@ -363,16 +366,17 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
             energy_prev = _kinetic_pair(disc, prev.v, prev.v_prev) + (
                 material.phi(disc, prev.sigma, prev.z, g=g_prev,
                              s_true=s_prev))
-        work = tau * float(np.sum(loading.body_force * prev.v))
+        work = tau * float((loading.body_force * prev.v).sum())
         # jump <J, Sigma' - Sigma>_w of the two half-level gradients away
         # from their values at the z^k anchor: J = 1/2 [dphi_mid_next -
         # dPhi_s(Sigma', z^k)] + 1/2 [dphi_mid_prev - dPhi_s(Sigma, z^k)],
         # which is 1/4 A(z' - 2 z^k + z^{k-1}) for a shift A of the gradient
         if material.dphi_dsigma_shift is None:
+            g_prev = prev.dphi_end if prev.dphi_end is not None else (
+                material.dphi_dsigma(disc, prev.sigma, prev.z))
             jump = 0.5 * (dphi_mid_next
                           - material.dphi_dsigma(disc, nxt.sigma, prev.z))
-            jump += 0.5 * (dphi_mid_prev
-                           - material.dphi_dsigma(disc, prev.sigma, prev.z))
+            jump += 0.5 * (dphi_mid_prev - g_prev)
             correction = disc.sdot(jump, nxt.sigma - prev.sigma)
         else:
             j = 2.0 * prev.z
@@ -389,6 +393,7 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
         a_coeff = stability_coefficient(disc, material, nxt.sigma, nxt.z,
                                         tau, phi=phi_next, s_true=s_next)
 
+    nxt.dphi_end = g_next if material.dphi_dsigma_shift is None else None
     return EnergyLedger(
         step=k, time=(k + 1) * tau, kinetic=kinetic, stored=phi_next,
         dissipated_step=diss, external_work_step=work,

@@ -19,6 +19,9 @@ from .errors import StagdynError
 ENERGY_COLUMNS = ("k", "t", "kinetic", "stored", "dissipated_step",
                   "external_work_step", "a_coeff", "residual")
 
+# one energy-log row: the same text as format(v, ".17g") per value
+_ROW = "%d" + ",%.17g" * (len(ENERGY_COLUMNS) - 1) + "\n"
+
 SNAPSHOT_MAGIC = b"STGD"
 SNAPSHOT_VERSION = 1
 
@@ -31,12 +34,10 @@ class EnergyLogWriter:
         self._fh.write(",".join(ENERGY_COLUMNS) + "\n")
 
     def write(self, ledger):
-        vals = (ledger.kinetic, ledger.stored, ledger.dissipated_step,
-                ledger.external_work_step, ledger.stability_coeff,
-                ledger.residual)
-        row = [str(ledger.step), format(ledger.time, ".17g")]
-        row += [format(v, ".17g") for v in vals]
-        self._fh.write(",".join(row) + "\n")
+        self._fh.write(_ROW % (
+            ledger.step, ledger.time, ledger.kinetic, ledger.stored,
+            ledger.dissipated_step, ledger.external_work_step,
+            ledger.stability_coeff, ledger.residual))
 
     def close(self):
         self._fh.close()

@@ -76,10 +76,11 @@ class MaterialModel:
         C dphi_dsigma on these conforming grids (I = id, C* = C)."""
         return disc.apply_C(self.dphi_dsigma(disc, sigma, z))
 
-    def internal_step(self, disc, sigma_next, z_k, tau):
+    def internal_step(self, disc, sigma_next, z_k, tau, z_prev=None):
         """Advance the internal variable by one implicit midpoint step.
 
-        Returns ``(z_next, info)`` where ``info`` carries solver
+        ``z_prev`` (the level before ``z_k``) may seed a solve, within its
+        tolerance.  Returns ``(z_next, info)`` where ``info`` carries solver
         by-products needed by the energy ledger (e.g. the realized
         chemical potential for nonlocal dissipation) and the solver's
         counts (``iters``, ``rounds``).
@@ -140,7 +141,7 @@ class ElasticMaterial(MaterialModel):
         # dphi_dsigma is free of z
         return disc.zeros_s()
 
-    def internal_step(self, disc, sigma_next, z_k, tau):
+    def internal_step(self, disc, sigma_next, z_k, tau, z_prev=None):
         return z_k, {}
 
     def dissipation_rate(self, disc, zdot):
@@ -237,7 +238,7 @@ class PlasticCreepMaterial(MaterialModel):
     def dphi_dz(self, disc, sigma, z):
         return disc.apply_C(z, self._cbar(disc)) - sigma
 
-    def internal_step(self, disc, sigma_next, z_k, tau):
+    def internal_step(self, disc, sigma_next, z_k, tau, z_prev=None):
         cbar = self._cbar(disc)
         q = disc.apply_C(z_k, cbar)
         np.subtract(sigma_next, q, out=q)
@@ -282,7 +283,7 @@ class PlasticCreepMaterial(MaterialModel):
         """sum of w * |zdot| with the per-location group norms."""
         w = disc.sweights
         if disc.dim == 1:
-            return float(np.sum(w * np.abs(zdot)))
+            return float((w * np.abs(zdot)).sum())
         # sum of wc sqrt(zxx^2 + zyy^2) over centers, wv |zxy| over vertices
         nrm_c = np.square(disc.sxx_view(zdot))
         nrm_c += np.square(disc.syy_view(zdot))
@@ -290,7 +291,7 @@ class PlasticCreepMaterial(MaterialModel):
         nrm_c *= disc.sxx_view(w)
         abs_v = np.abs(disc.sxy_view(zdot))
         abs_v *= disc.sxy_view(w)
-        return float(np.sum(nrm_c)) + float(np.sum(abs_v))
+        return float(nrm_c.sum()) + float(abs_v.sum())
 
     def dissipation_rate(self, disc, zdot):
         quad = self.viscosity * disc.sdot(zdot, zdot)
@@ -430,7 +431,7 @@ class BiotMaterial(MaterialModel):
         out -= self.kappa * disc.lap_z(f)
         return out
 
-    def internal_step(self, disc, sigma_next, z_k, tau):
+    def internal_step(self, disc, sigma_next, z_k, tau, z_prev=None):
         mu_k = self.dphi_dz(disc, sigma_next, z_k)
         rhs = disc.lap_z(mu_k, self.mobility)
 
@@ -598,7 +599,7 @@ class DamageMaterial(MaterialModel):
         if qv is not None:
             gam_v = disc.avg_centers_to_vertices(gam).ravel()
             wv = disc.sxy_view(disc.sweights).ravel()
-            val += 0.5 * float(np.sum(wv * gam_v * qv))
+            val += 0.5 * float((wv * gam_v * qv).sum())
         val += 0.5 * self.kappa * disc.grad_z_norm2(z)
         if self.eps_grad != 0.0:
             e = disc.apply_C_inv(sigma)
@@ -648,7 +649,7 @@ class DamageMaterial(MaterialModel):
         diag = 0.5 * (chat + 2.0 * self.g_c / self.eps) + c * lap_diag
         return c * sub, diag, c * sup
 
-    def internal_step(self, disc, sigma_next, z_k, tau):
+    def internal_step(self, disc, sigma_next, z_k, tau, z_prev=None):
         # the rate term's slopes below and above zero: eps1 and 1/eps1
         # when healing; irreversible steps keep eps1 and bound the
         # increment by 0 instead, the infinite slope of psi
@@ -661,7 +662,7 @@ class DamageMaterial(MaterialModel):
                 self._quad_operator(disc, chat), b, disc.zdot, self.eps1 / tau,
                 1.0 / (self.eps1 * tau) if heal else self.eps1 / tau, KKT_TOL,
                 lower=-z_k, upper=upper, bands=self._quad_bands(disc, chat),
-                info=info)
+                info=info, x0=None if z_prev is None else z_k - z_prev)
             # a healing step within z' <= max(1, z_k) minimizes over that
             # box too; one that leaves it solves again with the box
             if upper is not None or np.all(z <= np.maximum(z_k, 1.0)):

@@ -103,10 +103,10 @@ def solve_linear_spd(apply_A, b, dot, tol, info=None):
 
 
 def solve_bound_constrained(apply_A, b, dot, upper, tol, lower=None,
-                            bands=None, info=None):
+                            bands=None, info=None, x0=None):
     """Minimize subject to ``lower <= x <= upper`` (either bound may be
     None; else ``lower <= upper``) by an active-set refresh, starting from
-    0 clipped into the box.
+    ``x0`` (default 0) clipped into the box.
 
     Given the (sub, diagonal, super) ``bands`` of a tridiagonal operator
     with strictly diagonally dominant rows (else ValueError), each round
@@ -118,36 +118,39 @@ def solve_bound_constrained(apply_A, b, dot, upper, tol, lower=None,
     KKT at the solution: inactive points have zero gradient, points at the
     upper bound have gradient <= 0 and points at the lower bound gradient
     >= 0 (multiplier = the gradient's push out of the box >= 0), all within
-    the scaled tolerance.  A point with ``lower == upper`` is fixed.
+    the scaled tolerance.  A point with ``lower == upper`` is fixed.  A
+    NaN or inf in the gradient raises :class:`SolverError`.
     """
     kkt_tol = tol * max(1.0, float(np.abs(b).max(initial=0.0)))
     if bands is not None:
         if (bands[1] <= np.abs(bands[0]) + np.abs(bands[2])).any():
             raise ValueError("bands must be strictly diagonally dominant")
         apply_A = lambda u: _band_product(bands, u)
-    upper = np.full_like(b, np.inf) if upper is None else upper
-    lower = np.full_like(b, -np.inf) if lower is None else lower
+    upper = np.inf if upper is None else upper
+    lower = -np.inf if lower is None else lower
 
     def slack(bound):
         return 1e-14 * float(np.abs(bound).max(initial=1.0,
                                                where=np.isfinite(bound)))
 
     near_upper, near_lower = upper - slack(upper), lower + slack(lower)
-    x = np.maximum(np.minimum(np.zeros_like(b), upper), lower)
+    x = np.zeros_like(b) if x0 is None else x0
+    x = np.maximum(np.minimum(x, upper), lower)
     for rounds in range(2 * b.shape[0] + 30):
         g = apply_A(x) - b
         off_upper, off_lower = x < near_upper, x > near_lower
-        # each point's violation of KKT: |g| strictly inside the box; at a
-        # bound, the push of the gradient out of the box that the
-        # multiplier must balance, clipped at 0: g at the upper bound, -g
-        # at the lower, none at a point held at both
-        viol = np.maximum(g * off_lower, -g * off_upper)
-        if viol.max(initial=0.0) <= kkt_tol:
+        # KKT fails where g pushes a point, beyond the tolerance, to a
+        # side it can leave: down off the lower bound, up off the upper
+        viol = (g > kkt_tol) & off_lower
+        viol |= (g < -kkt_tol) & off_upper
+        if not viol.any():
+            if not np.isfinite(g).all():
+                raise SolverError("non-finite gradient", last_iterate=x)
             if info is not None:
                 info["rounds"] = rounds
             return x
         # free everything strictly inside plus bound points wanting release
-        free = (off_upper & off_lower) | (viol > kkt_tol)
+        free = viol | (off_upper & off_lower)
         if bands is None:
             mask = free.astype(float)
             project = lambda u: mask * u
@@ -160,32 +163,37 @@ def solve_bound_constrained(apply_A, b, dot, upper, tol, lower=None,
 
 
 def solve_asymmetric_quadratic(apply_A, b, dot, a_minus, a_plus, tol,
-                               lower=None, upper=None, bands=None, info=None):
+                               lower=None, upper=None, bands=None, info=None,
+                               x0=None):
     """Minimize with the added per-point term ``a_minus*x^2`` for x < 0 and
     ``a_plus*x^2`` for x >= 0 (scalars or per-point arrays, >= 0), subject
     to ``lower <= x <= upper`` (no bound when None).
 
-    The term is C^1, so a semismooth sign-refresh iteration converges from
-    zero: freeze the per-point coefficients, solve the resulting quadratic
-    by :func:`solve_bound_constrained` (``bands`` shifted; ``apply_A`` may
-    then be None), and stop once the signs of the solution give the same
-    coefficients, which equal slopes do after one round.  An ``info`` dict
+    The term is C^1, so a semismooth sign-refresh iteration converges:
+    freeze the per-point coefficients at the signs of the start ``x0``
+    (default 0), solve the resulting quadratic by
+    :func:`solve_bound_constrained` from the last solution (``bands``
+    shifted; ``apply_A`` may then be None), and stop once the signs of
+    the solution give the same coefficients; equal scalar slopes take one
+    solve with a scalar shift and no sign test.  An ``info`` dict
     receives ``sign_rounds``, the coefficient patterns solved for, and
     ``rounds``, their active-set rounds in total.
     """
     if np.minimum(a_minus, a_plus).min() < 0:
         raise ValueError("asymmetric coefficients must be nonnegative")
-    coeff = np.full_like(b, a_plus)  # the start x = 0 is >= 0 everywhere
+    x = np.zeros_like(b) if x0 is None else x0
+    equal = np.ndim(a_minus) == np.ndim(a_plus) == 0 and a_minus == a_plus
+    coeff = a_plus if equal else np.where(x < 0, a_minus, a_plus)
     solve_info, rounds = {}, 0
     for sign_rounds in range(1, 61):
         shifted = None if bands is None else (
             bands[0], bands[1] + 2.0 * coeff, bands[2])
         x = solve_bound_constrained(lambda u: apply_A(u) + 2.0 * coeff * u,
                                     b, dot, upper, tol, lower=lower,
-                                    bands=shifted, info=solve_info)
+                                    bands=shifted, info=solve_info, x0=x)
         rounds += solve_info["rounds"]
-        new_coeff = np.where(x < 0, a_minus, a_plus)
-        if (new_coeff == coeff).all():
+        new_coeff = coeff if equal else np.where(x < 0, a_minus, a_plus)
+        if equal or (new_coeff == coeff).all():
             if info is not None:
                 info["sign_rounds"] = sign_rounds
                 info["rounds"] = rounds

@@ -1,12 +1,13 @@
 """Values a run computes once: ledger inputs carried from the step, and the CFL bound.
 
 The step hands the energy audit values it has already formed (the
-midpoint stress gradients of this step and the previous one, and the
-previous step's total energy); these tests pin that the ledgers built
-from them equal, bit for bit, the ledgers an audit computes from scratch,
-that the audit's closed forms agree with a full-evaluation reference
-ledger to round-off, and that a run, a convergence study and each case
-of the check suite estimate the stability bound once.
+midpoint stress gradients of this step and the previous one, the
+previous step's total energy and, for damage, its end gradient); these
+tests pin that the ledgers built from them equal, bit for bit, the
+ledgers an audit computes from scratch, that the audit's closed forms
+agree with a full-evaluation reference ledger to round-off, and that a
+run, a convergence study and each case of the check suite estimate the
+stability bound once.
 """
 
 import dataclasses
@@ -116,10 +117,15 @@ def test_carried_ledger_equals_from_scratch_audit(name):
         prev = st
         st, ledger = advance(prev, d, m, loading, cfg)
         assert st.energy is not None and st.dphi_mid is not None
-        # same solver by-products as the step, nothing carried
+        # only a material without the closed-form shift carries its end
+        # gradient for the next jump term
+        assert (st.dphi_end is None) == (m.dphi_dsigma_shift is not None)
+        # same solver by-products as the step, from the same previous
+        # increment z^k - z^{k-1}; nothing carried
         _, info = step_internal(prev, st.sigma, m, d, cfg)
         bare_prev, bare_next = prev.copy(), st.copy()
         assert bare_next.energy is None and bare_next.dphi_mid is None
+        assert bare_next.dphi_end is None
         fresh = energy_audit(bare_prev, bare_next, d, m, loading, cfg,
                              step_info=info)
         assert dataclasses.asdict(ledger) == dataclasses.asdict(fresh)
@@ -159,7 +165,8 @@ def test_ledger_reference_check_fails_on_a_wrong_closed_form(monkeypatch):
     assert len(lines) == 1 and lines[0].startswith("FAIL ledger-reference")
 
 
-@pytest.mark.parametrize("name", ["viscoplastic_2d", "biot_1d", "biot_2d"])
+@pytest.mark.parametrize("name", ["viscoplastic_2d", "biot_1d", "biot_2d",
+                                  "damage_1d"])
 def test_step_evaluates_stored_energy_once(monkeypatch, name):
     d, m, loading, st, cfg = _setup(name)
     calls = {"phi": 0, "dphi_dsigma": 0, "true_stress": 0}
@@ -179,10 +186,13 @@ def test_step_evaluates_stored_energy_once(monkeypatch, name):
         for attr in calls:
             calls[attr] = 0
         st, _ = advance(st, d, m, loading, cfg)
-        # the velocity update's midpoint gradient is the only one: the
-        # gradient is affine in z, so the audit shifts it to the end of
-        # the step and forms the jump term from z alone
-        assert calls == {"phi": 1, "dphi_dsigma": 1, "true_stress": 0}
+        # with a gradient affine in z the velocity update's midpoint
+        # gradient is the only one: the audit shifts it to the end of the
+        # step and forms the jump term from z alone.  Damage adds the end
+        # gradient and dPhi_s(Sigma', z^k); its dPhi_s(Sigma, z^k) is the
+        # previous step's end gradient, carried on the state
+        assert calls == {"phi": 1, "dphi_dsigma": 3 if name == "damage_1d"
+                         else 1, "true_stress": 0}
 
 
 @pytest.mark.parametrize("name", ["elastic_1d", "elastic_2d",

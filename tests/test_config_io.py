@@ -282,6 +282,32 @@ def test_cli_energy_log_reproducible(tmp_path):
     assert a == b
 
 
+def test_energy_log_row_is_the_per_value_format(tmp_path):
+    # one %-format per row gives the text of str(k) and format(v, ".17g")
+    # value by value: signed zeros, inf, nan, subnormal-scale values,
+    # numpy scalars and a large step index
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300,
+                np.float64(0.1), 1.0 / 3.0, 5e-324, 1.7976931348623157e308]
+    rng = np.random.default_rng(4)
+    rows = [specials[i:i + 7] for i in range(0, len(specials) - 6)]
+    rows += [list(rng.standard_normal(7) * 10.0 ** rng.integers(-20, 20, 7))
+             for _ in range(20)]
+    ledgers, expected = [], ""
+    for k, vals in zip([0, 1, 2 ** 40 + 3] + list(range(3, 100)), rows):
+        led = integrator.EnergyLedger(k, *vals, energy_prev=0.0)
+        ledgers.append(led)
+        fields = (led.time, led.kinetic, led.stored, led.dissipated_step,
+                  led.external_work_step, led.stability_coeff, led.residual)
+        expected += ",".join([str(k)] + [format(v, ".17g")
+                                          for v in fields]) + "\n"
+    path = tmp_path / "energy.csv"
+    with sdio.EnergyLogWriter(path) as log:
+        for led in ledgers:
+            log.write(led)
+    header = ",".join(sdio.ENERGY_COLUMNS) + "\n"
+    assert path.read_bytes() == (header + expected).encode("utf-8")
+
+
 def test_cli_unstable_run_exits_2(tmp_path):
     text = run_cfg_text(tmp_path).replace("tau = auto", "tau = 0.1")
     path = write_cfg(tmp_path, text)

@@ -348,6 +348,134 @@ def test_bound_constrained_reports_rounds_on_hand_case(direct):
     assert info == {"rounds": 2}
 
 
+def reference_bound_constrained(apply_A, b, dot, upper, tol, lower=None,
+                                bands=None):
+    """The active-set loop before the boolean KKT test: bounds as arrays,
+    per-point violations clipped at 0 and a cold start.  Returns ``(x,
+    rounds)``."""
+    kkt_tol = tol * max(1.0, float(np.abs(b).max(initial=0.0)))
+    if bands is not None:
+        apply_A = lambda u: solvers._band_product(bands, u)
+    upper = np.full_like(b, np.inf) if upper is None else upper
+    lower = np.full_like(b, -np.inf) if lower is None else lower
+
+    def slack(bound):
+        return 1e-14 * float(np.abs(bound).max(initial=1.0,
+                                               where=np.isfinite(bound)))
+
+    near_upper, near_lower = upper - slack(upper), lower + slack(lower)
+    x = np.maximum(np.minimum(np.zeros_like(b), upper), lower)
+    for rounds in range(2 * b.shape[0] + 30):
+        g = apply_A(x) - b
+        off_upper, off_lower = x < near_upper, x > near_lower
+        viol = np.maximum(g * off_lower, -g * off_upper)
+        if viol.max(initial=0.0) <= kkt_tol:
+            return x, rounds
+        free = (off_upper & off_lower) | (viol > kkt_tol)
+        if bands is None:
+            mask = free.astype(float)
+            project = lambda u: mask * u
+            d, _ = solvers._cg(apply_A, project(-g), dot, 0.1 * tol,
+                               project=project)
+        else:
+            d = solvers._solve_free_rows(bands, free, -g)
+        x = np.maximum(np.minimum(x + d, upper), lower)
+    raise AssertionError("reference active set did not settle")
+
+
+def random_box_problems(seed, n, symmetric=False):
+    """Random dominant tridiagonal box problems with bounds of each kind:
+    None, a Python float and per-point arrays, some points held at both;
+    every other one is not symmetric unless ``symmetric`` (CG needs it)."""
+    rng = np.random.default_rng(seed)
+    for i in range(24):
+        A, bands = random_tridiagonal(rng, n,
+                                      symmetric=symmetric or bool(i % 2))
+        b = rng.standard_normal(n) * 4.0
+        lower = -rng.uniform(0.0, 1.0, n)
+        upper = [None, 0.0, rng.uniform(-0.2, 1.0, n)][i % 3]
+        if i % 3 == 2:
+            lower = np.minimum(lower, upper)
+            lower[::5] = upper[::5]
+        yield A, bands, b, (None if i % 4 == 3 else lower), upper
+
+
+@pytest.mark.parametrize("direct", [False, True])
+def test_cold_start_keeps_the_decisions_of_the_reference_loop(direct):
+    # the boolean KKT test frees and holds the same points in every
+    # round, so a cold start gives the same bits in the same rounds
+    rounds_seen = set()
+    for n in (7, 40, 257):
+        for A, bands, b, lower, upper in random_box_problems(
+                n, n, symmetric=not direct):
+            apply_A, _, dot = dense_problem(A, b)
+            info = {}
+            x = solve_bound_constrained(
+                None if direct else apply_A, b, dot, upper, 1e-12,
+                lower=lower, bands=bands if direct else None, info=info)
+            ref, rounds = reference_bound_constrained(
+                apply_A, b, dot, upper, 1e-12, lower=lower,
+                bands=bands if direct else None)
+            assert x.tobytes() == ref.tobytes()
+            assert info["rounds"] == rounds
+            rounds_seen.add(rounds)
+    assert len(rounds_seen) > 2
+
+
+@pytest.mark.parametrize("direct", [False, True])
+def test_warm_start_settles_on_the_same_minimizer(direct):
+    # a start in or out of the box (it is clipped into it) reaches the
+    # cold start's minimizer; the minimizer itself takes no round
+    rng = np.random.default_rng(91)
+    for A, bands, b, lower, upper in random_box_problems(
+            92, 40, symmetric=not direct):
+        apply_A, _, dot = dense_problem(A, b)
+        args = dict(lower=lower, bands=bands if direct else None)
+        cold = solve_bound_constrained(apply_A, b, dot, upper, 1e-12, **args)
+        for x0 in (rng.standard_normal(40), cold + 1e-3 * rng.random(40)):
+            x = solve_bound_constrained(apply_A, b, dot, upper, 1e-12,
+                                        x0=x0, **args)
+            assert_allclose(x, cold, rtol=0.0, atol=1e-9)
+        info = {}
+        again = solve_bound_constrained(apply_A, b, dot, upper, 1e-12,
+                                        x0=cold, info=info, **args)
+        assert info["rounds"] == 0 and again.tobytes() == cold.tobytes()
+
+
+@pytest.mark.parametrize("direct", [False, True])
+@pytest.mark.parametrize("where", ["b", "operator", "upper", "lower"])
+def test_non_finite_input_raises_not_converges(direct, where):
+    # NaN fails every comparison, so no KKT test may take it as a pass
+    rng = np.random.default_rng(97)
+    A, bands = random_tridiagonal(rng, 12)
+    b = rng.standard_normal(12)
+    upper, lower = np.full(12, 0.5), np.full(12, -0.5)
+    if where == "operator":
+        A[5, 5] = bands[1][5] = np.nan  # the dense matrix and its band
+    else:
+        {"b": b, "upper": upper, "lower": lower}[where][5] = np.nan
+    apply_A, _, dot = dense_problem(A, b)
+    with pytest.raises(SolverError):
+        solve_bound_constrained(apply_A, b, dot, upper, 1e-12, lower=lower,
+                                bands=bands if direct else None)
+
+
+def test_equal_scalar_slopes_are_one_shifted_solve():
+    # the scalar shift gives the bits of per-point arrays of the same
+    # slope, in one sign round and the same active-set rounds
+    for A, bands, b, lower, upper in random_box_problems(95, 40):
+        apply_A, _, dot = dense_problem(A, b)
+        got = []
+        for slope in (0.7, np.full(40, 0.7)):
+            info = {}
+            x = solve_asymmetric_quadratic(None, b, dot, slope, slope, 1e-12,
+                                           lower=lower, upper=upper,
+                                           bands=bands, info=info)
+            got.append((x.tobytes(), info["rounds"]))
+            assert info["sign_rounds"] == 1
+        assert got[0] == got[1]
+
+
 @pytest.mark.parametrize("direct", [False, True])
 def test_asymmetric_quadratic_reports_rounds_on_hand_case(direct):
     # min 1/2 x^2 + x + (x^2 if x < 0): the first sign round takes x >= 0
