@@ -302,7 +302,7 @@ def _end_gradient(disc, material, sigma, z, z_other, dphi_mid):
 
 
 def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
-    """Populate the ledger for the step ``prev -> nxt`` (pure diagnostic).
+    """Ledger of the step ``prev -> nxt``; it sets only ``nxt.dphi_end``.
 
     The residual is the defect of the exact per-step energy identity of
     the scheme (midpoint-in-z true stress); it vanishes to round-off when

@@ -657,12 +657,14 @@ class DamageMaterial(MaterialModel):
         b = -self.dphi_dz(disc, sigma_next, z_k, chat=chat)
         heal = self.mode == "healing"
         info, upper = {}, None if heal else 0.0
+        bands = self._quad_bands(disc, chat)
+        # 1D starts at the last increment (2D's projected CG is slower so)
+        x0 = None if z_prev is None or bands is None else z_k - z_prev
         while True:
             z = z_k + solve_asymmetric_quadratic(
                 self._quad_operator(disc, chat), b, disc.zdot, self.eps1 / tau,
                 1.0 / (self.eps1 * tau) if heal else self.eps1 / tau, KKT_TOL,
-                lower=-z_k, upper=upper, bands=self._quad_bands(disc, chat),
-                info=info, x0=None if z_prev is None else z_k - z_prev)
+                lower=-z_k, upper=upper, bands=bands, info=info, x0=x0)
             # a healing step within z' <= max(1, z_k) minimizes over that
             # box too; one that leaves it solves again with the box
             if upper is not None or np.all(z <= np.maximum(z_k, 1.0)):

@@ -174,16 +174,14 @@ def solve_asymmetric_quadratic(apply_A, b, dot, a_minus, a_plus, tol,
     (default 0), solve the resulting quadratic by
     :func:`solve_bound_constrained` from the last solution (``bands``
     shifted; ``apply_A`` may then be None), and stop once the signs of
-    the solution give the same coefficients; equal scalar slopes take one
-    solve with a scalar shift and no sign test.  An ``info`` dict
-    receives ``sign_rounds``, the coefficient patterns solved for, and
-    ``rounds``, their active-set rounds in total.
+    the solution give the same coefficients, which equal slopes do after
+    one round.  An ``info`` dict receives ``sign_rounds``, the coefficient
+    patterns solved for, and ``rounds``, their active-set rounds in total.
     """
     if np.minimum(a_minus, a_plus).min() < 0:
         raise ValueError("asymmetric coefficients must be nonnegative")
     x = np.zeros_like(b) if x0 is None else x0
-    equal = np.ndim(a_minus) == np.ndim(a_plus) == 0 and a_minus == a_plus
-    coeff = a_plus if equal else np.where(x < 0, a_minus, a_plus)
+    coeff = np.where(x < 0, a_minus, a_plus)
     solve_info, rounds = {}, 0
     for sign_rounds in range(1, 61):
         shifted = None if bands is None else (
@@ -192,8 +190,8 @@ def solve_asymmetric_quadratic(apply_A, b, dot, a_minus, a_plus, tol,
                                     b, dot, upper, tol, lower=lower,
                                     bands=shifted, info=solve_info, x0=x)
         rounds += solve_info["rounds"]
-        new_coeff = coeff if equal else np.where(x < 0, a_minus, a_plus)
-        if equal or (new_coeff == coeff).all():
+        new_coeff = np.where(x < 0, a_minus, a_plus)
+        if (new_coeff == coeff).all():
             if info is not None:
                 info["sign_rounds"] = sign_rounds
                 info["rounds"] = rounds

@@ -461,8 +461,8 @@ def test_non_finite_input_raises_not_converges(direct, where):
 
 
 def test_equal_scalar_slopes_are_one_shifted_solve():
-    # the scalar shift gives the bits of per-point arrays of the same
-    # slope, in one sign round and the same active-set rounds
+    # scalar slopes give the bits of per-point arrays of the same slope,
+    # in one sign round and the same active-set rounds
     for A, bands, b, lower, upper in random_box_problems(95, 40):
         apply_A, _, dot = dense_problem(A, b)
         got = []
