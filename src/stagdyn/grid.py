@@ -87,9 +87,9 @@ class Discretization:
     private.  Operators fill private scratch buffers but return fresh
     arrays only, never a view of a buffer.  ``s_inactive`` and
     ``v_inactive`` list the masked-out stress and velocity DOFs (the
-    complements of ``s_active`` and ``v_active``).  ``lap_z_bands`` holds
-    the (sub, diagonal, super) bands of the 1D :meth:`lap_z` matrix (None
-    in 2D).  Use :func:`build` to construct.
+    complements of ``s_active`` and ``v_active``); ``inv_mass`` is 1/M.
+    ``lap_z_bands`` holds the (sub, diagonal, super) bands of the 1D
+    :meth:`lap_z` matrix (None in 2D).  Use :func:`build` to construct.
     """
 
     def __init__(self, grid, rho, moduli):
@@ -108,6 +108,7 @@ class Discretization:
 
         if not np.all(self.mass > 0):
             raise ConfigError("zero mass entry in discretization", "grid")
+        self.inv_mass = 1.0 / self.mass
         self.s_inactive = np.flatnonzero(~self.s_active)
         self.v_inactive = np.flatnonzero(~self.v_active)
         # the products sdot reduces, and the weighted input of E*
@@ -166,7 +167,7 @@ class Discretization:
         self.shape_c = (nx, ny)
         self.shape_vert = (nx + 1, ny + 1)
         # stencil and elasticity-map work space: no 2D layout is larger
-        self._scratch = np.empty((nx + 1) * (ny + 1))
+        self._scratch = np.empty((nx + 1) * (ny + 1) + 1)
         nvx = (nx + 1) * ny
         nvy = nx * (ny + 1)
         nc = nx * ny
@@ -355,17 +356,16 @@ class Discretization:
         """Inverse elasticity map (compliance)."""
         self._check_s(s)
         if self.dim == 1:
-            return s / self.c_mod
+            return s * (1.0 / self.c_mod)
         K, G = self.moduli
-        det = 4.0 * K * G
+        rdet = 1.0 / (4.0 * K * G)
         out = np.empty_like(s)
-        # xx: ((K+G) sxx - (K-G) syy) / det,  yy: ((K+G) syy - (K-G) sxx) / det
-        oxx, oyy = self.sxx_view(out), self.syy_view(out)
-        self._apply_pair(self.sxx_view(s), self.syy_view(s), K + G, K - G,
-                         oxx, oyy, np.subtract)
-        np.divide(oxx, det, out=oxx)
-        np.divide(oyy, det, out=oyy)
-        np.divide(self.sxy_view(s), 2.0 * G, out=self.sxy_view(out))
+        # xx: ((K+G)/det) sxx - ((K-G)/det) syy,  yy likewise; the
+        # quotients are (K+G) * (1/det) and (K-G) * (1/det)
+        self._apply_pair(self.sxx_view(s), self.syy_view(s), (K + G) * rdet,
+                         (K - G) * rdet, self.sxx_view(out),
+                         self.syy_view(out), np.subtract)
+        np.multiply(self.sxy_view(s), 1.0 / (2.0 * G), out=self.sxy_view(out))
         return out
 
     # ------------------------------------------------------------------
@@ -380,11 +380,11 @@ class Discretization:
         ``-(1/w) G^T (w_e G)`` with natural (no-flux) boundary edges.
         """
         self._check_s(s)
-        h = self.h
+        r = 1.0 / self.h
         if self.dim == 1:
-            g = (s[1:] - s[:-1]) / h
+            g = (s[1:] - s[:-1]) * r
             acc = np.zeros_like(s)
-            f = self._lap_edge_w * g / h
+            f = self._lap_edge_w * g * r
             acc[:-1] += f
             acc[1:] -= f
             return acc / self.sweights
@@ -397,12 +397,12 @@ class Discretization:
         ):
             comp = view(s)
             acc = np.zeros_like(comp)
-            gx = wx * (comp[1:, :] - comp[:-1, :]) / h
-            acc[:-1, :] += gx / h
-            acc[1:, :] -= gx / h
-            gy = wy * (comp[:, 1:] - comp[:, :-1]) / h
-            acc[:, :-1] += gy / h
-            acc[:, 1:] -= gy / h
+            gx = wx * (comp[1:, :] - comp[:-1, :]) * r * r
+            acc[:-1, :] += gx
+            acc[1:, :] -= gx
+            gy = wy * (comp[:, 1:] - comp[:, :-1]) * r * r
+            acc[:, :-1] += gy
+            acc[:, 1:] -= gy
             view(out)[:] = acc
         return out / self.sweights
 
@@ -413,10 +413,10 @@ class Discretization:
     def grad_z(self, z):
         """Gradient of a scalar internal field onto its interior edges."""
         if self.dim == 1:
-            return (z[1:] - z[:-1]) / self.h
+            return (z[1:] - z[:-1]) * (1.0 / self.h)
         f = z.reshape(self.shape_c)
-        gx = (f[1:, :] - f[:-1, :]) / self.h
-        gy = (f[:, 1:] - f[:, :-1]) / self.h
+        gx = (f[1:, :] - f[:-1, :]) * (1.0 / self.h)
+        gy = (f[:, 1:] - f[:, :-1]) * (1.0 / self.h)
         return np.concatenate([gx.ravel(), gy.ravel()])
 
     def grad_z_norm2(self, z, mobility=1.0):
@@ -439,7 +439,7 @@ class Discretization:
         """
         if self.dim == 1:
             acc = np.zeros(self.zs_n)
-            f = self._z_edge_w * flux / self.h
+            f = self._z_edge_w * flux * (1.0 / self.h)
             acc[:-1] += f
             acc[1:] -= f
             return acc / self.zs_weights
@@ -447,10 +447,10 @@ class Discretization:
         qx = flux[:nxe].reshape(self._z_edge_wx.shape)
         qy = flux[nxe:].reshape(self._z_edge_wy.shape)
         acc = np.zeros(self.shape_c)
-        fx = self._z_edge_wx * qx / self.h
+        fx = self._z_edge_wx * qx * (1.0 / self.h)
         acc[:-1, :] += fx
         acc[1:, :] -= fx
-        fy = self._z_edge_wy * qy / self.h
+        fy = self._z_edge_wy * qy * (1.0 / self.h)
         acc[:, :-1] += fy
         acc[:, 1:] -= fy
         return acc.ravel() / self.zs_weights
@@ -529,7 +529,7 @@ class Discretization:
         """Snapshot copy with the Mandel sqrt(2) scaling removed (2D)."""
         out = s.copy()
         if self.dim == 2:
-            self.sxy_view(out)[:] /= _SQRT2
+            self.sxy_view(out)[:] *= 1.0 / _SQRT2
         return out
 
 

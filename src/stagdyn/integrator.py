@@ -121,6 +121,13 @@ class Loading:
     traction: Optional[Callable] = None      # scalar g(t)
     traction_pattern: Optional[np.ndarray] = None
 
+    def power(self, v):
+        """<F, v>: 0.0, with no product pass over ``v``, for a zero force
+        (checked on every call, so a force filled in place still counts)."""
+        if not self.body_force.any():
+            return 0.0
+        return float((self.body_force * v).sum())
+
     def d_increment(self, k, tau):
         """G-increment accumulated by step k (time units already applied)."""
         if self.traction is None:
@@ -190,7 +197,7 @@ class EnergyLedger:
 # ---------------------------------------------------------------------------
 
 def _require_finite(name, arr):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteFieldError(f"non-finite values in {name}")
 
 
@@ -239,7 +246,7 @@ def step_velocity(state, sigma_next, z_next, disc, material, loading, cfg):
     s_true = disc.apply_C(dphi_mid)
     # v + (tau / M) * (F - E* S), with the inactive rows left at rest
     v_next = np.subtract(loading.body_force, disc.apply_E_adjoint(s_true))
-    v_next *= cfg.tau / disc.mass
+    v_next *= cfg.tau * disc.inv_mass
     v_next[disc.v_inactive] = 0.0
     np.add(state.v, v_next, out=v_next)
     u_next = cfg.tau * v_next
@@ -282,21 +289,19 @@ def stability_coefficient(disc, material, sigma, z, tau, phi=None,
     # sum of (E* S)^2 / M over the active rows
     f2 = np.square(disc.apply_E_adjoint(s_true))
     f2[disc.v_inactive] = 0.0
-    f2 /= disc.mass
+    f2 *= disc.inv_mass
     quad = float(f2.sum())
     return 1.0 - 0.125 * tau * tau * quad / phi
 
 
-def _end_gradient(disc, material, sigma, z, z_other, dphi_mid):
-    """dPhi_s(sigma, z) from ``dphi_mid`` = dPhi_s(sigma, (z + z_other)/2),
-    and its true stress C* I* dPhi_s(sigma, z)."""
+def _end_gradient(disc, material, sigma, z, dz, dphi_mid):
+    """dPhi_s(sigma, z) from ``dphi_mid`` = dPhi_s(sigma, z - dz/2), and
+    its true stress C* I* dPhi_s(sigma, z)."""
     if material.dphi_dsigma_shift is None:
         g = material.dphi_dsigma(disc, sigma, z)
     else:
-        # dphi_mid + A(1/2 (z - z_other)), A the shift of the gradient
-        dz = np.subtract(z, z_other)
-        dz *= 0.5
-        g = material.dphi_dsigma_shift(disc, dz)
+        # dphi_mid + A(dz/2), A the shift of the gradient
+        g = material.dphi_dsigma_shift(disc, 0.5 * dz)
         g += dphi_mid
     return g, disc.apply_C(g)
 
@@ -319,20 +324,21 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
     Values carried on the states (``prev.energy``, ``prev.dphi_mid``,
     ``prev.dphi_end``, ``nxt.dphi_mid``) are used as they are; missing
     ones are computed here by the same operations, so the ledger does not
-    depend on which.
+    depend on which.  The end gradient, the dissipation and the jump term
+    share one increment z' - z^k.
     """
     tau = cfg.tau
     k = prev.k
+    dz = nxt.z - prev.z
     dphi_mid_next = nxt.dphi_mid
     if dphi_mid_next is None:
         dphi_mid_next = material.dphi_dsigma(disc, nxt.sigma,
                                              0.5 * (nxt.z + prev.z))
-    g_next, s_next = _end_gradient(disc, material, nxt.sigma, nxt.z,
-                                   prev.z, dphi_mid_next)
+    g_next, s_next = _end_gradient(disc, material, nxt.sigma, nxt.z, dz,
+                                   dphi_mid_next)
     phi_next = material.phi(disc, nxt.sigma, nxt.z, g=g_next, s_true=s_next)
     kinetic = _kinetic_pair(disc, nxt.v, prev.v)
-    diss = tau * material.step_dissipation(disc, prev.z, nxt.z, tau,
-                                           step_info or {})
+    diss = tau * material.step_dissipation(disc, dz, tau, step_info or {})
 
     if k == 0:
         # exact half-step bootstrap identity, anchored at the physical
@@ -341,7 +347,7 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
             disc, prev.sigma, prev.z)
         p_avg = 0.5 * (material.dphi_dsigma(disc, nxt.sigma, prev.z)
                        + material.dphi_dsigma(disc, prev.sigma, prev.z))
-        work = 0.5 * tau * float((loading.body_force * prev.v).sum())
+        work = 0.5 * tau * loading.power(prev.v)
         dg = loading.d_increment(0, tau)
         if dg is not None:
             work += disc.sdot(p_avg, dg)
@@ -361,16 +367,16 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
         energy_prev = prev.energy
         if energy_prev is None:
             # as the previous step's ledger evaluated it
-            g_prev, s_prev = _end_gradient(disc, material, prev.sigma,
-                                           prev.z, prev.z_prev, dphi_mid_prev)
+            g_prev, s_prev = _end_gradient(disc, material, prev.sigma, prev.z,
+                                           prev.z - prev.z_prev, dphi_mid_prev)
             energy_prev = _kinetic_pair(disc, prev.v, prev.v_prev) + (
                 material.phi(disc, prev.sigma, prev.z, g=g_prev,
                              s_true=s_prev))
-        work = tau * float((loading.body_force * prev.v).sum())
+        work = tau * loading.power(prev.v)
         # jump <J, Sigma' - Sigma>_w of the two half-level gradients away
         # from their values at the z^k anchor: J = 1/2 [dphi_mid_next -
         # dPhi_s(Sigma', z^k)] + 1/2 [dphi_mid_prev - dPhi_s(Sigma, z^k)],
-        # which is 1/4 A(z' - 2 z^k + z^{k-1}) for a shift A of the gradient
+        # which is 1/4 A(dz - (z^k - z^{k-1})) for a shift A of the gradient
         if material.dphi_dsigma_shift is None:
             g_prev = prev.dphi_end if prev.dphi_end is not None else (
                 material.dphi_dsigma(disc, prev.sigma, prev.z))
@@ -379,9 +385,8 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
             jump += 0.5 * (dphi_mid_prev - g_prev)
             correction = disc.sdot(jump, nxt.sigma - prev.sigma)
         else:
-            j = 2.0 * prev.z
-            np.subtract(nxt.z, j, out=j)
-            j += prev.z_prev
+            j = np.subtract(prev.z, prev.z_prev)
+            np.subtract(dz, j, out=j)
             correction = 0.25 * disc.sdot(
                 material.dphi_dsigma_shift(disc, j), nxt.sigma - prev.sigma)
         dg = loading.d_increment(k, tau)
@@ -542,14 +547,15 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
         hs -= dphi0
         return hs
 
+    # apply_C(x, 2 C) is 2 C x bit for bit: doubling is exact
+    moduli2 = np.multiply(disc.moduli, 2.0).tolist()
+
     def apply_T(hs):
         # T s from hs = H s, which the recurrence carries
         f = disc.apply_E_adjoint(disc.apply_C(hs))
-        f /= disc.mass
+        f *= disc.inv_mass
         f[disc.v_inactive] = 0.0
-        t = disc.apply_C(disc.apply_E(f))
-        t *= 2.0
-        return t
+        return disc.apply_C(disc.apply_E(f), moduli2)
 
     not_pd = ConfigError("stored energy not positive definite at probe",
                          "material")
@@ -589,8 +595,8 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
                 break
             check_at = j + max(8, j // 2)
         betas.append(beta)
-        w /= beta
-        hw /= beta
+        w *= 1.0 / beta
+        hw *= 1.0 / beta
         q_prev, q, hq = q, w, hw
     else:
         raise SolverError(f"CFL estimate: Lanczos did not converge in "

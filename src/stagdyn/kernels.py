@@ -8,14 +8,16 @@ The transpose kernels are the algebraic transposes of the forward kernels
 Ghost values outside the grid are zero (clamped-boundary convention);
 Neumann masking is applied by the caller on the stress layout.
 
-The 2D kernels write into caller-owned output views and take one scratch
-buffer, so a call allocates nothing.  Each value is formed by the same
-floating-point operations, in the same order, as the plain expression in
-its comment, so results are bit-for-bit those of that expression
+Every kernel scales by reciprocals (1/h, -1/h, 1/(sqrt(2) h)) and divides
+by no scalar.  The 2D kernels take each difference on flat, unit-stride
+views of the row-major fields, write into caller-owned outputs and use one
+scratch buffer, so a call allocates nothing.  Each value is formed by the
+same floating-point operations, in the same order, as the plain expression
+in its comment, so results are bit-for-bit those of that expression
 (signed zeros included).  ``np.negative`` is avoided: numpy 2.4.6 returns
 wrong values from it for some strided input/output pairs (a 64-byte input
-stride into a strided output); a division by ``-h`` rounds exactly as a
-negation followed by a division by ``h``.
+stride into a strided output); a multiplication by ``-1/h`` rounds exactly
+as a negation followed by a multiplication by ``1/h``.
 """
 
 import numpy as np
@@ -30,82 +32,85 @@ def get_backend():
 
 def grad_1d(v, h):
     """Forward-difference gradient, cell velocities to node values."""
-    nx = v.shape[0]
-    out = np.empty(nx + 1)
-    out[0] = v[0] / h
-    out[1:nx] = (v[1:] - v[:-1]) / h
-    out[nx] = -v[nx - 1] / h
+    r = 1.0 / h
+    out = np.empty(v.shape[0] + 1)
+    out[0] = v[0] * r
+    out[1:-1] = (v[1:] - v[:-1]) * r
+    out[-1] = v[-1] * -r
     return out
 
 
 def grad_1d_t(sw, h):
     """Algebraic transpose of :func:`grad_1d`; input already weighted."""
-    # v[j] gets sw[j]/h - sw[j+1]/h
-    return (sw[:-1] - sw[1:]) / h
+    # v[j] gets (sw[j] - sw[j+1]) / h
+    return (sw[:-1] - sw[1:]) * (1.0 / h)
 
 
-def _diff_edges(f, h, out):
-    """``out`` = the first-axis difference of ``f`` with zero ghosts:
-    ``[f[0], f[1:] - f[:-1], -f[-1]] / h``; ``out`` has one more row."""
-    n = f.shape[0]
-    np.divide(f[0], h, out=out[0])
-    np.subtract(f[1:], f[:-1], out=out[1:n])
-    np.divide(out[1:n], h, out=out[1:n])
-    np.divide(f[n - 1], -h, out=out[n])
+def _ghost_rows(f, scratch):
+    """``f`` (n, m) copied flat into ``scratch`` with a zero before each
+    row and after the last: the flat difference of the copy is the y
+    difference of ``f`` with zero ghosts, (n, m + 1) flat."""
+    n, m = f.shape
+    g = scratch[:n * (m + 1) + 1]
+    g[0] = 0.0
+    rows = g[1:].reshape(n, m + 1)
+    rows[:, :m] = f
+    rows[:, m] = 0.0
+    return g
 
 
 def grad_2d(vx, vy, h, exx, eyy, sxy, scratch):
     """Staggered symmetric gradient (exx, eyy, sqrt(2)*exy), written into
     ``exx``, ``eyy`` (cells) and ``sxy`` (vertices).
 
-    ``scratch`` is a 1D buffer of at least (nx+1)*(ny+1) values; it is
+    ``scratch`` is a 1D buffer of at least (nx+1)*(ny+1) + 1 values; it is
     overwritten.
     """
-    # exx = (vx[1:, :] - vx[:-1, :]) / h, eyy likewise along y
-    np.subtract(vx[1:, :], vx[:-1, :], out=exx)
-    np.divide(exx, h, out=exx)
-    np.subtract(vy[:, 1:], vy[:, :-1], out=eyy)
-    np.divide(eyy, h, out=eyy)
-    # Mandel shear sqrt(2)*e_xy at vertices; zero ghost velocities outside:
-    # sxy = (dvx_dy + dvy_dx) / sqrt(2)
-    _diff_edges(vx.T, h, sxy.T)
-    dvy_dx = scratch[:sxy.size].reshape(sxy.shape)
-    _diff_edges(vy, h, dvy_dx)
-    np.add(sxy, dvy_dx, out=sxy)
-    np.divide(sxy, _SQRT2, out=sxy)
-
-
-def _transpose_edges(w, h, out, wd):
-    """``out`` = ``0 - w/h`` on rows ``:-1`` plus ``w/h`` on rows ``1:``,
-    accumulated into zeros in that order (``out`` has one more row than
-    ``w``); ``wd`` receives ``w/h``."""
-    np.divide(w, h, out=wd)
-    np.subtract(0.0, wd, out=out[:-1])
-    np.add(out[1:-1], wd[:-1], out=out[1:-1])
-    np.add(wd[-1], 0.0, out=out[-1])
+    r = 1.0 / h
+    # exx = (vx[1:, :] - vx[:-1, :]) * (1/h)
+    np.subtract(vx[1:], vx[:-1], out=exx)
+    exx *= r
+    # eyy = (vy[:, 1:] - vy[:, :-1]) * (1/h), from the flat difference
+    fy, t = vy.ravel(), scratch[:vy.size]
+    np.subtract(fy[1:], fy[:-1], out=t[:-1])
+    np.multiply(t.reshape(vy.shape)[:, :-1], r, out=eyy)
+    # Mandel shear sqrt(2)*e_xy at vertices, zero ghost velocities outside:
+    # sxy = diff(pad(vx, ((0, 0), (1, 1))), axis=1); sxy[:-1] += vy;
+    # sxy[1:] -= vy; sxy *= 1/(sqrt(2) h)
+    g = _ghost_rows(vx, scratch)
+    np.subtract(g[1:].reshape(sxy.shape), g[:-1].reshape(sxy.shape), out=sxy)
+    sxy[:-1] += vy
+    sxy[1:] -= vy
+    sxy *= 1.0 / (_SQRT2 * h)
 
 
 def grad_2d_t(wxx, wyy, wxy, h, vx, vy, scratch):
     """Algebraic transpose of :func:`grad_2d`; inputs already weighted.
 
-    Writes into ``vx`` (nx+1, ny) and ``vy`` (nx, ny+1).  ``scratch`` is a
-    1D buffer of at least max((nx+1)*ny, nx*(ny+1)) values; it is
+    Writes into ``vx`` (nx+1, ny) and ``vy`` (nx, ny+1).
+    ``scratch`` is a 1D buffer of at least (nx+1)*(ny+1) + 1 values; it is
     overwritten.
     """
-    s2h = _SQRT2 * h
-    # vx = zeros; vx[:-1] -= wxx/h; vx[1:] += wxx/h;
-    # vx += (wxy[:, :-1] - wxy[:, 1:]) / (sqrt(2) h); vy likewise along y
-    _transpose_edges(wxx, h, vx, scratch[:wxx.size].reshape(wxx.shape))
-    t = scratch[:vx.size].reshape(vx.shape)
-    np.subtract(wxy[:, :-1], wxy[:, 1:], out=t)
-    np.divide(t, s2h, out=t)
-    np.add(vx, t, out=vx)
-    _transpose_edges(wyy.T, h, vy.T,
-                     scratch[:wyy.size].reshape(wyy.shape).T)
+    r, q = 1.0 / h, 1.0 / (_SQRT2 * h)
+    # vx = (gx[:-1] - gx[1:]) * (1/h) + (wxy[:, :-1] - wxy[:, 1:]) * q,
+    # gx = pad(wxx, ((1, 1), (0, 0))), q = 1/(sqrt(2) h)
+    np.subtract(wxx[:-1], wxx[1:], out=vx[1:-1])
+    np.subtract(0.0, wxx[0], out=vx[0])
+    vx[-1] = wxx[-1]
+    vx *= r
+    fxy, t = wxy.ravel(), scratch[:wxy.size]
+    np.subtract(fxy[:-1], fxy[1:], out=t[:-1])
+    t[:-1] *= q
+    np.add(vx, t.reshape(wxy.shape)[:, :-1], out=vx)
+    # vy = (gy[:, :-1] - gy[:, 1:]) * (1/h) + (wxy[:-1] - wxy[1:]) * q,
+    # gy = pad(wyy, ((0, 0), (1, 1)))
+    g = _ghost_rows(wyy, scratch)
+    np.subtract(g[:-1].reshape(vy.shape), g[1:].reshape(vy.shape), out=vy)
+    vy *= r
     t = scratch[:vy.size].reshape(vy.shape)
-    np.subtract(wxy[:-1, :], wxy[1:, :], out=t)
-    np.divide(t, s2h, out=t)
-    np.add(vy, t, out=vy)
+    np.subtract(wxy[:-1], wxy[1:], out=t)
+    t *= q
+    vy += t
 
 
 def radial_return(trial_norm, sigma_y, factor):

@@ -102,9 +102,9 @@ class MaterialModel:
         return (2.0 / tau) * self.phi(disc, sigma_next, mid) + self.psi(
             disc, (z - z_k) / tau)
 
-    def step_dissipation(self, disc, z_k, z_next, tau, info):
-        """Xi evaluated for one accepted step (ledger entry)."""
-        return self.dissipation_rate(disc, (z_next - z_k) / tau)
+    def step_dissipation(self, disc, dz, tau, info):
+        """Xi of one accepted step, increment ``dz`` (ledger entry)."""
+        return self.dissipation_rate(disc, dz * (1.0 / tau))
 
     def supports_reference_integrator(self):
         """Whether the monolithic linear midpoint oracle applies."""
@@ -263,9 +263,9 @@ class PlasticCreepMaterial(MaterialModel):
         # tensor norm of the normal-deviator part, matching the
         # dissipation norm.  dd = s(|qd|) qd / sqrt(2), formed in place.
         dd = np.subtract(qxx, qyy)
-        dd /= _SQRT2
+        dd *= 1.0 / _SQRT2
         dd *= kernels.radial_return(np.abs(dd), self.sigma_y, factor)
-        dd /= _SQRT2
+        dd *= 1.0 / _SQRT2
         # the deviator flow enters xx with +, yy with -
         np.add(disc.sxx_view(z_k), dd, out=nxx)
         np.subtract(disc.syy_view(z_k), dd, out=nyy)
@@ -450,10 +450,10 @@ class BiotMaterial(MaterialModel):
         info["mu_mid"] = self.dphi_dz(disc, sigma_next, 0.5 * (z_k + z_next))
         return z_next, info
 
-    def step_dissipation(self, disc, z_k, z_next, tau, info):
+    def step_dissipation(self, disc, dz, tau, info):
         mu = info.get("mu_mid")
         if mu is None:
-            return self.dissipation_rate(disc, (z_next - z_k) / tau)
+            return self.dissipation_rate(disc, dz * (1.0 / tau))
         return disc.grad_z_norm2(mu, self.mobility)
 
     def dissipation_rate(self, disc, zdot):
@@ -658,8 +658,10 @@ class DamageMaterial(MaterialModel):
         heal = self.mode == "healing"
         info, upper = {}, None if heal else 0.0
         bands = self._quad_bands(disc, chat)
-        # 1D starts at the last increment (2D's projected CG is slower so)
-        x0 = None if z_prev is None or bands is None else z_k - z_prev
+        # 1D starts at the last increment (2D's projected CG is slower so);
+        # an irreversible step keeps it only where it still loads, b < 0
+        x0 = None if z_prev is None or bands is None else np.where(
+            heal | (b < 0.0), z_k - z_prev, 0.0)
         while True:
             z = z_k + solve_asymmetric_quadratic(
                 self._quad_operator(disc, chat), b, disc.zdot, self.eps1 / tau,

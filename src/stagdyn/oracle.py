@@ -303,7 +303,7 @@ def reference_ledger(prev, nxt, disc, material, loading, tau,
 
     phi_next = material.phi(disc, nxt.sigma, nxt.z)
     kinetic = kinetic_pair(nxt.v, prev.v)
-    diss = tau * material.step_dissipation(disc, prev.z, nxt.z, tau,
+    diss = tau * material.step_dissipation(disc, nxt.z - prev.z, tau,
                                            step_info or {})
     dphi_mid_next = grad(nxt.sigma, 0.5 * (nxt.z + prev.z))
     if k == 0:

@@ -134,20 +134,14 @@ def test_carried_ledger_equals_from_scratch_audit(name):
         assert ledger.external_work_step != 0.0
 
 
-def test_damage_step_starts_from_the_previous_increment():
-    # the run path hands the step z^{k-1}: the step it took is the warm
-    # solve bit for bit, and on the benchmark's nx = 256 damage_1d case it
-    # takes fewer active-set rounds than the same solves started from 0
-    # (113 against 178 over these 50 steps)
-    text = (CONFIGS / "damage_1d.cfg").read_text(encoding="utf-8")
-    text = text.replace("nx = 64", "nx = 256").replace("h = 0.015625",
-                                                       "h = 0.00390625")
+def _damage_rounds(text, steps):
+    """Active-set rounds of ``steps`` run steps of a damage config, as the
+    run took them (from z^{k-1}) and as the same solves take from 0."""
     cfg = parse_config(text)
     d, m, loading, st = build_simulation(cfg)
-    assert d.n_s == 257
     icfg = integrator_config(cfg, d, m, st)
     warm = cold = 0
-    for _ in range(50):
+    for _ in range(steps or int(round(icfg.t_end / icfg.tau))):
         prev = st
         st, _ = advance(prev, d, m, loading, icfg)
         z, info = step_internal(prev, st.sigma, m, d, icfg)
@@ -155,7 +149,30 @@ def test_damage_step_starts_from_the_previous_increment():
         warm += info["rounds"]
         cold += m.internal_step(d, st.sigma, prev.z, icfg.tau)[1]["rounds"]
     assert np.any(st.z < 1.0)
+    return warm, cold, d.n_s
+
+
+def test_damage_step_starts_from_the_previous_increment():
+    # the run path hands the step z^{k-1}: the step it took is the warm
+    # solve bit for bit, and on the benchmark's nx = 256 damage_1d case it
+    # takes fewer active-set rounds than the same solves started from 0
+    # (109 against 178 over these 50 steps)
+    text = (CONFIGS / "damage_1d.cfg").read_text(encoding="utf-8")
+    text = text.replace("nx = 64", "nx = 256").replace("h = 0.015625",
+                                                       "h = 0.00390625")
+    warm, cold, n_s = _damage_rounds(text, 50)
+    assert n_s == 257
     assert warm < 0.75 * cold
+
+
+def test_shipped_damage_warm_start_takes_no_more_rounds_than_cold():
+    # the start keeps the last increment only where the step still loads
+    # (b < 0): a point that moved last step but is unloaded now would start
+    # free and take a second round to return to the bound (61 against 66
+    # rounds over the 34 steps; 71 when the whole increment was kept)
+    text = (CONFIGS / "damage_1d.cfg").read_text(encoding="utf-8")
+    warm, cold, _ = _damage_rounds(text, None)
+    assert warm <= cold
 
 
 @pytest.mark.parametrize("mode", ["unidirectional", "healing"])
@@ -173,11 +190,10 @@ def test_2d_damage_step_takes_no_start_point(mode):
     assert np.any(cold < z_k) and cold.tobytes() == warm.tobytes()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_ledger_matches_full_evaluation_reference(name):
-    # the closed forms change the arithmetic, not the ledger beyond
-    # round-off
-    d, m, loading, st, cfg = _setup(name)
+def _ledgers_against_reference(d, m, loading, st, cfg):
+    """Run STEPS steps; each ledger agrees with the full-evaluation
+    reference to round-off.  Returns the ledgers."""
+    ledgers = []
     for _ in range(STEPS):
         prev = st
         st, ledger = advance(prev, d, m, loading, cfg)
@@ -187,6 +203,34 @@ def test_ledger_matches_full_evaluation_reference(name):
         rel, res = ledger_defects(ledger, ref)
         assert rel <= 1e-13, (ledger, ref)
         assert res <= 1e-15, (ledger, ref)
+        ledgers.append(ledger)
+    return ledgers
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_ledger_matches_full_evaluation_reference(name):
+    # the closed forms change the arithmetic, not the ledger beyond
+    # round-off
+    _ledgers_against_reference(*_setup(name))
+
+
+@pytest.mark.parametrize("name", ["biot_1d", "damage_1d", "viscoplastic_2d"])
+def test_zero_body_force_does_no_work(name):
+    # the audit skips the work pass of a zero force and books exactly 0
+    d, m, _, st, cfg = _setup(name)
+    loading = Loading(body_force=d.zeros_v())
+    for ledger in _ledgers_against_reference(d, m, loading, st, cfg):
+        assert ledger.external_work_step == 0.0
+
+
+def test_body_force_filled_in_place_does_work():
+    # a force written into a Loading built with zeros is booked as work
+    # (from the second step on: the run starts at rest)
+    d, m, loading, st, cfg = _setup("viscoplastic_2d")
+    filled = Loading(body_force=d.zeros_v())
+    filled.body_force[:] = loading.body_force
+    ledgers = _ledgers_against_reference(d, m, filled, st, cfg)
+    assert all(ledger.external_work_step != 0.0 for ledger in ledgers[1:])
 
 
 def test_ledger_reference_check_fails_on_a_wrong_closed_form(monkeypatch):

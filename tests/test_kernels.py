@@ -1,7 +1,8 @@
 """The stencil module's contract and the check that guards its return map.
 
 The stencils and elasticity maps write into preallocated outputs; they are
-pinned here, bit for bit, to the plain array expressions they replace.
+pinned here, bit for bit, to plain array expressions that apply the same
+floating-point operations in the same order (scaling by reciprocals).
 """
 
 import itertools
@@ -35,40 +36,31 @@ SQRT2 = np.sqrt(2.0)
 
 
 def ref_grad_2d(vx, vy, h):
-    nx, ny = vx.shape[0] - 1, vx.shape[1]
-    exx = (vx[1:, :] - vx[:-1, :]) / h
-    eyy = (vy[:, 1:] - vy[:, :-1]) / h
-    dvx_dy = np.zeros((nx + 1, ny + 1))
-    dvx_dy[:, 0] = vx[:, 0] / h
-    dvx_dy[:, 1:ny] = (vx[:, 1:] - vx[:, :-1]) / h
-    dvx_dy[:, ny] = -vx[:, ny - 1] / h
-    dvy_dx = np.zeros((nx + 1, ny + 1))
-    dvy_dx[0, :] = vy[0, :] / h
-    dvy_dx[1:nx, :] = (vy[1:, :] - vy[:-1, :]) / h
-    dvy_dx[nx, :] = -vy[nx - 1, :] / h
-    return exx, eyy, (dvx_dy + dvy_dx) / SQRT2
+    exx = (vx[1:, :] - vx[:-1, :]) * (1.0 / h)
+    eyy = (vy[:, 1:] - vy[:, :-1]) * (1.0 / h)
+    # dvx_dy + dvy_dx with zero ghost velocities outside
+    sxy = np.diff(np.pad(vx, ((0, 0), (1, 1))), axis=1)
+    sxy[:-1, :] += vy
+    sxy[1:, :] -= vy
+    return exx, eyy, sxy * (1.0 / (SQRT2 * h))
 
 
 def ref_grad_2d_t(wxx, wyy, wxy, h):
-    nx, ny = wxx.shape
-    vx = np.zeros((nx + 1, ny))
-    vx[:-1, :] -= wxx / h
-    vx[1:, :] += wxx / h
-    vx += (wxy[:, :-1] - wxy[:, 1:]) / (SQRT2 * h)
-    vy = np.zeros((nx, ny + 1))
-    vy[:, :-1] -= wyy / h
-    vy[:, 1:] += wyy / h
-    vy += (wxy[:-1, :] - wxy[1:, :]) / (SQRT2 * h)
+    r, q = 1.0 / h, 1.0 / (SQRT2 * h)
+    gx = np.pad(wxx, ((1, 1), (0, 0)))
+    vx = (gx[:-1, :] - gx[1:, :]) * r + (wxy[:, :-1] - wxy[:, 1:]) * q
+    gy = np.pad(wyy, ((0, 0), (1, 1)))
+    vy = (gy[:, :-1] - gy[:, 1:]) * r + (wxy[:-1, :] - wxy[1:, :]) * q
     return vx, vy
 
 
 def ref_apply_E(d, v):
     if d.dim == 1:
-        h, nx = d.h, v.shape[0]
+        r, nx = 1.0 / d.h, v.shape[0]
         out = np.empty(nx + 1)
-        out[0] = v[0] / h
-        out[1:nx] = (v[1:] - v[:-1]) / h
-        out[nx] = -v[nx - 1] / h
+        out[0] = v[0] * r
+        out[1:nx] = (v[1:] - v[:-1]) * r
+        out[nx] = -v[nx - 1] * r
     else:
         parts = ref_grad_2d(d.vx_view(v), d.vy_view(v), d.h)
         out = np.concatenate([p.ravel() for p in parts])
@@ -79,7 +71,7 @@ def ref_apply_E(d, v):
 def ref_apply_E_adjoint(d, s):
     sw = d.sweights * np.where(d.s_active, s, 0.0)
     if d.dim == 1:
-        return (sw[:-1] - sw[1:]) / d.h
+        return (sw[:-1] - sw[1:]) * (1.0 / d.h)
     vx, vy = ref_grad_2d_t(d.sxx_view(sw), d.syy_view(sw), d.sxy_view(sw),
                            d.h)
     return np.concatenate([vx.ravel(), vy.ravel()])
@@ -97,13 +89,13 @@ def ref_apply_C(d, e):
 
 def ref_apply_C_inv(d, s):
     if d.dim == 1:
-        return s / d.c_mod
+        return s * (1.0 / d.c_mod)
     K, G = d.k_mod, d.g_mod
-    det = 4.0 * K * G
+    p, q = (K + G) * (1.0 / (4.0 * K * G)), (K - G) * (1.0 / (4.0 * K * G))
     sxx, syy = d.sxx_view(s), d.syy_view(s)
-    return np.concatenate([(((K + G) * sxx - (K - G) * syy) / det).ravel(),
-                           (((K + G) * syy - (K - G) * sxx) / det).ravel(),
-                           (d.sxy_view(s) / (2.0 * G)).ravel()])
+    return np.concatenate([(p * sxx - q * syy).ravel(),
+                           (p * syy - q * sxx).ravel(),
+                           (d.sxy_view(s) * (1.0 / (2.0 * G))).ravel()])
 
 
 def ref_radial_return(trial_norm, sigma_y, factor):
@@ -130,8 +122,10 @@ def rough_field(rng, n, pinned=None):
     return f
 
 
-# (nx, ny): square and not, with nx = 8 or ny = 8 (64-byte rows)
-SHAPES_2D = [(8, 8), (8, 5), (5, 8), (11, 8), (2, 3), (9, 16)]
+# (nx, ny): square and not, with nx = 8 or ny = 8 (64-byte rows), and
+# with nx = 7 or ny = 7, whose vertex rows and padded copies are 64 bytes
+SHAPES_2D = [(8, 8), (8, 5), (5, 8), (11, 8), (2, 3), (9, 16), (7, 7),
+             (7, 12), (12, 7)]
 BCS_2D = list(itertools.product(BC_KINDS, repeat=4))
 BCS_1D = list(itertools.product(BC_KINDS, repeat=2))
 
@@ -191,6 +185,29 @@ def test_operators_return_fresh_arrays(shape):
             first[...] = 7.0
             second[...] = -7.0
             assert same_bits(op(x), ref(d, x)), op.__name__
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (7, 12)])
+def test_2d_kernels_write_into_strided_outputs(shape):
+    # outputs that are column slices of wider arrays get the same bits as
+    # contiguous ones
+    nx, ny = shape
+    rng = np.random.default_rng(5)
+    scratch = np.empty((nx + 1) * (ny + 1) + 1)
+    vx, vy = [rough_field(rng, n * m).reshape(n, m)
+              for n, m in [(nx + 1, ny), (nx, ny + 1)]]
+    ws = [rough_field(rng, n * m).reshape(n, m)
+          for n, m in [(nx, ny), (nx, ny), (nx + 1, ny + 1)]]
+    for fn, args, shapes in [
+            (kernels.grad_2d, (vx, vy, 0.3),
+             [(nx, ny), (nx, ny), (nx + 1, ny + 1)]),
+            (kernels.grad_2d_t, (*ws, 0.3), [(nx + 1, ny), (nx, ny + 1)])]:
+        flat = [np.empty(s) for s in shapes]
+        fn(*args, *flat, scratch)
+        strided = [np.full((n, 2 * m + 1), 9.0)[:, 1::2] for n, m in shapes]
+        fn(*args, *strided, scratch)
+        for a, b in zip(flat, strided):
+            assert not b.flags.c_contiguous and same_bits(a, b)
 
 
 def test_radial_return_matches_plain_expression_bitwise():
