@@ -277,8 +277,9 @@ def check_cfl_estimator(rng):
 
 
 def check_ledger_reference(rng):
-    # every material, with the 2D trace coupling of Biot, under a
-    # boundary drive and a body force
+    # every material, with the 2D trace coupling of Biot and both 2D
+    # branches of the plastic dissipation (Maxwell, where the trace
+    # creeps, and trace-free flow), under a boundary drive and a body force
     d1 = _disc_1d(nx=20, h=0.05, bc=("traction", "dirichlet"))
     d2 = _disc_2d()
     biot = dict(biot_modulus=0.4, biot_coefficient=0.4, l_coefficient=0.1,
@@ -286,6 +287,7 @@ def check_ledger_reference(rng):
     cases = [
         (d1, "left", ElasticMaterial()),
         (d1, "left", PlasticCreepMaterial(viscosity=0.5)),
+        (d2, "bottom", PlasticCreepMaterial(viscosity=0.4)),
         (d2, "bottom", PlasticCreepMaterial(viscosity=0.4, sigma_y=0.1,
                                             hardening=(0.2, 0.1))),
         (d1, "left", DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4,

@@ -35,6 +35,7 @@ identity is used, with the physical initial energy T(v0) + Phi(Sigma0, z0)
 as the left anchor.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -64,11 +65,12 @@ class State:
     dPhi_s(Sigma^k, z^k).  They are None on states not made by
     :func:`advance` (initial states, and every :meth:`copy`, which drops
     them), and the audit then computes them afresh.  :func:`advance`
-    checks the fields it makes for finiteness, so the next step checks
-    ``v`` and ``sigma`` only when ``dphi_mid`` is None.  A caller that
-    edits ``v``, ``sigma`` or ``z`` of an advanced state in place must
-    edit a copy or set all three to None first, or the next ledger uses
-    stale values and the next step trusts the edited fields.
+    checks the fields it makes for finiteness (through its ledger), so
+    the next step checks ``v`` and ``sigma`` only when ``dphi_mid`` is
+    None.  A caller that edits ``v``, ``sigma`` or ``z`` of an advanced
+    state in place must edit a copy or set all three to None first, or
+    the next ledger uses stale values and the next step trusts the edited
+    fields.
     """
 
     u: np.ndarray
@@ -211,9 +213,9 @@ def step_sigma(state, disc, loading, cfg):
         _require_finite("velocity", state.v)
         _require_finite("proto-stress", state.sigma)
     tau_eff = 0.5 * cfg.tau if state.k == 0 else cfg.tau
-    # sigma + tau_eff * (I C E v)
-    sigma_next = disc.apply_C(disc.apply_E(state.v))
-    sigma_next *= tau_eff
+    # sigma + (tau_eff C) E v: tau_eff folds into the moduli (I = id)
+    sigma_next = disc.apply_C(disc.apply_E(state.v),
+                              np.multiply(disc.moduli, tau_eff).tolist())
     np.add(state.sigma, sigma_next, out=sigma_next)
     dg = loading.d_increment(state.k, cfg.tau)
     if dg is not None:
@@ -287,7 +289,8 @@ def stability_coefficient(disc, material, sigma, z, tau, phi=None,
     if s_true is None:
         s_true = material.true_stress(disc, sigma, z)
     # sum of (E* S)^2 / M over the active rows
-    f2 = np.square(disc.apply_E_adjoint(s_true))
+    f2 = disc.apply_E_adjoint(s_true)
+    np.square(f2, out=f2)
     f2[disc.v_inactive] = 0.0
     f2 *= disc.inv_mass
     quad = float(f2.sum())
@@ -410,19 +413,27 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
 # ---------------------------------------------------------------------------
 
 def advance(state, disc, material, loading, cfg):
-    """One full staggered step; returns (new state, ledger)."""
+    """One full staggered step; returns (new state, ledger).
+
+    The new fields are scanned for finiteness (Sigma', z', v', the first
+    non-finite one raising) only when the ledger's kinetic pair or stored
+    energy is not finite, which a non-finite entry of v', or of Sigma' or
+    z' (the contract of ``MaterialModel.phi``), always makes it.
+    """
     sigma_next = step_sigma(state, disc, loading, cfg)
     z_next, info = step_internal(state, sigma_next, material, disc, cfg)
-    v_next, u_next, _, dphi_mid = step_velocity(
+    v_next, u_next, s_mid, dphi_mid = step_velocity(
         state, sigma_next, z_next, disc, material, loading, cfg)
+    del s_mid  # the audit does not read it: one stress field fewer live
     nxt = State(u=u_next, v=v_next, sigma=sigma_next, z=z_next,
                 k=state.k + 1, v_prev=state.v, z_prev=state.z,
                 dphi_mid=dphi_mid)
-    for name, arr in (("proto-stress", sigma_next), ("internal", z_next),
-                      ("velocity", v_next)):
-        _require_finite(name, arr)
     ledger = energy_audit(state, nxt, disc, material, loading, cfg,
                           step_info=info)
+    if not (math.isfinite(ledger.kinetic) and math.isfinite(ledger.stored)):
+        for name, arr in (("proto-stress", sigma_next), ("internal", z_next),
+                          ("velocity", v_next)):
+            _require_finite(name, arr)
     nxt.energy = ledger.total
     return nxt, ledger
 
@@ -497,7 +508,7 @@ def _top_ritz(alphas, betas):
 
 
 def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
-                        max_iter=200000, info=None):
+                        max_iter=None, info=None):
     """Largest stable time step sqrt(8 (1 - eta) / lambda).
 
     ``lambda`` is the largest generalized Rayleigh quotient
@@ -524,6 +535,10 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
     remaining error makes tau smaller, never larger.  When ``info`` is a
     dict it receives ``iters`` (Lanczos iterations) and ``residual``
     (the final Ritz residual over theta).
+
+    ``max_iter`` defaults to 2 n + 8, n the active stress DOFs: exact
+    arithmetic ends the iteration by j = n, and the second n is margin for
+    lost orthogonality, so a broken (E, E*) adjointness fails fast.
 
     Raises :class:`ConfigError` when the stored energy is not positive
     definite at the probe, and :class:`SolverError` carrying the last
@@ -571,6 +586,8 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
     q_prev = beta = alpha_max = 0.0
     alphas, betas = [], []
     n_active = int(np.count_nonzero(disc.s_active))
+    if max_iter is None:
+        max_iter = 2 * n_active + 8
     check_at = 8
     for j in range(1, max_iter + 1):
         w = apply_T(hq)

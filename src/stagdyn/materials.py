@@ -50,6 +50,12 @@ class MaterialModel:
         ``g`` and ``s_true``, when given, are ``dphi_dsigma(sigma, z)``
         and the true stress C* I* g, already formed by the caller; a
         material may reuse them.
+
+        Contract, which ``integrator.advance`` relies on: every entry of
+        ``sigma`` and ``z`` (or of ``g`` and ``s_true`` formed from them)
+        enters the value with a finite nonzero factor, never masked,
+        clipped, compared or divided by, so one NaN or +-inf makes it
+        non-finite.
         """
         raise NotImplementedError
 
@@ -296,6 +302,29 @@ class PlasticCreepMaterial(MaterialModel):
     def dissipation_rate(self, disc, zdot):
         quad = self.viscosity * disc.sdot(zdot, zdot)
         return self.sigma_y * self._flow_norm_integral(disc, zdot) + quad
+
+    def step_dissipation(self, disc, dz, tau, info):
+        """Xi(dz / tau) = (sigma_y F + (D / tau) <dz, dz>_w) / tau without
+        forming dz / tau: F, the flow-norm integral of dz, and <dz, dz>_w
+        share one set of squares.  :meth:`dissipation_rate` is the
+        reference."""
+        w = disc.sweights
+        if disc.dim == 1:
+            groups = ((np.square(dz), w),)
+        else:
+            sq_c = np.square(disc.sxx_view(dz))
+            sq_c += np.square(disc.syy_view(dz))
+            groups = ((sq_c, disc.sxx_view(w)),
+                      (np.square(disc.sxy_view(dz)), disc.sxy_view(w)))
+        quad = flow = 0.0
+        for sq, wg in groups:
+            quad += float((wg * sq).sum())
+            if self.sigma_y:
+                np.sqrt(sq, out=sq)  # the group norms
+                sq *= wg
+                flow += float(sq.sum())
+        return (self.sigma_y * flow + (self.viscosity / tau) * quad) * (
+            1.0 / tau)
 
     def psi(self, disc, zdot):
         if disc.dim == 2 and self.sigma_y > 0.0:

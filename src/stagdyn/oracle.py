@@ -290,8 +290,10 @@ def reference_ledger(prev, nxt, disc, material, loading, tau,
     afresh from the material's ``phi``, ``dphi_dsigma`` and
     ``true_stress``: no value carried on the states and none of the
     closed forms :func:`stagdyn.integrator.energy_audit` uses for
-    materials affine in z.  ``step_info`` holds the internal step's
-    by-products, as for the audit.
+    materials affine in z.  The dissipation is ``dissipation_rate`` of
+    the rate (z' - z) / tau, not the step's own form, except where the
+    step's by-products define it (Biot's chemical potential ``mu_mid``).
+    ``step_info`` holds those by-products, as for the audit.
     """
     k = prev.k
 
@@ -303,8 +305,11 @@ def reference_ledger(prev, nxt, disc, material, loading, tau,
 
     phi_next = material.phi(disc, nxt.sigma, nxt.z)
     kinetic = kinetic_pair(nxt.v, prev.v)
-    diss = tau * material.step_dissipation(disc, nxt.z - prev.z, tau,
-                                           step_info or {})
+    dz = nxt.z - prev.z
+    if "mu_mid" in (step_info or {}):
+        diss = tau * material.step_dissipation(disc, dz, tau, step_info)
+    else:
+        diss = tau * material.dissipation_rate(disc, dz * (1.0 / tau))
     dphi_mid_next = grad(nxt.sigma, 0.5 * (nxt.z + prev.z))
     if k == 0:
         energy_prev = kinetic_pair(prev.v, prev.v) + material.phi(

@@ -69,6 +69,10 @@ CASES = {
     "maxwell_creep_1d": (lambda: _disc_1d(("dirichlet", "dirichlet")),
                          lambda: PlasticCreepMaterial(viscosity=0.5),
                          0.5, None),
+    # without a yield stress the 2D trace creeps too
+    "maxwell_creep_2d": (
+        lambda: _disc_2d(("dirichlet", "neumann", "traction", "dirichlet")),
+        lambda: PlasticCreepMaterial(viscosity=0.4), 0.5, "bottom"),
     "viscoplastic_2d": (
         lambda: _disc_2d(("dirichlet", "neumann", "dirichlet", "traction")),
         lambda: PlasticCreepMaterial(viscosity=0.4, sigma_y=0.1,

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from stagdyn import cli, integrator
+from stagdyn import cli, integrator, kernels
 from stagdyn.errors import (
     CflViolationError,
     ConfigError,
     EnergyInequalityError,
     InstabilityError,
     NonFiniteFieldError,
+    SolverError,
 )
 from stagdyn.grid import Grid, build
 from stagdyn.integrator import (
@@ -332,6 +333,31 @@ def test_tau_max_elastic_1d_value():
     assert tau_max >= 0.05  # discrete sup is below the continuum bound
 
 
+def test_cfl_estimate_of_a_broken_stencil_fails_within_its_budget(
+        monkeypatch):
+    # a ghost column left unzeroed breaks the exact (E, E*) adjointness:
+    # the estimate gives up after 2 n + 8 iterations, n the active stress
+    # DOFs, instead of waiting for a fixed cap far beyond them
+    def ghost_rows_unzeroed(f, scratch):
+        n, m = f.shape
+        g = scratch[:n * (m + 1) + 1]
+        g[0] = 0.0
+        g[1:].reshape(n, m + 1)[:, :m] = f
+        return g
+
+    d = disc_2d(nx=8, ny=8, h=1.0 / 8.0)
+    d._scratch.fill(0.0)  # the stale ghost values, reproducibly
+    m = ElasticMaterial()
+    budget = 2 * int(np.count_nonzero(d.s_active)) + 8
+    real_E = d.apply_E
+    calls = []
+    monkeypatch.setattr(d, "apply_E", lambda v: calls.append(1) or real_E(v))
+    monkeypatch.setattr(kernels, "_ghost_rows", ghost_rows_unzeroed)
+    with pytest.raises(SolverError, match=f"in {budget} iterations"):
+        max_stable_timestep(d, m, m.z_init(d), 0.1)
+    assert len(calls) == budget  # one E per iteration
+
+
 def test_tau_max_scaling_with_modulus():
     d1 = disc_1d(nx=40, h=0.1, c=1.0)
     d4 = disc_1d(nx=40, h=0.1, c=4.0)
@@ -468,8 +494,10 @@ def test_cfl_guard_raises():
 
 
 def test_step_checks_each_field_once(monkeypatch):
-    # advance checks the fields it makes; the next step trusts them and
-    # checks only the fields of states it did not make
+    # advance scans the fields of a state it did not make; the fields it
+    # makes are scanned only when its ledger's kinetic pair or stored
+    # energy is not finite, and then in the order proto-stress, internal,
+    # velocity
     d = disc_1d(nx=20, h=0.05)
     m = PlasticCreepMaterial(viscosity=0.5)
     st = initial_state(d, m, sigma=bump_sigma(d))
@@ -483,15 +511,26 @@ def test_step_checks_each_field_once(monkeypatch):
 
     monkeypatch.setattr(integrator, "_require_finite", counted)
     st, _ = advance(st, d, m, no_loading(d), cfg)
-    assert names == ["velocity", "proto-stress", "proto-stress", "internal",
-                     "velocity"]
+    assert names == ["velocity", "proto-stress"]
     for _ in range(3):
         names.clear()
         st, _ = advance(st, d, m, no_loading(d), cfg)
-        assert names == ["proto-stress", "internal", "velocity"]
+        assert names == []
     names.clear()
     advance(st.copy(), d, m, no_loading(d), cfg)  # a copy is not trusted
-    assert names[:2] == ["velocity", "proto-stress"]
+    assert names == ["velocity", "proto-stress"]
+    names.clear()
+    real_velocity = integrator.step_velocity
+
+    def nan_velocity(*args):
+        out = real_velocity(*args)
+        out[0][3] = np.nan
+        return out
+
+    monkeypatch.setattr(integrator, "step_velocity", nan_velocity)
+    with pytest.raises(NonFiniteFieldError, match="in velocity"):
+        advance(st, d, m, no_loading(d), cfg)
+    assert names == ["proto-stress", "internal", "velocity"]
 
 
 @pytest.mark.parametrize("field", ["v", "sigma"])
