@@ -73,16 +73,24 @@ def check_adjointness(rng):
 
 
 def check_laplacian_stress(rng):
-    for d in (_disc_1d(), _disc_2d()):
-        a = rng.standard_normal(d.n_s)
-        b = rng.standard_normal(d.n_s)
-        la = d.laplacian_stress(a)
-        _require(d.sdot(la, a) <= 1e-12, "stress laplacian not negative "
-                 "semidefinite")
-        lab = d.sdot(la, b)
-        _require(abs(lab - d.sdot(a, d.laplacian_stress(b)))
-                 <= 1e-12 * max(1.0, abs(lab)),
-                 "stress laplacian not symmetric")
+    # the stress-layout laplacian and the scalar lap_z; the 1D lap_z is
+    # the product of its bands, so it must also equal div_z(grad_z)
+    for d in (_disc_1d(), _disc_1d(bc=("neumann", "traction")), _disc_2d()):
+        for name, lap, dot, n in (
+                ("stress", d.laplacian_stress, d.sdot, d.n_s),
+                ("scalar", d.lap_z, d.zdot, d.zs_n)):
+            a, b = rng.standard_normal(n), rng.standard_normal(n)
+            la = lap(a)
+            _require(dot(la, a) <= 1e-12, f"{d.dim}D {name} laplacian not "
+                     "negative semidefinite")
+            lab = dot(la, b)
+            _require(abs(lab - dot(a, lap(b))) <= 1e-12 * max(1.0, abs(lab)),
+                     f"{d.dim}D {name} laplacian not symmetric")
+        if d.dim == 1:
+            ref = d.div_z(0.5 * d.grad_z(a))
+            err = float(np.max(np.abs(d.lap_z(a, 0.5) - ref)))
+            _require(err <= 1e-13 * np.max(np.abs(ref)),
+                     f"1D lap_z vs div_z(grad_z): max error {err:.3e}")
 
 
 def check_gradients(rng):
@@ -213,7 +221,8 @@ def check_damage_direct_solve(rng):
     # out of the box.  1D solves by elimination, at the shipped size and
     # the benchmark's: the bands are the step's whole operator, so a wrong
     # band solves a wrong system exactly and passes its own KKT test, and
-    # only the dense solve can tell.  2D runs projected CG to its
+    # only the dense solve can tell; its laplacian is div_z(grad_z), as
+    # the 1D lap_z applies the bands.  2D runs projected CG to its
     # tolerance.  A warm 1D step starts from a previous increment that is
     # 0 at some points, under a weaker stress, and ends on both bounds.
     d1 = [_disc_1d(nx=nx, h=1.0 / nx, bc=("dirichlet", "neumann"))
@@ -240,9 +249,10 @@ def check_damage_direct_solve(rng):
                            mode="healing" if heal else "unidirectional")
         z, _ = m.internal_step(d, sigma, z_k, tau, z_prev=z_prev)
         a_plus = 1.0 / (m.eps1 * tau) if heal else m.eps1 / tau
-        A = dense_operator(m._quad_operator(d, m.compliance_density(d, sigma)),
-                           n) + np.diag(2.0 * np.where(z < z_k, m.eps1 / tau,
-                                                       a_plus))
+        A = np.diag(0.5 * (m.compliance_density(d, sigma) + 2.0 * m.g_c
+                           / m.eps) + 2.0 * np.where(z < z_k, m.eps1 / tau,
+                                                     a_plus))
+        A -= 0.5 * m.kappa * dense_operator(lambda f: d.div_z(d.grad_z(f)), n)
         b = -m.dphi_dz(d, sigma, z_k)
         upper = np.maximum(1.0 - z_k, 0.0) if heal else np.zeros(n)
         at_zero, at_top = z == 0.0, z == z_k + upper

@@ -89,7 +89,8 @@ class Discretization:
     ``v_inactive`` list the masked-out stress and velocity DOFs (the
     complements of ``s_active`` and ``v_active``); ``inv_mass`` is 1/M.
     ``lap_z_bands`` holds the (sub, diagonal, super) bands of the 1D
-    :meth:`lap_z` matrix (None in 2D).  Use :func:`build` to construct.
+    :meth:`lap_z` matrix, which 1D :meth:`lap_z` applies (None in 2D).
+    Use :func:`build` to construct.
     """
 
     def __init__(self, grid, rho, moduli):
@@ -456,8 +457,15 @@ class Discretization:
         return acc.ravel() / self.zs_weights
 
     def lap_z(self, z, coeff=1.0):
-        """Scalar graph laplacian ``div_z(coeff * grad_z z)``; NSD."""
-        return self.div_z(coeff * self.grad_z(z))
+        """Scalar graph laplacian ``div_z(coeff * grad_z z)``, for a scalar
+        ``coeff``; NSD.  In 1D it is ``coeff`` times the banded product of
+        ``lap_z_bands``, which equals that composition to round-off."""
+        if self.dim == 2:
+            return self.div_z(coeff * self.grad_z(z))
+        out = kernels.band_product(self.lap_z_bands, z)
+        if coeff != 1.0:
+            out *= coeff
+        return out
 
     # ------------------------------------------------------------------
     # vertex <-> center transfer (2D damage shear coupling)

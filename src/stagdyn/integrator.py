@@ -538,7 +538,10 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
 
     ``max_iter`` defaults to 2 n + 8, n the active stress DOFs: exact
     arithmetic ends the iteration by j = n, and the second n is margin for
-    lost orthogonality, so a broken (E, E*) adjointness fails fast.
+    lost orthogonality.  So a broken (E, E*) adjointness mostly fails fast,
+    but not on every grid: it may return a finite lambda (a stencil with an
+    unzeroed ghost column did on 4 x 4, 7 x 7 and 15 x 15 clamped grids).
+    The check for that is ``stagdyn check`` ``adjointness``.
 
     Raises :class:`ConfigError` when the stored energy is not positive
     definite at the probe, and :class:`SolverError` carrying the last

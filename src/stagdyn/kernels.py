@@ -1,6 +1,7 @@
 """Stencil kernels and the pointwise return map, in plain numpy.
 
-The discrete symmetric-gradient operator and its transpose are the only
+The discrete symmetric-gradient operator and its transpose, and in 1D the
+tridiagonal scalar laplacian and damage Hessian (by their bands), are the
 operations applied to every degree of freedom several times per time step.
 The transpose kernels are the algebraic transposes of the forward kernels
 (the caller supplies quadrature-weighted inputs).
@@ -44,6 +45,15 @@ def grad_1d_t(sw, h):
     """Algebraic transpose of :func:`grad_1d`; input already weighted."""
     # v[j] gets (sw[j] - sw[j+1]) / h
     return (sw[:-1] - sw[1:]) * (1.0 / h)
+
+
+def band_product(bands, x):
+    """(sub, diagonal, super) ``bands`` times ``x``; sub[0] = sup[-1] = 0."""
+    sub, diag, sup = bands
+    y = diag * x
+    y[1:] += sub[1:] * x[:-1]
+    y[:-1] += sup[:-1] * x[1:]
+    return y
 
 
 def _ghost_rows(f, scratch):

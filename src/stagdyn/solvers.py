@@ -6,9 +6,9 @@ dissipation potential is convex), possibly with simple upper bounds or a
 per-point asymmetric quadratic term.  Solvers are matrix-free: the operator
 is an apply callback, which keeps stencil operators (laplacians,
 vertex-center couplings) unassembled.  A tridiagonal operator (1D damage)
-passes its bands, which are then the whole operator, for gradients and
-elimination alike; the damage material's ``_quad_operator`` stays the 2D
-operator and the dense reference.
+passes its bands, which are then the whole operator, for gradients (their
+``kernels.band_product``) and elimination alike; the damage material's
+``_quad_operator`` stays the 2D operator.
 
 Every solver minimizes ``1/2 <A x, x> - <b, x>`` in the inner product
 ``dot(x, y)``, the one ``apply_A`` is self-adjoint in: the weighted
@@ -19,6 +19,7 @@ residual (linear) or the scaled KKT residual (constrained).
 
 import numpy as np
 
+from . import kernels
 from .errors import SolverError
 
 
@@ -60,15 +61,6 @@ def _cg(apply_A, b, dot, tol, x0=None, project=None, max_iter=None):
         rr = rr_new
     raise SolverError("conjugate gradients exhausted its budget",
                       last_iterate=x, residuals=history)
-
-
-def _band_product(bands, x):
-    """(sub, diagonal, super) ``bands`` times ``x``; sub[0] = sup[-1] = 0."""
-    sub, diag, sup = bands
-    y = diag * x
-    y[1:] += sub[1:] * x[:-1]
-    y[:-1] += sup[:-1] * x[1:]
-    return y
 
 
 def _solve_free_rows(bands, free, r):
@@ -125,7 +117,7 @@ def solve_bound_constrained(apply_A, b, dot, upper, tol, lower=None,
     if bands is not None:
         if (bands[1] <= np.abs(bands[0]) + np.abs(bands[2])).any():
             raise ValueError("bands must be strictly diagonally dominant")
-        apply_A = lambda u: _band_product(bands, u)
+        apply_A = lambda u: kernels.band_product(bands, u)
     upper = np.inf if upper is None else upper
     lower = -np.inf if lower is None else lower
 

@@ -298,6 +298,20 @@ BAND_DISCS = {
     "nx64": lambda: disc_1d(nx=64, h=1.0 / 64, bc=("neumann", "traction")),
     "nx256": lambda: disc_1d(nx=256, h=1.0 / 256),
 }
+# nx = 2 and the benchmark sizes (50: seepage1d, 256: fracture1d), on
+# every boundary pair
+BAND_DISCS.update({
+    f"nx{nx}-{'-'.join(bc)}": lambda nx=nx, bc=bc: disc_1d(nx=nx, h=1.0 / nx,
+                                                           bc=bc)
+    for nx in (2, 50, 256) for bc in ALL_BC_1D})
+
+
+def composed_lap_z(d, coeff=1.0):
+    """The dense ``div_z(coeff * grad_z)``: the 1D lap_z applies its bands,
+    so references to them come from this composition."""
+    from stagdyn.oracle import dense_operator
+
+    return dense_operator(lambda f: d.div_z(coeff * d.grad_z(f)), d.zs_n)
 
 
 def matrix_of(bands):
@@ -311,13 +325,12 @@ def matrix_of(bands):
                                           (0.05, 2e-3)])
 def test_shifted_lap_z_solver_matches_dense_solve(name, shift, coeff):
     # shift - coeff * lap_z from the bands, solved on every row by
-    # elimination, against a dense solve of the matrix-free operator
-    from stagdyn.oracle import dense_operator
+    # elimination, against a dense solve of the composition
     from stagdyn.solvers import _solve_free_rows
 
     d = BAND_DISCS[name]()
     n = d.zs_n
-    A = shift * np.eye(n) - coeff * dense_operator(d.lap_z, n)
+    A = shift * np.eye(n) - coeff * composed_lap_z(d)
     sub, diag, sup = d.lap_z_bands
     bands = (-coeff * sub, shift - coeff * diag, -coeff * sup)
     rng = np.random.default_rng(31)
@@ -331,15 +344,14 @@ def test_shifted_lap_z_solver_matches_dense_solve(name, shift, coeff):
 
 @pytest.mark.parametrize("name", sorted(BAND_DISCS))
 def test_shifted_lap_z_solver_self_adjoint(name):
-    # the bands reproduce lap_z, self-adjoint in zdot, with rows summing to
-    # zero (no-flux) and a strictly negative diagonal; the shifted solve
-    # built from them is self-adjoint and positive in zdot
-    from stagdyn.oracle import dense_operator
+    # the bands reproduce div_z(grad_z), self-adjoint in zdot, with rows
+    # summing to zero (no-flux) and a strictly negative diagonal; the
+    # shifted solve built from them is self-adjoint and positive in zdot
     from stagdyn.solvers import _solve_free_rows
 
     d = BAND_DISCS[name]()
     L = matrix_of(d.lap_z_bands)
-    assert_allclose(L, dense_operator(d.lap_z, d.zs_n), rtol=1e-14,
+    assert_allclose(L, composed_lap_z(d), rtol=1e-14,
                     atol=1e-14 * np.abs(L).max())
     WL = d.zs_weights[:, None] * L
     assert_allclose(WL, WL.T, rtol=1e-14, atol=1e-14 * np.abs(WL).max())
@@ -358,6 +370,32 @@ def test_shifted_lap_z_solver_self_adjoint(name):
         rhs = d.zdot(a, solve(b))
         assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
         assert d.zdot(solve(a), a) > 0.0
+
+
+@pytest.mark.parametrize("name", sorted(BAND_DISCS))
+@pytest.mark.parametrize("coeff", [1.0, 0.5])
+def test_1d_lap_z_is_the_composition(name, coeff):
+    # the 1D lap_z, coeff times the product of the bands, equals
+    # div_z(coeff * grad_z) within 1e-14 of its largest entry, sends
+    # constants to zero, keeps the weighted mean at zero (Biot's mass
+    # conservation) and is self-adjoint in zdot, all to round-off of the
+    # terms summed
+    from stagdyn.oracle import dense_operator
+
+    d = BAND_DISCS[name]()
+    n, ones = d.zs_n, np.ones(d.zs_n)
+    ref = composed_lap_z(d, coeff)
+    scale = np.abs(ref).max()
+    L = dense_operator(lambda f: d.lap_z(f, coeff), n)
+    assert np.abs(L - ref).max() <= 1e-14 * scale
+    assert np.abs(d.lap_z(ones, coeff)).max() <= 1e-14 * scale
+    rng = np.random.default_rng(34)
+    for _ in range(5):
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        la, size = d.lap_z(a, coeff), np.abs(ref) @ np.abs(a)
+        assert abs(d.zdot(la, ones)) <= 1e-14 * d.zdot(size, ones)
+        lhs, rhs = d.zdot(la, b), d.zdot(a, d.lap_z(b, coeff))
+        assert abs(lhs - rhs) <= 1e-14 * d.zdot(size, np.abs(b))
 
 
 def test_shifted_lap_z_solver_rejects_singular_shift_and_2d():
@@ -401,6 +439,38 @@ def test_damage_direct_solve_check_fails_on_a_wrong_band(monkeypatch):
     assert checks.run_checks(out=lines.append) == 1
     assert lines[0] == "PASS damage-structure"
     assert len(lines) == 2
+    assert lines[1].startswith("FAIL damage-direct-solve: smooth damage "
+                               "step vs dense KKT solve")
+
+
+def test_a_wrong_lap_z_band_fails_the_check_and_the_band_tests(monkeypatch):
+    # off-diagonals 10 % too strong, with the diagonal their negative sum:
+    # still symmetric in zdot, semidefinite and zero on constants, and the
+    # 1D lap_z and the damage step both apply it, so only the references
+    # built from div_z(grad_z) can tell
+    from stagdyn import checks
+    from stagdyn.grid import Discretization
+
+    real = Discretization._init_1d
+
+    def wrong(self, moduli):
+        real(self, moduli)
+        sub, _, sup = (1.1 * band for band in self.lap_z_bands)
+        self.lap_z_bands = (sub, -(sub + sup), sup)
+
+    monkeypatch.setattr(Discretization, "_init_1d", wrong)
+    for name in ("nx64", "nx50-dirichlet-dirichlet"):
+        with pytest.raises(AssertionError):
+            test_shifted_lap_z_solver_self_adjoint(name)
+        with pytest.raises(AssertionError):
+            test_1d_lap_z_is_the_composition(name, 0.5)
+    lines = []
+    monkeypatch.setattr(checks, "ALL_CHECKS", [
+        (name, fn) for name, fn in checks.ALL_CHECKS
+        if name in ("laplacian-stress", "damage-direct-solve")])
+    assert checks.run_checks(out=lines.append) == 2
+    assert lines[0].startswith("FAIL laplacian-stress: 1D lap_z vs "
+                               "div_z(grad_z): max error")
     assert lines[1].startswith("FAIL damage-direct-solve: smooth damage "
                                "step vs dense KKT solve")
 

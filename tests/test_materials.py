@@ -375,8 +375,10 @@ def test_biot_step_matches_dense_solve():
     n = d.zs_n
     from stagdyn.oracle import dense_operator
 
-    LM = dense_operator(lambda f: d.lap_z(f, m.mobility), n)
-    B = dense_operator(lambda f: m._apply_B(d, f), n)
+    # the laplacian from div_z(grad_z): the 1D lap_z applies its bands
+    lap = dense_operator(lambda f: d.div_z(d.grad_z(f)), n)
+    LM = m.mobility * lap
+    B = (m.M + m.L) * np.eye(n) - m.kappa * lap
     A = np.eye(n) / tau - 0.5 * LM @ B
     rhs = LM @ m.dphi_dz(d, sigma, zk)
     delta_ref = np.linalg.solve(A, rhs)
@@ -779,12 +781,15 @@ def plain_damage_step(m, d, sigma, z_k, tau):
 def dense_qp_step(m, d, sigma, z_k, tau, z):
     """The damage step by a dense KKT solve on the active set of the step
     ``z``: points at a bound stay there, the others solve their rows of
-    the dense operator.  Asserts that every multiplier pushes out of the
-    box (0 <= z' <= z_k, or 0 <= z' <= max(1, z_k) when healing)."""
+    the dense operator, whose laplacian is div_z(grad_z) (the 1D lap_z
+    applies the step's own bands).  Asserts that every multiplier pushes
+    out of the box (0 <= z' <= z_k, or 0 <= z' <= max(1, z_k) when
+    healing)."""
     from stagdyn.oracle import dense_operator
 
-    A = dense_operator(m._quad_operator(d, m.compliance_density(d, sigma)),
-                       d.zs_n) + np.diag(rate_diagonal(m, z, z_k, tau))
+    stiff = 0.5 * (m.compliance_density(d, sigma) + 2.0 * m.g_c / m.eps)
+    A = np.diag(stiff + rate_diagonal(m, z, z_k, tau)) - 0.5 * m.kappa * (
+        dense_operator(lambda f: d.div_z(d.grad_z(f)), d.zs_n))
     b = -m.dphi_dz(d, sigma, z_k)
     upper = np.maximum(1.0 - z_k, 0.0) * (m.mode == "healing")
     at_zero, at_top = z == 0.0, z == z_k + upper
@@ -841,7 +846,7 @@ def test_damage_bands_apply_the_quad_operator(mode, bc, nx):
     # in 1D the bands are the step's whole operator: their banded product,
     # with a sign round's shift on the diagonal, equals the matrix-free
     # operator to round-off
-    from stagdyn.solvers import _band_product
+    from stagdyn.kernels import band_product
 
     d = disc_1d(nx=nx, h=1.0 / nx, bc=bc)
     m = DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4, viscosity=0.3,
@@ -854,7 +859,7 @@ def test_damage_bands_apply_the_quad_operator(mode, bc, nx):
         shift = rate_diagonal(m, rng.random(d.zs_n), 0.5, tau)  # any signs
         x = rng.standard_normal(d.zs_n)
         ref = m._quad_operator(d, chat)(x) + shift * x
-        got = _band_product((sub, diag + shift, sup), x)
+        got = band_product((sub, diag + shift, sup), x)
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from stagdyn import solvers
 from stagdyn.errors import SolverError
 from stagdyn.grid import Grid, build
-from stagdyn.kernels import radial_return
+from stagdyn.kernels import band_product, radial_return
 from stagdyn.materials import BiotMaterial
 from stagdyn.solvers import (
     solve_bound_constrained,
@@ -355,7 +355,7 @@ def reference_bound_constrained(apply_A, b, dot, upper, tol, lower=None,
     rounds)``."""
     kkt_tol = tol * max(1.0, float(np.abs(b).max(initial=0.0)))
     if bands is not None:
-        apply_A = lambda u: solvers._band_product(bands, u)
+        apply_A = lambda u: band_product(bands, u)
     upper = np.full_like(b, np.inf) if upper is None else upper
     lower = np.full_like(b, -np.inf) if lower is None else lower
 
