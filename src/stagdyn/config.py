@@ -95,6 +95,21 @@ _BC = _parse_enum({"dirichlet", "neumann", "traction"})
 # _OMIT marks an optional key with no default value
 _OMIT = object()
 
+# the keys each material reads besides name, rho and the moduli, with
+# their defaults (None: required); keys of the other dimension are skipped
+_MATERIAL_KEYS = {
+    "elastic": {},
+    "plastic_creep": {"viscosity": None, "yield_stress": 0.0,
+                      "hardening": 0.0, "hardening_bulk": 0.0,
+                      "hardening_shear": 0.0},
+    "biot": {"biot_modulus": None, "biot_coefficient": None,
+             "l_coefficient": 0.0, "zeta_eq": 0.0, "capillarity": 0.0,
+             "mobility": 1.0},
+    "damage": {"eps0": None, "eps": None, "fracture_energy": None,
+               "viscosity": None, "mode": "unidirectional",
+               "strain_gradient": 0.0},
+}
+
 _SCHEMA = {
     "grid": {
         "dim": (_parse_int, None),
@@ -113,22 +128,9 @@ _SCHEMA = {
         "modulus": (_parse_float, _OMIT),
         "bulk_modulus": (_parse_float, _OMIT),
         "shear_modulus": (_parse_float, _OMIT),
-        "viscosity": (_parse_float, _OMIT),
-        "yield_stress": (_parse_float, 0.0),
-        "hardening": (_parse_float, _OMIT),
-        "hardening_bulk": (_parse_float, _OMIT),
-        "hardening_shear": (_parse_float, _OMIT),
-        "biot_modulus": (_parse_float, _OMIT),
-        "biot_coefficient": (_parse_float, _OMIT),
-        "l_coefficient": (_parse_float, 0.0),
-        "zeta_eq": (_parse_float, 0.0),
-        "capillarity": (_parse_float, 0.0),
-        "mobility": (_parse_float, 1.0),
-        "eps0": (_parse_float, _OMIT),
-        "eps": (_parse_float, _OMIT),
-        "fracture_energy": (_parse_float, _OMIT),
-        "mode": (_parse_enum({"unidirectional", "healing"}), "unidirectional"),
-        "strain_gradient": (_parse_float, 0.0),
+        **{key: (_parse_float, _OMIT)
+           for keys in _MATERIAL_KEYS.values() for key in keys},
+        "mode": (_parse_enum({"unidirectional", "healing"}), _OMIT),
     },
     "integrator": {
         "tau": (_parse_tau, None),
@@ -242,13 +244,11 @@ def serialize_config(cfg):
     return "\n".join(lines)
 
 
-# keys a config of the other dimension would ignore, and the hardening
-# keys that default to 0, per dimension
+# keys a config of the other dimension would ignore
 _OTHER_DIM_KEYS = {1: ("grid.ny", "grid.bc_bottom", "grid.bc_top",
                        "material.bulk_modulus", "material.shear_modulus",
                        "material.hardening_bulk", "material.hardening_shear"),
                    2: ("material.modulus", "material.hardening")}
-_HARDENING = {1: ("hardening",), 2: ("hardening_bulk", "hardening_shear")}
 
 
 def _validate(cfg):
@@ -259,27 +259,27 @@ def _validate(cfg):
         for key in ("ny", "bc_bottom", "bc_top"):
             if key not in g:
                 raise ConfigError("required in 2D", f"grid.{key}")
-    for loc in _OTHER_DIM_KEYS[g["dim"]]:
+    other_dim = _OTHER_DIM_KEYS[g["dim"]]
+    for loc in other_dim:
         section, key = loc.split(".")
         if key in cfg.section(section):
             raise ConfigError(f"not used in {g['dim']}D", loc)
-    for key in _HARDENING[g["dim"]]:
-        cfg.material.setdefault(key, 0.0)
     it = cfg.integrator
     if it["tau"] == "auto" and "eta" not in it:
         raise ConfigError("tau = auto requires eta", "integrator.eta")
     it.setdefault("eta", 0.1)
     name = cfg.material["name"]
-    needed = {
-        "elastic": (),
-        "plastic_creep": ("viscosity",),
-        "biot": ("biot_modulus", "biot_coefficient"),
-        "damage": ("eps0", "eps", "fracture_energy", "viscosity"),
-    }[name]
-    for key in needed:
-        if key not in cfg.material:
-            raise ConfigError(f"required for material {name!r}",
+    keys = _MATERIAL_KEYS[name]
+    for key in cfg.material:
+        if key not in keys and any(key in k for k in _MATERIAL_KEYS.values()):
+            raise ConfigError(f"not read by material {name!r}",
                               f"material.{key}")
+    for key, default in keys.items():
+        if key not in cfg.material and f"material.{key}" not in other_dim:
+            if default is None:
+                raise ConfigError(f"required for material {name!r}",
+                                  f"material.{key}")
+            cfg.material[key] = default
     if g["dim"] == 1 and "modulus" not in cfg.material:
         raise ConfigError("1D materials need 'modulus'", "material.modulus")
     if g["dim"] == 2 and ("bulk_modulus" not in cfg.material

@@ -149,6 +149,7 @@ def no_loading(disc):
 class IntegratorConfig:
     """Step size, horizon and safety settings.
 
+    A run takes round(t_end / tau) steps, which must be at least one.
     ``eta`` is the CFL safety margin in (0, 1): the fraction of the stored
     energy guaranteed to survive the staggered kinetic split at every step.
     ``tau_max`` is the bound at ``eta`` and the initial state, if already
@@ -173,6 +174,9 @@ class IntegratorConfig:
             raise ConfigError("eta must be in (0, 1)", "integrator.eta")
         if not self.t_end > 0:
             raise ConfigError("t_end must be > 0", "integrator.t_end")
+        if round(self.t_end / self.tau) < 1:
+            raise ConfigError("round(t_end / tau) steps: the run takes none",
+                              "integrator.t_end")
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import StagdynError, UnsupportedMaterialError
-from .integrator import EnergyLedger, State
+from .integrator import EnergyLedger
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -209,18 +209,6 @@ class ImplicitReference:
         for _ in range(n_steps):
             x = self.step(x)
         return self._split(x)
-
-
-def implicit_reference_step(disc, material, state, tau, loading=None):
-    """One monolithic midpoint step; returns a new State."""
-    from .integrator import no_loading
-
-    loading = loading if loading is not None else no_loading(disc)
-    ref = ImplicitReference(disc, material, loading, tau)
-    sigma, v, z = ref._split(ref.step(ref.pack(state)))
-    u = state.u + 0.5 * tau * (state.v + v)
-    return State(u=u, v=v, sigma=sigma, z=z, k=state.k + 1,
-                 v_prev=state.v.copy())
 
 
 def explicit_sigma_closure(state, disc, tau):

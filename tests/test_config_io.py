@@ -171,8 +171,35 @@ def test_1d_key_in_2d_config_is_rejected(key, value):
     assert ei.value.location == key
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("elastic", "material.viscosity", "5.0"),
+    ("plastic_creep", "material.capillarity", "3.0"),
+    ("biot", "material.yield_stress", "0.2"),
+    ("damage", "material.mobility", "2.0")])
+def test_key_of_another_material_is_rejected(tmp_path, name, key, value):
+    # each material's own required keys are set, so only the foreign key
+    # can fail
+    own = {"elastic": "",
+           "plastic_creep": "viscosity = 0.5\n",
+           "biot": "biot_modulus = 1.0\nbiot_coefficient = 0.5\n",
+           "damage": "eps0 = 1.0\neps = 0.05\nfracture_energy = 0.4\n"
+                     "viscosity = 0.3\n"}[name]
+    text = MINIMAL_ELASTIC.replace("name = elastic", f"name = {name}\n{own}")
+    parse_config(text)
+    text = text.replace("[material]",
+                        f"[material]\n{key.split('.')[1]} = {value}")
+    with pytest.raises(ConfigError) as ei:
+        parse_config(text)
+    assert ei.value.location == key
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path, text), "--quiet",
+                 "--out-dir", str(out)]) == 64
+    assert not out.exists()
+
+
 def test_hardening_defaults_follow_the_dimension():
-    cfg1 = parse_config(MINIMAL_ELASTIC)
+    cfg1 = parse_config(MINIMAL_ELASTIC.replace(
+        "name = elastic", "name = plastic_creep\nviscosity = 0.5"))
     assert cfg1.material["hardening"] == 0.0
     assert "hardening_bulk" not in cfg1.material
     text = (CONFIGS / "viscoplastic_2d.cfg").read_text(encoding="utf-8")
@@ -306,6 +333,17 @@ def test_energy_log_row_is_the_per_value_format(tmp_path):
             log.write(led)
     header = ",".join(sdio.ENERGY_COLUMNS) + "\n"
     assert path.read_bytes() == (header + expected).encode("utf-8")
+
+
+def test_cli_run_of_no_steps_exits_64(tmp_path, capsys):
+    # round(t_end / tau) = 0 would write a header-only log and no summary
+    text = (CONFIGS / "elastic_wave_1d.cfg").read_text(
+        encoding="utf-8").replace("t_end = 2.0", "t_end = 1e-6")
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path, text), "--out-dir",
+                 str(out)]) == 64
+    assert "[integrator.t_end]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_unstable_run_exits_2(tmp_path):
