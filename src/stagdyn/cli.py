@@ -16,6 +16,7 @@ violation, 5 I/O error, 64 usage/config errors.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -98,22 +99,27 @@ def cmd_run(args):
     icfg = integrator_config(cfg, disc, material, state)
 
     out_dir = cfg.output["out_dir"] if args.out_dir is None else args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, cfg.output["energy_log"])
     every = cfg.output["snapshot_every"]
     fields = cfg.output["snapshot_fields"]
+    logs = []
 
     def snap(st):
         path = os.path.join(out_dir, f"snapshot_{st.k:06d}.bin")
         sdio.write_snapshot(path, sdio.snapshot_fields(st, disc, fields),
                             disc.dim)
 
-    with sdio.EnergyLogWriter(log_path) as log:
-        if every:
-            snap(state)
-
+    with contextlib.ExitStack() as stack:
         def on_step(st, ledger):
-            log.write(ledger)
+            if not logs:
+                # the first step passed the CFL check: a run that stops
+                # before it writes nothing
+                os.makedirs(out_dir, exist_ok=True)
+                logs.append(stack.enter_context(
+                    sdio.EnergyLogWriter(log_path)))
+                if every:
+                    snap(state)
+            logs[0].write(ledger)
             if every and st.k % every == 0:
                 snap(st)
 

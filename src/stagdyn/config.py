@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Grid, build
+from .grid import SIDES, Grid, build
 from .integrator import IntegratorConfig, Loading, initial_state
 from .materials import (
     BiotMaterial,
@@ -40,6 +40,13 @@ def _parse_int(raw, loc):
         return int(raw)
     except ValueError:
         raise ConfigError(f"expected an integer, got {raw!r}", loc)
+
+
+def _parse_dim(raw, loc):
+    dim = _parse_int(raw, loc)
+    if dim not in (1, 2):
+        raise ConfigError("dim must be 1 or 2", loc)
+    return dim
 
 
 def _parse_bool(raw, loc):
@@ -90,74 +97,79 @@ def _parse_fields(raw, loc):
 
 
 _BC = _parse_enum({"dirichlet", "neumann", "traction"})
+_MATERIALS = ("elastic", "plastic_creep", "biot", "damage")
 
-# key -> (converter, default); default None marks a required key,
-# _OMIT marks an optional key with no default value
+# a config reads a key when its dim is in the row's dims and its material
+# in the row's materials; default None marks a key such a config must set,
+# _OMIT an optional key with no default value
 _OMIT = object()
+_PLASTIC, _BIOT, _DAMAGE = ("plastic_creep",), ("biot",), ("damage",)
 
-# the keys each material reads besides name, rho and the moduli, with
-# their defaults (None: required); keys of the other dimension are skipped
-_MATERIAL_KEYS = {
-    "elastic": {},
-    "plastic_creep": {"viscosity": None, "yield_stress": 0.0,
-                      "hardening": 0.0, "hardening_bulk": 0.0,
-                      "hardening_shear": 0.0},
-    "biot": {"biot_modulus": None, "biot_coefficient": None,
-             "l_coefficient": 0.0, "zeta_eq": 0.0, "capillarity": 0.0,
-             "mobility": 1.0},
-    "damage": {"eps0": None, "eps": None, "fracture_energy": None,
-               "viscosity": None, "mode": "unidirectional",
-               "strain_gradient": 0.0},
-}
+
+def _key(conv, default, dims=(1, 2), materials=_MATERIALS):
+    return conv, default, dims, materials
+
 
 _SCHEMA = {
     "grid": {
-        "dim": (_parse_int, None),
-        "nx": (_parse_int, None),
-        "ny": (_parse_int, _OMIT),
-        "h": (_parse_float, None),
-        "bc_left": (_BC, "dirichlet"),
-        "bc_right": (_BC, "dirichlet"),
-        "bc_bottom": (_BC, _OMIT),
-        "bc_top": (_BC, _OMIT),
+        "dim": _key(_parse_dim, None),
+        "nx": _key(_parse_int, None),
+        "ny": _key(_parse_int, None, dims=(2,)),
+        "h": _key(_parse_float, None),
+        "bc_left": _key(_BC, "dirichlet"),
+        "bc_right": _key(_BC, "dirichlet"),
+        "bc_bottom": _key(_BC, None, dims=(2,)),
+        "bc_top": _key(_BC, None, dims=(2,)),
     },
     "material": {
-        "name": (_parse_enum({"elastic", "plastic_creep", "biot", "damage"}),
-                 None),
-        "rho": (_parse_float, 1.0),
-        "modulus": (_parse_float, _OMIT),
-        "bulk_modulus": (_parse_float, _OMIT),
-        "shear_modulus": (_parse_float, _OMIT),
-        **{key: (_parse_float, _OMIT)
-           for keys in _MATERIAL_KEYS.values() for key in keys},
-        "mode": (_parse_enum({"unidirectional", "healing"}), _OMIT),
+        "name": _key(_parse_enum(set(_MATERIALS)), None),
+        "rho": _key(_parse_float, 1.0),
+        "modulus": _key(_parse_float, None, dims=(1,)),
+        "bulk_modulus": _key(_parse_float, None, dims=(2,)),
+        "shear_modulus": _key(_parse_float, None, dims=(2,)),
+        "viscosity": _key(_parse_float, None, materials=_PLASTIC + _DAMAGE),
+        "yield_stress": _key(_parse_float, 0.0, materials=_PLASTIC),
+        "hardening": _key(_parse_float, 0.0, (1,), _PLASTIC),
+        "hardening_bulk": _key(_parse_float, 0.0, (2,), _PLASTIC),
+        "hardening_shear": _key(_parse_float, 0.0, (2,), _PLASTIC),
+        "biot_modulus": _key(_parse_float, None, materials=_BIOT),
+        "biot_coefficient": _key(_parse_float, None, materials=_BIOT),
+        "l_coefficient": _key(_parse_float, 0.0, materials=_BIOT),
+        "zeta_eq": _key(_parse_float, 0.0, materials=_BIOT),
+        "capillarity": _key(_parse_float, 0.0, materials=_BIOT),
+        "mobility": _key(_parse_float, 1.0, materials=_BIOT),
+        "eps0": _key(_parse_float, None, materials=_DAMAGE),
+        "eps": _key(_parse_float, None, materials=_DAMAGE),
+        "fracture_energy": _key(_parse_float, None, materials=_DAMAGE),
+        "mode": _key(_parse_enum({"unidirectional", "healing"}),
+                     "unidirectional", materials=_DAMAGE),
+        "strain_gradient": _key(_parse_float, 0.0, materials=_DAMAGE),
     },
     "integrator": {
-        "tau": (_parse_tau, None),
-        "eta": (_parse_float, _OMIT),
-        "t_end": (_parse_float, None),
-        "enforce_energy_inequality": (_parse_bool, False),
-        "energy_tolerance": (_parse_float, 1e-9),
+        "tau": _key(_parse_tau, None),
+        "eta": _key(_parse_float, _OMIT),
+        "t_end": _key(_parse_float, None),
+        "enforce_energy_inequality": _key(_parse_bool, False),
+        "energy_tolerance": _key(_parse_float, 1e-9),
     },
     "loading": {
-        "body_force": (_parse_vector, _OMIT),
-        "traction": (_parse_enum({"none", "ramp", "sine"}), "none"),
-        "traction_rate": (_parse_float, 0.0),
-        "traction_amplitude": (_parse_float, 0.0),
-        "traction_frequency": (_parse_float, 1.0),
-        "traction_side": (_parse_enum({"left", "right", "bottom", "top"}),
-                          "left"),
-        "initial": (_parse_enum({"rest", "sine_stress", "bump_stress"}),
-                    "rest"),
-        "initial_amplitude": (_parse_float, 1.0),
-        "initial_modes": (_parse_int, 1),
-        "initial_internal": (_parse_float, _OMIT),
+        "body_force": _key(_parse_vector, _OMIT),
+        "traction": _key(_parse_enum({"none", "ramp", "sine"}), "none"),
+        "traction_rate": _key(_parse_float, 0.0),
+        "traction_amplitude": _key(_parse_float, 0.0),
+        "traction_frequency": _key(_parse_float, 1.0),
+        "traction_side": _key(_parse_enum(set(SIDES)), "left"),
+        "initial": _key(_parse_enum({"rest", "sine_stress", "bump_stress"}),
+                        "rest"),
+        "initial_amplitude": _key(_parse_float, 1.0),
+        "initial_modes": _key(_parse_int, 1),
+        "initial_internal": _key(_parse_float, _OMIT),
     },
     "output": {
-        "energy_log": (_parse_str, "energy.csv"),
-        "snapshot_every": (_parse_int, 0),
-        "snapshot_fields": (_parse_fields, ("v", "sigma")),
-        "out_dir": (_parse_str, "out"),
+        "energy_log": _key(_parse_str, "energy.csv"),
+        "snapshot_every": _key(_parse_int, 0),
+        "snapshot_fields": _key(_parse_fields, ("v", "sigma")),
+        "out_dir": _key(_parse_str, "out"),
     },
 }
 
@@ -206,18 +218,28 @@ def parse_config(text):
         if key in raw[section]:
             raise ConfigError(f"duplicate key (line {lineno})",
                               f"{section}.{key}")
-        conv, _ = _SCHEMA[section][key]
+        conv = _SCHEMA[section][key][0]
         raw[section][key] = conv(value, f"{section}.{key}")
 
+    # the dimension and the material decide which keys the config reads
+    for loc in ("grid.dim", "material.name"):
+        section, key = loc.split(".")
+        if key not in raw[section]:
+            raise ConfigError("missing required key", loc)
+    dim, name = raw["grid"]["dim"], raw["material"]["name"]
     cfg = SimConfig()
-    for name in SECTIONS:
-        out = cfg.section(name)
-        for key, (conv, default) in _SCHEMA[name].items():
-            if key in raw[name]:
-                out[key] = raw[name][key]
-            elif default is None:
-                raise ConfigError("missing required key", f"{name}.{key}")
-            elif default is not _OMIT:
+    for section in SECTIONS:
+        out = cfg.section(section)
+        for key, (_, default, dims, materials) in _SCHEMA[section].items():
+            loc = f"{section}.{key}"
+            read = dim in dims and name in materials
+            if key in raw[section]:
+                if not read:
+                    raise ConfigError(f"not read by a {dim}D {name} config", loc)
+                out[key] = raw[section][key]
+            elif read and default is None:
+                raise ConfigError("missing required key", loc)
+            elif read and default is not _OMIT:
                 out[key] = default
     _validate(cfg)
     return cfg
@@ -244,48 +266,13 @@ def serialize_config(cfg):
     return "\n".join(lines)
 
 
-# keys a config of the other dimension would ignore
-_OTHER_DIM_KEYS = {1: ("grid.ny", "grid.bc_bottom", "grid.bc_top",
-                       "material.bulk_modulus", "material.shear_modulus",
-                       "material.hardening_bulk", "material.hardening_shear"),
-                   2: ("material.modulus", "material.hardening")}
-
-
 def _validate(cfg):
+    """The rules that depend on other values."""
     g = cfg.grid
-    if g["dim"] not in (1, 2):
-        raise ConfigError("dim must be 1 or 2", "grid.dim")
-    if g["dim"] == 2:
-        for key in ("ny", "bc_bottom", "bc_top"):
-            if key not in g:
-                raise ConfigError("required in 2D", f"grid.{key}")
-    other_dim = _OTHER_DIM_KEYS[g["dim"]]
-    for loc in other_dim:
-        section, key = loc.split(".")
-        if key in cfg.section(section):
-            raise ConfigError(f"not used in {g['dim']}D", loc)
     it = cfg.integrator
     if it["tau"] == "auto" and "eta" not in it:
         raise ConfigError("tau = auto requires eta", "integrator.eta")
     it.setdefault("eta", 0.1)
-    name = cfg.material["name"]
-    keys = _MATERIAL_KEYS[name]
-    for key in cfg.material:
-        if key not in keys and any(key in k for k in _MATERIAL_KEYS.values()):
-            raise ConfigError(f"not read by material {name!r}",
-                              f"material.{key}")
-    for key, default in keys.items():
-        if key not in cfg.material and f"material.{key}" not in other_dim:
-            if default is None:
-                raise ConfigError(f"required for material {name!r}",
-                                  f"material.{key}")
-            cfg.material[key] = default
-    if g["dim"] == 1 and "modulus" not in cfg.material:
-        raise ConfigError("1D materials need 'modulus'", "material.modulus")
-    if g["dim"] == 2 and ("bulk_modulus" not in cfg.material
-                          or "shear_modulus" not in cfg.material):
-        raise ConfigError("2D materials need bulk_modulus and shear_modulus",
-                          "material.bulk_modulus")
     for loc in ("output.snapshot_every", "integrator.energy_tolerance"):
         section, key = loc.split(".")
         if cfg.section(section)[key] < 0:
@@ -307,27 +294,21 @@ def _validate(cfg):
 
 def build_grid(cfg):
     g = cfg.grid
-    if g["dim"] == 1:
-        bc = (g["bc_left"], g["bc_right"])
-        return Grid(dim=1, nx=g["nx"], h=g["h"], bc=bc)
-    bc = (g["bc_left"], g["bc_right"], g["bc_bottom"], g["bc_top"])
-    return Grid(dim=2, nx=g["nx"], ny=g["ny"], h=g["h"], bc=bc)
+    bc = tuple(g[f"bc_{side}"] for side in SIDES[:2 * g["dim"]])
+    return Grid(dim=g["dim"], nx=g["nx"], ny=g.get("ny", 0), h=g["h"], bc=bc)
 
 
 def build_material(cfg):
     m = cfg.material
-    dim = cfg.grid["dim"]
-    if dim == 1:
-        moduli = {"modulus": m["modulus"]}
-    else:
-        moduli = {"bulk_modulus": m["bulk_modulus"],
-                  "shear_modulus": m["shear_modulus"]}
+    # the config holds the moduli and hardening keys of its dimension only
+    moduli = {key: m[key] for key in ("modulus", "bulk_modulus",
+                                      "shear_modulus") if key in m}
     name = m["name"]
     if name == "elastic":
         mat = ElasticMaterial()
     elif name == "plastic_creep":
-        hard = m["hardening"] if dim == 1 else (m["hardening_bulk"],
-                                                m["hardening_shear"])
+        hard = (m["hardening"] if "hardening" in m
+                else (m["hardening_bulk"], m["hardening_shear"]))
         mat = PlasticCreepMaterial(viscosity=m["viscosity"],
                                    sigma_y=m["yield_stress"], hardening=hard)
     elif name == "biot":

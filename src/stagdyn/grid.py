@@ -36,6 +36,7 @@ from . import kernels
 from .errors import ConfigError, LayoutError
 
 BC_KINDS = ("dirichlet", "neumann", "traction")
+SIDES = ("left", "right", "bottom", "top")
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -75,9 +76,10 @@ class Grid:
         nsides = 2 * self.dim
         if len(self.bc) != nsides:
             raise ConfigError(f"expected {nsides} boundary kinds", "grid.bc")
-        for kind in self.bc:
+        for side, kind in zip(SIDES, self.bc):
             if kind not in BC_KINDS:
-                raise ConfigError(f"unknown boundary kind {kind!r}", "grid.bc")
+                raise ConfigError(f"unknown boundary kind {kind!r}",
+                                  f"grid.bc_{side}")
 
 
 class Discretization:
@@ -160,8 +162,10 @@ class Discretization:
         nx, ny, h = grid.nx, grid.ny, grid.h
         self.k_mod = float(moduli["bulk_modulus"])
         self.g_mod = float(moduli["shear_modulus"])
-        if not (self.k_mod > 0 and self.g_mod > 0):
-            raise ConfigError("bulk and shear moduli must be > 0", "material")
+        if not self.k_mod > 0:
+            raise ConfigError("must be > 0", "material.bulk_modulus")
+        if not self.g_mod > 0:
+            raise ConfigError("must be > 0", "material.shear_modulus")
 
         self.shape_vx = (nx + 1, ny)
         self.shape_vy = (nx, ny + 1)

@@ -196,10 +196,14 @@ class PlasticCreepMaterial(MaterialModel):
         if sigma_y < 0:
             raise ConfigError("yield stress must be >= 0", "material.yield_stress")
         if np.isscalar(hardening):
+            if hardening < 0:
+                raise ConfigError("must be >= 0", "material.hardening")
             hardening = (hardening, hardening)
         k2, g2 = map(float, hardening)
-        if k2 < 0 or g2 < 0:
-            raise ConfigError("hardening must be >= 0", "material.hardening")
+        if k2 < 0:
+            raise ConfigError("must be >= 0", "material.hardening_bulk")
+        if g2 < 0:
+            raise ConfigError("must be >= 0", "material.hardening_shear")
         self.viscosity = float(viscosity)
         self.sigma_y = float(sigma_y)
         self.hardening = (k2, g2)
@@ -381,8 +385,10 @@ class BiotMaterial(MaterialModel):
         if biot_coefficient < 0:
             raise ConfigError("biot coefficient must be >= 0",
                               "material.biot_coefficient")
-        if l_coefficient < 0 or capillarity < 0:
-            raise ConfigError("L and capillarity must be >= 0", "material")
+        if l_coefficient < 0:
+            raise ConfigError("must be >= 0", "material.l_coefficient")
+        if capillarity < 0:
+            raise ConfigError("must be >= 0", "material.capillarity")
         if not mobility > 0:
             raise ConfigError("mobility must be > 0", "material.mobility")
         self.M = float(biot_modulus)
@@ -560,10 +566,12 @@ class DamageMaterial(MaterialModel):
 
     def __init__(self, eps0, eps, g_c, viscosity, mode="unidirectional",
                  strain_gradient=0.0):
-        if not (eps0 > 0 and eps > 0):
-            raise ConfigError("AT lengths must be > 0", "material.eps")
+        if not eps0 > 0:
+            raise ConfigError("must be > 0", "material.eps0")
+        if not eps > 0:
+            raise ConfigError("must be > 0", "material.eps")
         if not g_c > 0:
-            raise ConfigError("fracture energy must be > 0", "material.g_c")
+            raise ConfigError("must be > 0", "material.fracture_energy")
         if not viscosity > 0:
             raise ConfigError("viscosity must be > 0", "material.viscosity")
         if mode not in ("unidirectional", "healing"):

@@ -363,6 +363,7 @@ def test_fixed_tau_above_bound_exits_2_after_one_estimate(tmp_path,
                                                           cfl_calls):
     assert _run(tmp_path, "0.1") == 2
     assert len(cfl_calls) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_carried_bound_rejects_a_larger_tau_without_estimating(cfl_calls):

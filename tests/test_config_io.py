@@ -1,9 +1,11 @@
 """Config grammar, output formats, CLI behavior and exit codes."""
 
 import argparse
+import ast
 import functools
 import os
 import pathlib
+import re
 import struct
 import subprocess
 import sys
@@ -16,6 +18,7 @@ from stagdyn import cli, integrator
 from stagdyn import io as sdio
 from stagdyn.cli import main
 from stagdyn.config import (
+    _SCHEMA,
     build_simulation,
     integrator_config,
     parse_config,
@@ -392,6 +395,7 @@ def test_cli_unconverged_cfl_estimate_exits_3(tmp_path, monkeypatch,
     assert main(["run", fixed, "--quiet"] + out) == 3
     err = capsys.readouterr().err
     assert err.count("last residual") == 3
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_indefinite_cfl_probe_exits_64(tmp_path, monkeypatch):
@@ -401,6 +405,7 @@ def test_cli_indefinite_cfl_probe_exits_64(tmp_path, monkeypatch):
     assert main(["cfl", path]) == 64
     assert main(["run", path, "--quiet", "--out-dir",
                  str(tmp_path / "out")]) == 64
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_converge_elastic(tmp_path, capsys):
@@ -547,6 +552,79 @@ def test_negative_count_or_tolerance_exits_64(tmp_path, key, value):
     assert main(["run", write_cfg(tmp_path, text), "--quiet",
                  "--out-dir", str(out)]) == 64
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config, key, value", [
+    ("damage_1d", "material.fracture_energy", "-1.0"),
+    ("damage_1d", "material.eps0", "-1.0"),
+    ("damage_1d", "material.eps", "0.0"),
+    ("biot_seepage_1d", "material.capillarity", "-0.02"),
+    ("biot_seepage_1d", "material.l_coefficient", "-0.1"),
+    ("viscoplastic_2d", "material.shear_modulus", "-0.6"),
+    ("viscoplastic_2d", "material.bulk_modulus", "-1.0"),
+    ("viscoplastic_2d", "material.hardening_bulk", "-1.0"),
+    ("viscoplastic_2d", "material.hardening_shear", "-1.0"),
+    ("maxwell_creep_1d", "material.hardening", "-1.0"),
+    ("viscoplastic_2d", "material.shear_modulus", None),
+    ("elastic_wave_1d", "grid.dim", None),
+    ("elastic_wave_1d", "material.name", None),
+], ids=lambda v: str(v))
+def test_config_error_names_its_key_exits_64(tmp_path, capsys, config, key,
+                                             value):
+    # value None deletes the key; otherwise the key is set to value
+    section, name = key.split(".")
+    lines = [line for line in (CONFIGS / f"{config}.cfg").read_text(
+        encoding="utf-8").splitlines() if not line.startswith(f"{name} =")]
+    if value is not None:
+        lines.insert(lines.index(f"[{section}]") + 1, f"{name} = {value}")
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path, "\n".join(lines)), "--quiet",
+                 "--out-dir", str(out)]) == 64
+    assert capsys.readouterr().err.startswith(f"config error: [{key}] ")
+    assert not out.exists()
+
+
+def config_error_locations():
+    """(file, line, location) of every ConfigError raised in the package;
+    a location built by an f-string becomes a pattern, and one held in a
+    variable is None."""
+    found = []
+    for path in sorted((CONFIGS.parent / "src" / "stagdyn").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "ConfigError"):
+                continue
+            args = node.args[1:] + [k.value for k in node.keywords]
+            loc = args[0] if args else None
+            if isinstance(loc, ast.Constant):
+                loc = re.escape(loc.value)
+            elif isinstance(loc, ast.JoinedStr):
+                loc = "".join(re.escape(part.value)
+                              if isinstance(part, ast.Constant) else ".+"
+                              for part in loc.values)
+            else:
+                loc = None
+            found.append((path.name, node.lineno, loc))
+    return found
+
+
+# the errors that name no single key: the indefinite CFL probe, a zero
+# mass entry, and a Grid given the wrong number of boundary kinds
+NO_SINGLE_KEY = ("material", "grid", "grid.bc")
+
+
+def test_every_config_error_location_is_a_key():
+    keys = [f"{section}.{key}" for section, rows in _SCHEMA.items()
+            for key in rows]
+    allowed = [re.escape(loc) for loc in NO_SINGLE_KEY]
+    found = [f for f in config_error_locations() if f[2] is not None]
+    assert len(found) >= 30
+    bad = [f for f in found if f[2] not in allowed
+           and not any(re.fullmatch(f[2], key) for key in keys)]
+    assert not bad
+    # each exception is raised once, so the list cannot cover a new error
+    assert sorted(f[2] for f in found if f[2] in allowed) == sorted(allowed)
 
 
 @pytest.mark.parametrize("grid_keys, side", [

@@ -260,9 +260,10 @@ def test_build_validation():
         disc_1d(c=-1.0)
     with pytest.raises(ConfigError):
         disc_1d(rho=0.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as ei:
         build(Grid(dim=1, nx=4, h=1.0, bc=("dirichlet", "bogus")), 1.0,
               {"modulus": 1.0})
+    assert ei.value.location == "grid.bc_right"
     with pytest.raises(ConfigError):
         Grid(dim=3, nx=4, h=1.0, bc=("dirichlet",) * 6)
 
