@@ -127,9 +127,13 @@ def check_elastic_conservation(rng):
     tau_max, _ = max_stable_timestep(d, m, st.z, 0.1)
     cfg = IntegratorConfig(tau=0.9 * tau_max, t_end=500 * 0.9 * tau_max,
                            tau_max=tau_max)
-    _, ledgers = run_simulation(d, m, no_loading(d), cfg, st)
-    drift = max(abs(l.total - e0) for l in ledgers)
-    _require(drift <= 1e-10 * e0, f"energy drift {drift:.3e}")
+
+    def on_step(_, l):
+        drift = abs(l.total - e0)
+        _require(drift <= 1e-10 * e0, f"step {l.step}: energy drift "
+                 f"{drift:.3e}")
+
+    run_simulation(d, m, no_loading(d), cfg, st, on_step=on_step)
 
 
 def check_energy_inequality(rng):
@@ -145,12 +149,14 @@ def check_energy_inequality(rng):
         tau_max, _ = max_stable_timestep(d, m, m.z_init(d), 0.1)
         cfg = IntegratorConfig(tau=tau_max, t_end=150 * tau_max,
                                tau_max=tau_max)
-        _, ledgers = run_simulation(d, m, no_loading(d), cfg, st)
-        res = max(abs(l.residual) for l in ledgers)
-        _require(res <= 1e-9 * e0, f"{m.name}: energy residual {res:.3e}")
-        a_min = min(l.stability_coeff for l in ledgers)
-        _require(a_min >= 0.1 - 1e-12,
-                 f"{m.name}: stability coefficient {a_min:.9g} < eta")
+
+        def on_step(_, l):
+            _require(abs(l.residual) <= 1e-9 * e0
+                     and l.stability_coeff >= 0.1 - 1e-12,
+                     f"{m.name}: step {l.step}: energy residual "
+                     f"{l.residual:.3e}, a {l.stability_coeff:.9g} (eta 0.1)")
+
+        run_simulation(d, m, no_loading(d), cfg, st, on_step=on_step)
 
 
 def check_healing_bound(rng):
@@ -165,13 +171,15 @@ def check_healing_bound(rng):
     st = initial_state(d, heal, sigma=0.05 * np.exp(-60.0 * (x - 0.45) ** 2),
                        z=np.full(d.zs_n, 0.2))
     tau, _ = max_stable_timestep(d, heal, st.z, 0.1)
-    final, ledgers = run_simulation(d, heal, no_loading(d), IntegratorConfig(
-        tau=tau, t_end=100 * tau, tau_max=tau), st)
-    for l in ledgers:
+
+    def on_step(_, l):
         tol = 1e-9 * max(1.0, abs(l.energy_prev))
         _require(abs(l.residual) <= tol and l.total <= l.energy_prev + tol,
                  f"step {l.step}: energy {l.energy_prev:.6g} -> "
                  f"{l.total:.6g}, residual {l.residual:.3e}")
+
+    final = run_simulation(d, heal, no_loading(d), IntegratorConfig(
+        tau=tau, t_end=100 * tau, tau_max=tau), st, on_step=on_step)
     bound, _ = max_stable_timestep(d, irr, final.z, 0.1)
     _require(final.z.max() <= 1.0 and cfl_admissible(tau, bound),
              f"max z {final.z.max():.17g}; tau {tau:.6g}, bound at the "

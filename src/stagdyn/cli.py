@@ -17,6 +17,7 @@ violation, 5 I/O error, 64 usage/config errors.
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 
@@ -103,6 +104,7 @@ def cmd_run(args):
     every = cfg.output["snapshot_every"]
     fields = cfg.output["snapshot_fields"]
     logs = []
+    seen = {"steps": 0, "last": None, "res": 0.0, "a": math.inf}
 
     def snap(st):
         path = os.path.join(out_dir, f"snapshot_{st.k:06d}.bin")
@@ -122,17 +124,20 @@ def cmd_run(args):
             logs[0].write(ledger)
             if every and st.k % every == 0:
                 snap(st)
+            seen["steps"] += 1
+            seen["last"] = ledger
+            seen["res"] = max(seen["res"], abs(ledger.residual))
+            seen["a"] = min(seen["a"], ledger.stability_coeff)
 
-        _, ledgers = run_simulation(disc, material, loading, icfg, state,
-                                    on_step=on_step)
+        run_simulation(disc, material, loading, icfg, state, on_step=on_step)
 
-    if not args.quiet and ledgers:
-        last = ledgers[-1]
-        print(f"steps: {len(ledgers)}  t_end: {last.time:.6g}  "
+    if not args.quiet:
+        last = seen["last"]
+        print(f"steps: {seen['steps']}  t_end: {last.time:.6g}  "
               f"tau: {icfg.tau:.6g}")
         print(f"final energy: {last.total:.12g}  "
-              f"max |residual|: {max(abs(l.residual) for l in ledgers):.3e}  "
-              f"min a: {min(l.stability_coeff for l in ledgers):.6g}")
+              f"max |residual|: {seen['res']:.3e}  "
+              f"min a: {seen['a']:.6g}")
         print(f"energy log: {log_path}")
     return EXIT_OK
 

@@ -645,8 +645,8 @@ def run_simulation(disc, material, loading, cfg, state, on_step=None):
     """Drive the scheme to t_end with a CFL check and a blow-up guard.
 
     The check uses ``cfg.tau_max`` unless it is None.  Calls
-    ``on_step(state, ledger)`` after every accepted step.  Returns the
-    final state and the list of ledgers.
+    ``on_step(state, ledger)`` after every accepted step; the run keeps
+    no ledger.  Returns the final state.
     """
     tau = cfg.tau
     n_steps = int(round(cfg.t_end / tau))
@@ -658,7 +658,6 @@ def run_simulation(disc, material, loading, cfg, state, on_step=None):
         raise CflViolationError(tau, tau_max,
                                 8.0 * (1.0 - cfg.eta) / tau_max ** 2)
 
-    ledgers = []
     e_ref = None
     for _ in range(n_steps):
         try:
@@ -675,7 +674,6 @@ def run_simulation(disc, material, loading, cfg, state, on_step=None):
             tol = cfg.energy_tol * max(1.0, abs(ledger.energy_prev))
             if ledger.residual > tol:
                 raise EnergyInequalityError(ledger.step, ledger.residual, tol)
-        ledgers.append(ledger)
         if on_step is not None:
             on_step(state, ledger)
-    return state, ledgers
+    return state

@@ -612,36 +612,23 @@ class DamageMaterial(MaterialModel):
     def stiffest_state(self, z):
         return np.maximum(z, 1.0) if self.mode == "healing" else z
 
-    def _split_energy_density(self, disc, sigma):
-        """(center part, vertex part) of C^-1 sigma : sigma pointwise."""
+    def compliance_density(self, disc, sigma):
+        """C^-1 sigma : sigma collocated on the damage layout."""
         e = disc.apply_C_inv(sigma)
         if disc.dim == 1:
-            return e * sigma, None
+            return e * sigma
         qc = (disc.sxx_view(e) * disc.sxx_view(sigma)
               + disc.syy_view(e) * disc.syy_view(sigma)).ravel()
         qv = (disc.sxy_view(e) * disc.sxy_view(sigma)).ravel()
-        return qc, qv
-
-    def compliance_density(self, disc, sigma):
-        """C^-1 sigma : sigma collocated on the damage layout."""
-        qc, qv = self._split_energy_density(disc, sigma)
-        if qv is None:
-            return qc
         return qc + disc.scatter_vertices_to_centers(qv)
 
     def phi(self, disc, sigma, z, g=None, s_true=None):
-        qc, qv = self._split_energy_density(disc, sigma)
-        gam = self.gamma(z)
-        val = disc.zdot(0.5 * gam * qc + self.phi_d(z), np.ones_like(z))
-        if qv is not None:
-            gam_v = disc.avg_centers_to_vertices(gam).ravel()
-            wv = disc.sxy_view(disc.sweights).ravel()
-            val += 0.5 * float((wv * gam_v * qv).sum())
-        val += 0.5 * self.kappa * disc.grad_z_norm2(z)
-        if self.eps_grad != 0.0:
-            e = disc.apply_C_inv(sigma)
-            val += -0.5 * self.eps_grad * disc.sdot(disc.laplacian_stress(e), sigma)
-        return val
+        # phi is quadratic in sigma: its sigma part is 1/2 <dPhi_s, sigma>_w
+        if g is None:
+            g = self.dphi_dsigma(disc, sigma, z)
+        return (0.5 * disc.sdot(g, sigma)
+                + disc.zdot(self.phi_d(z), np.ones_like(z))
+                + 0.5 * self.kappa * disc.grad_z_norm2(z))
 
     def dphi_dsigma(self, disc, sigma, z):
         e = disc.apply_C_inv(sigma)

@@ -421,8 +421,8 @@ def _level_runs(disc, material, loading, state0, cfg, taus):
                             f"{tau_max:.3g}")
             continue
         level = replace(cfg, tau=tau_eff, tau_max=tau_max)
-        final, _ = run_simulation(disc, material, loading, level,
-                                  state0.copy())
+        final = run_simulation(disc, material, loading, level,
+                               state0.copy())
         levels.append((tau_eff, final))
     return levels, excluded
 
@@ -542,7 +542,7 @@ def manufactured_wave_study(levels, n0=16, c_mod=1.0, rho=1.0, t_end=0.5,
         tau = t_end / n
         state = initial_state(disc, material, sigma=fields(0.0)[0])
         cfg = IntegratorConfig(tau=tau, t_end=t_end)
-        final, _ = run_simulation(disc, material, no_loading(disc), cfg, state)
+        final = run_simulation(disc, material, no_loading(disc), cfg, state)
         sig = explicit_sigma_closure(final, disc, tau)
         sig_exact, v_exact = fields(t_end)
         errors.append(trajectory_distance(disc, sig, final.v,

@@ -80,7 +80,9 @@ def test_criterion_1_discrete_conservation():
 
     cfg = IntegratorConfig(tau=tau, t_end=10_000 * tau, tau_max=tau_max)
     t0 = time.perf_counter()
-    _, ledgers = run_simulation(d, m, no_loading(d), cfg, st)
+    ledgers = []
+    run_simulation(d, m, no_loading(d), cfg, st,
+                   on_step=lambda _, l: ledgers.append(l))
     elapsed = time.perf_counter() - t0
     drift = max(abs(l.total - e0) for l in ledgers)
     ok = drift <= 1e-10 * abs(e0) and len(ledgers) == 10_000 and elapsed < 2.0
@@ -122,7 +124,9 @@ def test_criterion_2_energy_inequality():
             tau_max, _ = max_stable_timestep(d, m, m.z_init(d), 0.1)
             cfg = IntegratorConfig(tau=tau_max, t_end=1000 * tau_max,
                                    tau_max=tau_max)
-            _, ledgers = run_simulation(d, m, no_loading(d), cfg, st)
+            ledgers = []
+            run_simulation(d, m, no_loading(d), cfg, st,
+                           on_step=lambda _, l: ledgers.append(l))
             tol = 1e-9 * e_scale
             res = [l.residual for l in ledgers]
             key = f"{name}-{d.dim}d"
@@ -149,7 +153,9 @@ def test_criterion_3_cfl_sharpness():
     cfg = IntegratorConfig(tau=0.99 * tau_stable,
                            t_end=5000 * 0.99 * tau_stable, eta=0.01,
                            tau_max=tau_stable)
-    _, ledgers = run_simulation(d, m, no_loading(d), cfg, st.copy())
+    ledgers = []
+    run_simulation(d, m, no_loading(d), cfg, st.copy(),
+                   on_step=lambda _, l: ledgers.append(l))
     bounded = max(l.total for l in ledgers) <= 2.0 * e0
 
     tau_unstable, _ = max_stable_timestep(d, m, st.z, 0.0)
@@ -162,7 +168,9 @@ def test_criterion_3_cfl_sharpness():
                             tau_max=np.inf)
     blew_up = False
     try:
-        _, ledgers2 = run_simulation(d, m, no_loading(d), cfg2, st2)
+        ledgers2 = []
+        run_simulation(d, m, no_loading(d), cfg2, st2,
+                       on_step=lambda _, l: ledgers2.append(l))
         blew_up = max(l.total for l in ledgers2) > 1e6 * e0
     except InstabilityError:
         blew_up = True  # the guard tripped
@@ -346,7 +354,7 @@ def test_criterion_9_structural_properties():
     total0 = d.zdot(st.z, np.ones_like(st.z))
     tau_max, _ = max_stable_timestep(d, m, st.z, 0.1)
     cfg = IntegratorConfig(tau=tau_max, t_end=500 * tau_max)
-    final, _ = run_simulation(d, m, no_loading(d), cfg, st)
+    final = run_simulation(d, m, no_loading(d), cfg, st)
     drift = abs(d.zdot(final.z, np.ones_like(final.z)) - total0)
     biot_ok = drift <= 1e-10 * max(1.0, abs(total0))
     details.append(f"biot content drift={drift:.1e}")
@@ -377,7 +385,7 @@ def test_criterion_9_structural_properties():
     st2 = sine_state(d2, mp, amplitude=0.6)
     tau2, _ = max_stable_timestep(d2, mp, mp.z_init(d2), 0.1)
     cfg2 = IntegratorConfig(tau=tau2, t_end=300 * tau2)
-    fin2, _ = run_simulation(d2, mp, no_loading(d2), cfg2, st2)
+    fin2 = run_simulation(d2, mp, no_loading(d2), cfg2, st2)
     tr = float(np.max(np.abs(d2.sxx_view(fin2.z) + d2.syy_view(fin2.z))))
     flowed = float(np.max(np.abs(fin2.z)))
     trace_ok = tr <= 1e-13 and flowed > 0.0

@@ -1,6 +1,7 @@
 """Integrator tests: substep examples, energy ledger, CFL estimator."""
 
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,7 +186,9 @@ def test_elastic_conservation_short():
     st = initial_state(d, m, sigma=bump_sigma(d))
     e0 = m.phi(d, st.sigma, st.z)  # v0 = 0: physical initial energy
     cfg = cfg_for(d, m, steps=2000)
-    _, ledgers = run_simulation(d, m, no_loading(d), cfg, st)
+    ledgers = []
+    run_simulation(d, m, no_loading(d), cfg, st,
+                   on_step=lambda _, l: ledgers.append(l))
     totals = np.array([l.total for l in ledgers])
     assert np.max(np.abs(totals - e0)) <= 1e-10 * abs(e0)
     # residual is round-off-level every step, including the bootstrap
@@ -198,7 +201,9 @@ def test_elastic_conservation_neumann_2d():
     st = initial_state(d, m, sigma=bump_sigma(d, seed=3))
     e0 = m.phi(d, st.sigma, st.z)
     cfg = cfg_for(d, m, steps=500)
-    _, ledgers = run_simulation(d, m, no_loading(d), cfg, st)
+    ledgers = []
+    run_simulation(d, m, no_loading(d), cfg, st,
+                   on_step=lambda _, l: ledgers.append(l))
     totals = np.array([l.total for l in ledgers])
     assert np.max(np.abs(totals - e0)) <= 1e-10 * max(1.0, abs(e0))
 
@@ -222,7 +227,9 @@ def test_energy_identity_dissipative_1d(name, material):
     st = initial_state(d, material, sigma=0.4 * bump_sigma(d))
     e0 = material.phi(d, st.sigma, st.z)
     cfg = cfg_for(d, material, steps=300)
-    _, ledgers = run_simulation(d, material, no_loading(d), cfg, st)
+    ledgers = []
+    run_simulation(d, material, no_loading(d), cfg, st,
+                   on_step=lambda _, l: ledgers.append(l))
     tol = 1e-9 * max(1.0, abs(e0))
     for l in ledgers:
         assert abs(l.residual) <= tol, (name, l.step, l.residual)
@@ -234,7 +241,9 @@ def test_dissipated_nonnegative_and_energy_decay_maxwell():
     m = PlasticCreepMaterial(viscosity=0.5)
     st = initial_state(d, m, sigma=bump_sigma(d))
     cfg = cfg_for(d, m, steps=400)
-    _, ledgers = run_simulation(d, m, no_loading(d), cfg, st)
+    ledgers = []
+    run_simulation(d, m, no_loading(d), cfg, st,
+                   on_step=lambda _, l: ledgers.append(l))
     assert all(l.dissipated_step >= 0.0 for l in ledgers)
     # with F = 0, D = 0 the total energy is nonincreasing
     totals = [ledgers[0].energy_prev] + [l.total for l in ledgers]
@@ -252,7 +261,9 @@ def test_energy_identity_with_traction_drive():
                       traction_pattern=d.traction_pattern("left"))
     st = initial_state(d, m)
     cfg = cfg_for(d, m, steps=200)
-    _, ledgers = run_simulation(d, m, loading, cfg, st)
+    ledgers = []
+    run_simulation(d, m, loading, cfg, st,
+                   on_step=lambda _, l: ledgers.append(l))
     assert max(abs(l.residual) for l in ledgers) <= 1e-11
     # energy actually flows in
     assert ledgers[-1].total > 1e-6
@@ -265,7 +276,9 @@ def test_energy_identity_body_force():
     loading = Loading(body_force=f)
     st = initial_state(d, m)
     cfg = cfg_for(d, m, steps=200)
-    _, ledgers = run_simulation(d, m, loading, cfg, st)
+    ledgers = []
+    run_simulation(d, m, loading, cfg, st,
+                   on_step=lambda _, l: ledgers.append(l))
     assert max(abs(l.residual) for l in ledgers) <= 1e-10
 
 
@@ -292,11 +305,33 @@ def test_advance_is_deterministic():
     m = PlasticCreepMaterial(viscosity=0.5, sigma_y=0.1)
     st = initial_state(d, m, sigma=bump_sigma(d, seed=11))
     cfg = cfg_for(d, m, steps=50)
-    _, l1 = run_simulation(d, m, no_loading(d), cfg, st.copy())
-    _, l2 = run_simulation(d, m, no_loading(d), cfg, st.copy())
+    l1 = []
+    run_simulation(d, m, no_loading(d), cfg, st.copy(),
+                   on_step=lambda _, l: l1.append(l))
+    l2 = []
+    run_simulation(d, m, no_loading(d), cfg, st.copy(),
+                   on_step=lambda _, l: l2.append(l))
     for a, b in zip(l1, l2):
         assert a.kinetic == b.kinetic
         assert a.residual == b.residual
+
+
+def test_run_memory_does_not_grow_with_step_count():
+    # the run keeps nothing per step: 900 more steps add no traced memory
+    # (a kept ledger list would add about 0.4 KB a step)
+    d = disc_1d(nx=20)
+    m = ElasticMaterial()
+    st = initial_state(d, m, sigma=bump_sigma(d))
+    peaks = []
+    for steps in (300, 1200):
+        cfg = cfg_for(d, m, steps=steps)
+        tracemalloc.start()
+        try:
+            run_simulation(d, m, no_loading(d), cfg, st.copy())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 32 * 1024, peaks
 
 
 def test_advance_shares_the_previous_fields_and_never_writes_them():
@@ -446,7 +481,9 @@ def test_auto_tau_keeps_eta_on_top_mode(make):
     st = initial_state(d, m, sigma=top_mode(d, m))
     tau, _ = max_stable_timestep(d, m, st.z, eta)
     cfg = IntegratorConfig(tau=tau, t_end=20 * tau, eta=eta, tau_max=tau)
-    _, ledgers = run_simulation(d, m, no_loading(d), cfg, st)
+    ledgers = []
+    run_simulation(d, m, no_loading(d), cfg, st,
+                   on_step=lambda _, l: ledgers.append(l))
     assert min(l.stability_coeff for l in ledgers) >= eta - 1e-12
 
 
@@ -478,7 +515,9 @@ def test_stability_coeff_in_simulation():
         tau_max, _ = max_stable_timestep(d, m, m.z_init(d), 0.1)
         cfg = IntegratorConfig(tau=tau_max, t_end=100 * tau_max,
                                tau_max=tau_max)
-        _, ledgers = run_simulation(d, m, no_loading(d), cfg, st)
+        ledgers = []
+        run_simulation(d, m, no_loading(d), cfg, st,
+                       on_step=lambda _, l: ledgers.append(l))
         assert min(l.stability_coeff for l in ledgers) >= 0.1 - 1e-12, name
 
 
@@ -641,7 +680,9 @@ def test_energy_identity_2d_traction_drive():
                       traction_pattern=d.traction_pattern("top"))
     st = initial_state(d, m)
     cfg = cfg_for(d, m, steps=300)
-    _, ledgers = run_simulation(d, m, loading, cfg, st)
+    ledgers = []
+    run_simulation(d, m, loading, cfg, st,
+                   on_step=lambda _, l: ledgers.append(l))
     assert max(abs(l.residual) for l in ledgers) <= 1e-11
     assert any(abs(l.external_work_step) > 0 for l in ledgers)
 
@@ -654,7 +695,9 @@ def test_energy_identity_2d_damage_strain_gradient():
     st = initial_state(d, m, sigma=bump_sigma(d, seed=31) * 0.3)
     e0 = max(1.0, m.phi(d, st.sigma, st.z))
     cfg = cfg_for(d, m, steps=150)
-    _, ledgers = run_simulation(d, m, no_loading(d), cfg, st)
+    ledgers = []
+    run_simulation(d, m, no_loading(d), cfg, st,
+                   on_step=lambda _, l: ledgers.append(l))
     assert max(l.residual for l in ledgers) <= 1e-9 * e0
     assert max(abs(l.residual) for l in ledgers) <= 1e-9 * e0
 
@@ -669,7 +712,9 @@ def test_energy_identity_healing_damage():
                                  0.2, 1.0))
     e0 = max(1.0, m.phi(d, st.sigma, st.z))
     cfg = cfg_for(d, m, steps=200)
-    _, ledgers = run_simulation(d, m, no_loading(d), cfg, st)
+    ledgers = []
+    run_simulation(d, m, no_loading(d), cfg, st,
+                   on_step=lambda _, l: ledgers.append(l))
     # healing dissipation is smooth: equality
     assert max(abs(l.residual) for l in ledgers) <= 1e-9 * e0
 
@@ -708,7 +753,9 @@ def test_biot_2d_content_conserved_in_simulation():
     st = initial_state(d, m, sigma=bump_sigma(d, seed=37) * 0.4)
     total0 = d.zdot(st.z, np.ones_like(st.z))
     cfg = cfg_for(d, m, steps=200)
-    final, ledgers = run_simulation(d, m, no_loading(d), cfg, st)
+    ledgers = []
+    final = run_simulation(d, m, no_loading(d), cfg, st,
+                           on_step=lambda _, l: ledgers.append(l))
     drift = abs(d.zdot(final.z, np.ones_like(final.z)) - total0)
     assert drift <= 1e-10 * max(1.0, abs(total0))
     assert max(abs(l.residual) for l in ledgers) <= 1e-9
@@ -723,7 +770,9 @@ def test_energy_identity_hardening_plus_yield_2d():
     st = initial_state(d, m, sigma=0.5 * bump_sigma(d, seed=41))
     e0 = max(1.0, m.phi(d, st.sigma, st.z))
     cfg = cfg_for(d, m, steps=250)
-    _, ledgers = run_simulation(d, m, no_loading(d), cfg, st)
+    ledgers = []
+    run_simulation(d, m, no_loading(d), cfg, st,
+                   on_step=lambda _, l: ledgers.append(l))
     assert max(l.residual for l in ledgers) <= 1e-9 * e0
     assert max(abs(l.residual) for l in ledgers) <= 1e-9 * e0
     assert all(l.dissipated_step >= -1e-14 for l in ledgers)
@@ -755,7 +804,7 @@ def test_creep_converges_to_the_exact_damped_mode(viscosity, hardening):
         steps = int(np.ceil(t_end / (0.5 / nx)))
         cfg = IntegratorConfig(tau=t_end / steps, t_end=t_end)
         st = initial_state(d, m, sigma=np.sin(np.pi * x))
-        final, _ = run_simulation(d, m, no_loading(d), cfg, st)
+        final = run_simulation(d, m, no_loading(d), cfg, st)
         sigma = explicit_sigma_closure(final, d, cfg.tau)
         errors.append(max(np.max(np.abs(sigma - s * np.sin(np.pi * x))),
                           np.max(np.abs(final.v - w * np.cos(np.pi * xv))),

@@ -587,6 +587,43 @@ def test_damage_2d_shear_coupling_consistency():
     assert_allclose(phi_el_part, gamma_one * elastic, rtol=1e-12)
 
 
+def pointwise_damage_phi(m, d, sigma, z):
+    """Phi of damage summed location by location: centers (1D: nodes)
+    with their own gamma, 2D shear vertices with the averaged gamma."""
+    e = d.apply_C_inv(sigma)
+    gam = m.gamma(z)
+    if d.dim == 1:
+        elastic = d.zdot(gam * e * sigma, np.ones_like(z))
+    else:
+        qc = (d.sxx_view(e) * d.sxx_view(sigma)
+              + d.syy_view(e) * d.syy_view(sigma))
+        qv = d.sxy_view(e) * d.sxy_view(sigma)
+        elastic = (d.zdot(gam * qc.ravel(), np.ones_like(z))
+                   + float((d.sxy_view(d.sweights) * qv
+                            * d.avg_centers_to_vertices(gam)).sum()))
+    return (0.5 * elastic + d.zdot(m.phi_d(z), np.ones_like(z))
+            + 0.5 * m.kappa * d.grad_z_norm2(z)
+            - 0.5 * m.eps_grad * d.sdot(d.laplacian_stress(e), sigma))
+
+
+@pytest.mark.parametrize("strain_gradient", [0.0, 0.05])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_damage_phi_equals_its_pointwise_sum(dim, strain_gradient):
+    # phi is 1/2 <dPhi_s, sigma>_w + the z terms; summed in another order,
+    # it agrees with the pointwise sum to a few ulp
+    rng = np.random.default_rng(23)
+    m = damage_1d(strain_gradient=strain_gradient)
+    for bc in (("dirichlet",) * 4, ("neumann", "dirichlet") * 2):
+        d = (disc_1d(nx=40, h=0.025, bc=bc[:2]) if dim == 1
+             else disc_2d(nx=9, ny=7, h=0.1, bc=bc))
+        for _ in range(20):
+            sigma = 3.0 * rng.standard_normal(d.n_s)
+            sigma[~d.s_active] = 0.0
+            z = rng.uniform(0.0, 1.2, d.zs_n)
+            ref = pointwise_damage_phi(m, d, sigma, z)
+            assert abs(m.phi(d, sigma, z) - ref) <= 1e-15 * abs(ref)
+
+
 def test_internal_step_objective_optimality():
     # every internal step's output beats both the previous iterate and the
     # feasibility-projected unconstrained stationary point

@@ -211,7 +211,7 @@ def test_explicit_matches_oracle_closely_elastic():
     tau = 0.5 * tau_max
     n = 40
     cfg = IntegratorConfig(tau=tau, t_end=n * tau)
-    final, _ = run_simulation(d, m, no_loading(d), cfg, st.copy())
+    final = run_simulation(d, m, no_loading(d), cfg, st.copy())
     from stagdyn.oracle import ImplicitReference
 
     ref = ImplicitReference(d, m, no_loading(d), tau / 8)

@@ -3,8 +3,9 @@
 ``tests/data/reference/<config>/`` holds the energy log and the last
 snapshot of each ``configs/*.cfg`` run, made by
 ``tests/data/reference/regenerate.py``.  A rerun must reproduce them byte
-for byte, at one BLAS thread and at two, and its outputs must keep the
-invariants the benchmark checks (``perfbench/outputs.py``).  A change that
+for byte, at one BLAS thread and at two, print the summary its energy log
+holds, and keep the invariants the benchmark checks
+(``perfbench/outputs.py``).  A change that
 moves an output regenerates the references and states the move, which the
 failure message here measures.
 """
@@ -70,14 +71,23 @@ def host_mismatch():
             f"{here[key]!r}" for key in recorded if recorded[key] != here[key]]
 
 
-def run(cfg, out_dir):
-    assert cli.main(["run", str(cfg), "--quiet", "--out-dir",
-                     str(out_dir)]) == 0
+def summary_of_log(path):
+    """The values of the summary ``stagdyn run`` prints, as it prints
+    them, read off the energy log it wrote."""
+    log = sdio.read_energy_log(path)
+    return [f"steps: {len(log['k'])}  t_end: {log['t'][-1]:.6g}",
+            f"final energy: {log['kinetic'][-1] + log['stored'][-1]:.12g}",
+            f"max |residual|: {np.max(np.abs(log['residual'])):.3e}",
+            f"min a: {np.min(log['a_coeff']):.6g}"]
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda p: p.stem)
-def test_rerun_matches_reference_bytes(cfg, tmp_path):
-    run(cfg, tmp_path)
+def test_rerun_matches_reference_bytes(cfg, tmp_path, capsys):
+    assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    summary = capsys.readouterr().out
+    # the summary, kept as running values, is what the log holds
+    for part in summary_of_log(tmp_path / "energy.csv"):
+        assert part in summary, (part, summary)
     ref_dir = REFERENCE / cfg.stem
     assert sorted(os.listdir(ref_dir)) == regenerate.kept(tmp_path)
     mismatches = [describe_mismatch(ref_dir / name, tmp_path / name)
