@@ -161,7 +161,8 @@ def cmd_cfl(args):
 
 
 def cmd_converge(args):
-    from .oracle import temporal_self_convergence, temporal_finest_grid
+    from .oracle import (oracle_refusal, temporal_finest_grid,
+                         temporal_self_convergence)
 
     cfg = _load_config(args.config)
     if args.levels < 3:
@@ -170,7 +171,7 @@ def cmd_converge(args):
     disc, material, loading, state = build_simulation(cfg)
     icfg = integrator_config(cfg, disc, material, state)
     taus = [icfg.tau / 2 ** i for i in range(args.levels)]
-    if material.supports_reference_integrator():
+    if oracle_refusal(disc, material, loading) is None:
         study = temporal_self_convergence
     else:
         study = temporal_finest_grid

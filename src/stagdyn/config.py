@@ -30,9 +30,12 @@ _BOOLS = {"true": True, "false": False, "yes": True, "no": False,
 
 def _parse_float(raw, loc):
     try:
-        return float(raw)
+        val = float(raw)
     except ValueError:
         raise ConfigError(f"expected a number, got {raw!r}", loc)
+    if not np.isfinite(val):
+        raise ConfigError(f"expected a finite number, got {raw!r}", loc)
+    return val
 
 
 def _parse_int(raw, loc):

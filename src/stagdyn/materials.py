@@ -474,12 +474,8 @@ class BiotMaterial(MaterialModel):
             return x / tau - 0.5 * disc.lap_z(self._apply_B(disc, x),
                                               self.mobility)
 
-        def dot(x, y):
-            # A is self-adjoint in the B-twisted weighted inner product
-            return disc.zdot(self._apply_B(disc, x), y)
-
         info = {}
-        delta = solve_linear_spd(apply_A, rhs, dot, LINEAR_SOLVE_TOL,
+        delta = solve_linear_spd(apply_A, rhs, disc.zdot, LINEAR_SOLVE_TOL,
                                  info=info)
         z_next = z_k + delta
         info["mu_mid"] = self.dphi_dz(disc, sigma_next, 0.5 * (z_k + z_next))
@@ -675,27 +671,23 @@ class DamageMaterial(MaterialModel):
 
     def internal_step(self, disc, sigma_next, z_k, tau, z_prev=None):
         # the rate term's slopes below and above zero: eps1 and 1/eps1
-        # when healing; irreversible steps keep eps1 and bound the
-        # increment by 0 instead, the infinite slope of psi
+        # when healing, in the box z' <= max(1, z_k); irreversible steps
+        # keep eps1 and bound the increment by 0 instead, the infinite
+        # slope of psi
         chat = self.compliance_density(disc, sigma_next)
         b = -self.dphi_dz(disc, sigma_next, z_k, chat=chat)
         heal = self.mode == "healing"
-        info, upper = {}, None if heal else 0.0
+        info = {}
         bands = self._quad_bands(disc, chat)
         # 1D starts at the last increment (2D's projected CG is slower so);
         # an irreversible step keeps it only where it still loads, b < 0
         x0 = None if z_prev is None or bands is None else np.where(
             heal | (b < 0.0), z_k - z_prev, 0.0)
-        while True:
-            z = z_k + solve_asymmetric_quadratic(
-                self._quad_operator(disc, chat), b, disc.zdot, self.eps1 / tau,
-                1.0 / (self.eps1 * tau) if heal else self.eps1 / tau, KKT_TOL,
-                lower=-z_k, upper=upper, bands=bands, info=info, x0=x0)
-            # a healing step within z' <= max(1, z_k) minimizes over that
-            # box too; one that leaves it solves again with the box
-            if upper is not None or np.all(z <= np.maximum(z_k, 1.0)):
-                return z, info
-            upper = np.maximum(1.0 - z_k, 0.0)
+        return z_k + solve_asymmetric_quadratic(
+            self._quad_operator(disc, chat), b, disc.zdot, self.eps1 / tau,
+            1.0 / (self.eps1 * tau) if heal else self.eps1 / tau, KKT_TOL,
+            lower=-z_k, upper=np.maximum(1.0 - z_k, 0.0) if heal else 0.0,
+            bands=bands, info=info, x0=x0), info
 
     def dissipation_rate(self, disc, zdot):
         if self.mode == "unidirectional":

@@ -143,6 +143,20 @@ def dense_generalized_rayleigh(disc, material, z_probe):
 MAX_ORACLE_DOFS = 500
 
 
+def oracle_refusal(disc, material, loading):
+    """Why :class:`ImplicitReference` cannot take the problem, or None
+    when it can."""
+    if not material.supports_reference_integrator():
+        return (f"material {material.name!r} is nonlinear; the midpoint "
+                "oracle only covers jointly linear models")
+    if loading.traction is not None:
+        return "the midpoint oracle does not support boundary drives"
+    n = disc.n_s + disc.n_v + material.z_size(disc)
+    if n > MAX_ORACLE_DOFS:
+        return f"{n} DOFs exceed the dense-oracle limit {MAX_ORACLE_DOFS}"
+    return None
+
+
 class ImplicitReference:
     """Crank-Nicolson reference for jointly linear materials.
 
@@ -153,24 +167,13 @@ class ImplicitReference:
     """
 
     def __init__(self, disc, material, loading, tau):
-        if not material.supports_reference_integrator():
-            raise UnsupportedMaterialError(
-                f"material {material.name!r} is nonlinear; the midpoint "
-                "oracle only covers jointly linear models")
-        if loading.traction is not None:
-            raise UnsupportedMaterialError(
-                "the midpoint oracle does not support boundary drives")
-        nz = material.z_size(disc)
-        n = disc.n_s + disc.n_v + nz
-        if n > MAX_ORACLE_DOFS:
-            raise UnsupportedMaterialError(
-                f"{n} DOFs exceed the dense-oracle limit {MAX_ORACLE_DOFS}")
-        self.disc = disc
-        self.material = material
-        self.tau = tau
+        refusal = oracle_refusal(disc, material, loading)
+        if refusal is not None:
+            raise UnsupportedMaterialError(refusal)
         self.n_s = disc.n_s
         self.n_v = disc.n_v
-        self.nz = nz
+        self.nz = material.z_size(disc)
+        n = self.n_s + self.n_v + self.nz
 
         def rhs(x):
             sigma, v, z = self._split(x)
@@ -178,7 +181,7 @@ class ImplicitReference:
             s_true = material.true_stress(disc, sigma, z)
             dv = (loading.body_force - disc.apply_E_adjoint(s_true)) / disc.mass
             dv[~disc.v_active] = 0.0
-            if nz:
+            if self.nz:
                 dz = material.zdot_linear(disc, sigma, z)
             else:
                 dz = np.zeros(0)
@@ -186,8 +189,6 @@ class ImplicitReference:
 
         b = rhs(np.zeros(n))
         A = dense_operator(lambda x: rhs(x) - b, n)
-        self.A = A
-        self.b = b
         eye = np.eye(n)
         lhs = eye - 0.5 * tau * A
         # one dense factorization: x' = P x + c

@@ -12,9 +12,9 @@ passes its bands, which are then the whole operator, for gradients (their
 
 Every solver minimizes ``1/2 <A x, x> - <b, x>`` in the inner product
 ``dot(x, y)``, the one ``apply_A`` is self-adjoint in: the weighted
-``disc.zdot`` for damage and the Biot dissipation, and the Hessian-twisted
-``disc.zdot(B x, y)`` for the Biot increment.  ``tol`` is the relative
-residual (linear) or the scaled KKT residual (constrained).
+``disc.zdot`` for every caller (the Biot increment operator is a
+polynomial in ``lap_z``, which is self-adjoint in it).  ``tol`` is the
+relative residual (linear) or the scaled KKT residual (constrained).
 """
 
 import numpy as np

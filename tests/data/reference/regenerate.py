@@ -2,11 +2,12 @@
 
 Runs every ``configs/*.cfg`` through ``stagdyn run`` and keeps, in
 ``tests/data/reference/<config>/``, its energy log and its last snapshot
-(for the configs that write snapshots).  ``host.json`` records the numpy
-version and the CPU the references were made with: the bytes are a promise
-for one host, since numpy's SIMD ``sin`` and ``exp`` may round differently
-on another CPU.  ``tests/test_reference_outputs.py`` compares reruns
-against these files.
+(for the configs that write snapshots), and prints the move of each file
+it replaces with other bytes (:func:`describe_mismatch`).  ``host.json``
+records the numpy version and the CPU the references were made with: the
+bytes are a promise for one host, since numpy's SIMD ``sin`` and ``exp``
+may round differently on another CPU.  ``tests/test_reference_outputs.py``
+compares reruns against these files, and reports a mismatch the same way.
 
 Usage, from the repository root::
 
@@ -23,6 +24,8 @@ import sys
 import tempfile
 
 import numpy as np
+
+from stagdyn import io as sdio
 
 HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parents[2]
@@ -47,6 +50,39 @@ def kept(out_dir):
     return ["energy.csv"] + snaps[-1:]
 
 
+def relative_moves(ref, new):
+    """Largest |new - ref| per column or field, over its largest |ref|.
+    The energy log's ``residual``, round-off about zero, is measured
+    against the energy scale, the largest ``kinetic + stored``."""
+    moves = {}
+    for key, r in ref.items():
+        n = new.get(key)
+        if n is None or n.shape != r.shape:
+            moves[key] = f"shape {None if n is None else n.shape} != {r.shape}"
+            continue
+        against = ref["kinetic"] + ref["stored"] if key == "residual" else r
+        scale = float(np.max(np.abs(against))) or 1.0
+        moves[key] = float(np.max(np.abs(n - r))) / scale
+    return moves
+
+
+def describe_mismatch(ref_path, new_path):
+    if ref_path.suffix == ".csv":
+        ref, new = (sdio.read_energy_log(p) for p in (ref_path, new_path))
+    else:
+        ref, new = (sdio.read_snapshot(p)[0] for p in (ref_path, new_path))
+    moves = ", ".join(f"{k} {v:.3e}" if isinstance(v, float) else f"{k} {v}"
+                      for k, v in relative_moves(ref, new).items())
+    return f"{ref_path.parent.name}/{ref_path.name} moved: {moves}"
+
+
+def mismatches(ref_dir, new_dir, names):
+    """The move of each of the files ``names`` whose bytes differ."""
+    return [describe_mismatch(ref_dir / name, new_dir / name)
+            for name in names
+            if (ref_dir / name).read_bytes() != (new_dir / name).read_bytes()]
+
+
 def main():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -57,11 +93,15 @@ def main():
                             str(cfg), "--quiet", "--out-dir", out],
                            env=env, check=True)
             dest = HERE / cfg.stem
+            moved = mismatches(dest, pathlib.Path(out),
+                               [n for n in kept(out) if (dest / n).exists()])
             shutil.rmtree(dest, ignore_errors=True)
             dest.mkdir()
             for name in kept(out):
                 shutil.copyfile(os.path.join(out, name), dest / name)
             print(f"{cfg.stem}: {', '.join(kept(out))}")
+            for line in moved:
+                print(f"  {line}")
     (HERE / "host.json").write_text(json.dumps(host(), indent=2) + "\n",
                                     encoding="utf-8")
 

@@ -422,11 +422,25 @@ def test_cli_converge_elastic(tmp_path, capsys):
     assert order >= 1.8
 
 
+# the dense oracle takes neither a boundary drive nor more than
+# MAX_ORACLE_DOFS: such linear problems run the finest-grid study too
+DRIVEN_ELASTIC = MINIMAL_ELASTIC.replace(
+    "h = 0.025", "h = 0.025\nbc_left = traction").replace(
+    "[loading]", "[loading]\ntraction = ramp\ntraction_rate = 1.0")
+FINE_ELASTIC = (CONFIGS / "elastic_wave_1d.cfg").read_text(
+    encoding="utf-8").replace("nx = 100\nh = 0.01",
+                              "nx = 300\nh = 0.0033333333333333335").replace(
+    "t_end = 2.0", "t_end = 0.05")
+
+
 def test_cli_converge_finest_grid_damage(tmp_path, capsys):
-    path = write_cfg(tmp_path, DAMAGE_CFG)
-    assert main(["converge", path, "--levels", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "finest-grid" in out
+    for name, text in [("damage", DAMAGE_CFG),
+                       ("driven_elastic", DRIVEN_ELASTIC),
+                       ("elastic_601_dofs", FINE_ELASTIC)]:
+        path = write_cfg(tmp_path, text, f"{name}.cfg")
+        assert main(["converge", path, "--levels", "3"]) == 0, name
+        out = capsys.readouterr().out
+        assert "finest-grid" in out, name
 
 
 def test_cli_converge_uses_configured_eta(tmp_path, capsys):
@@ -568,6 +582,13 @@ def test_negative_count_or_tolerance_exits_64(tmp_path, key, value):
     ("viscoplastic_2d", "material.shear_modulus", None),
     ("elastic_wave_1d", "grid.dim", None),
     ("elastic_wave_1d", "material.name", None),
+    # non-finite numbers, refused where they are read
+    ("elastic_wave_1d", "integrator.t_end", "inf"),
+    ("elastic_wave_1d", "material.rho", "inf"),
+    ("elastic_wave_1d", "grid.h", "inf"),
+    ("elastic_wave_1d", "loading.initial_amplitude", "inf"),
+    ("elastic_wave_1d", "integrator.energy_tolerance", "nan"),
+    ("elastic_wave_1d", "integrator.tau", "inf"),
 ], ids=lambda v: str(v))
 def test_config_error_names_its_key_exits_64(tmp_path, capsys, config, key,
                                              value):

@@ -13,7 +13,10 @@ from stagdyn.materials import (
     ElasticMaterial,
     PlasticCreepMaterial,
 )
-from stagdyn.oracle import brute_force_prox, gradient_check, scan_internal_objective
+from stagdyn import materials
+from stagdyn.oracle import (brute_force_prox, dense_operator, gradient_check,
+                            scan_internal_objective)
+from stagdyn.solvers import solve_linear_spd
 
 
 def disc_1d(nx=4, h=1.0, c=1.0, rho=1.0, bc=("dirichlet", "dirichlet")):
@@ -362,27 +365,88 @@ def test_biot_uniform_equilibrium_fixed_point():
     assert_allclose(z, z0, atol=1e-13)
 
 
-def test_biot_step_matches_dense_solve():
-    # 1D, 4 cells: the implicit system solved densely
-    d = disc_1d(nx=4, h=0.3)
-    m = biot_1d()
-    rng = np.random.default_rng(13)
-    sigma = rng.standard_normal(d.n_s)
-    zk = m.z_init(d) + 0.3 * rng.standard_normal(d.zs_n)
-    tau = 0.07
-    z, _ = m.internal_step(d, sigma, zk, tau)
-
+def dense_biot_increment(d, m, sigma, zk, tau):
+    """The implicit system ``(I/tau - 1/2 m L B) delta = m L mu_k`` solved
+    densely, with the laplacian from div_z(grad_z): the 1D lap_z applies
+    its bands."""
     n = d.zs_n
-    from stagdyn.oracle import dense_operator
-
-    # the laplacian from div_z(grad_z): the 1D lap_z applies its bands
     lap = dense_operator(lambda f: d.div_z(d.grad_z(f)), n)
     LM = m.mobility * lap
     B = (m.M + m.L) * np.eye(n) - m.kappa * lap
     A = np.eye(n) / tau - 0.5 * LM @ B
-    rhs = LM @ m.dphi_dz(d, sigma, zk)
-    delta_ref = np.linalg.solve(A, rhs)
+    return np.linalg.solve(A, LM @ m.dphi_dz(d, sigma, zk))
+
+
+def biot_random_state(d, m, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(d.n_s),
+            m.z_init(d) + 0.3 * rng.standard_normal(d.zs_n))
+
+
+def test_biot_step_matches_dense_solve():
+    # 1D, 4 cells: the implicit system solved densely
+    d = disc_1d(nx=4, h=0.3)
+    m = biot_1d()
+    sigma, zk = biot_random_state(d, m, 13)
+    tau = 0.07
+    z, _ = m.internal_step(d, sigma, zk, tau)
+    delta_ref = dense_biot_increment(d, m, sigma, zk, tau)
     assert np.max(np.abs((z - zk) - delta_ref)) < 1e-10
+
+
+def biot_disc(*shape):
+    """A unit-length grid with mixed boundary kinds, which the scalar
+    layout's laplacian, no-flux on every side, must not feel."""
+    if len(shape) == 1:
+        return disc_1d(nx=shape[0], h=1.0 / shape[0],
+                       bc=("dirichlet", "neumann"))
+    return disc_2d(nx=shape[0], ny=shape[1], h=1.0 / shape[0],
+                   bc=("dirichlet", "neumann", "traction", "neumann"))
+
+
+def captured_biot_operator(monkeypatch, d, m, tau):
+    """The operator and inner product ``internal_step`` hands its solver."""
+    seen = {}
+
+    def capture(apply_A, b, dot, tol, info=None):
+        seen.update(apply_A=apply_A, dot=dot)
+        return solve_linear_spd(apply_A, b, dot, tol, info=info)
+
+    monkeypatch.setattr(materials, "solve_linear_spd", capture)
+    m.internal_step(d, *biot_random_state(d, m, 0), tau)
+    return seen["apply_A"], seen["dot"]
+
+
+@pytest.mark.parametrize("shape", [(200,), (12, 9)],
+                         ids=["1d_nx200", "2d_12x9"])
+def test_biot_increment_operator_is_spd_in_zdot(monkeypatch, shape):
+    # CG runs in disc.zdot, so the increment operator must be self-adjoint
+    # there; it is I/tau plus a semidefinite part, so its Rayleigh quotient
+    # is >= 1/tau, with equality on constants (no flux)
+    d, m, tau = biot_disc(*shape), biot_1d(), 0.01
+    apply_A, dot = captured_biot_operator(monkeypatch, d, m, tau)
+    assert dot == d.zdot
+    A = dense_operator(apply_A, d.zs_n)
+    WA = d.zs_weights[:, None] * A  # (WA)_ij = <A e_j, e_i>_w
+    assert np.max(np.abs(WA - WA.T)) <= 1e-15 * np.max(np.abs(WA))
+    r = np.sqrt(d.zs_weights)
+    quotients = np.linalg.eigvalsh(r[:, None] * A / r[None, :])
+    assert abs(quotients[0] - 1.0 / tau) <= 1e-14 * quotients[-1]
+    assert quotients[0] >= 1.0 / tau - 1e-15 * quotients[-1]
+
+
+@pytest.mark.parametrize("shape, bound", [((200,), 1e-6), ((32, 32), 2e-7)],
+                         ids=["1d_nx200", "2d_32x32"])
+def test_biot_increment_matches_dense_solve_worst_case(shape, bound):
+    # the operator's condition number (1e7 in 1D, 3e4 in 2D) lets the CG
+    # increment sit well off the exact one at a 1e-10 residual: 20 random
+    # states gave at most 1.5e-7 in 1D and 4.6e-8 in 2D
+    d, m, tau = biot_disc(*shape), biot_1d(), 0.01
+    for seed in range(5):
+        sigma, zk = biot_random_state(d, m, seed)
+        z, _ = m.internal_step(d, sigma, zk, tau)
+        ref = dense_biot_increment(d, m, sigma, zk, tau)
+        assert np.max(np.abs((z - zk) - ref)) <= bound * np.max(np.abs(ref))
 
 
 def test_biot_scan_via_transfer_variable():

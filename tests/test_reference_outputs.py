@@ -6,8 +6,9 @@ snapshot of each ``configs/*.cfg`` run, made by
 for byte, at one BLAS thread and at two, print the summary its energy log
 holds, and keep the invariants the benchmark checks
 (``perfbench/outputs.py``).  A change that
-moves an output regenerates the references and states the move, which the
-failure message here measures.
+moves an output regenerates the references and states the move, which
+``regenerate.describe_mismatch`` measures, there and in the failure
+message here.
 """
 
 import importlib.util
@@ -41,29 +42,6 @@ regenerate = load("reference_regenerate", REFERENCE / "regenerate.py")
 outputs = load("perfbench_outputs", ROOT / "perfbench" / "outputs.py")
 
 
-def relative_moves(ref, new):
-    """Largest |new - ref| per column or field, over its largest |ref|."""
-    moves = {}
-    for key, r in ref.items():
-        n = new.get(key)
-        if n is None or n.shape != r.shape:
-            moves[key] = f"shape {None if n is None else n.shape} != {r.shape}"
-            continue
-        scale = float(np.max(np.abs(r))) or 1.0
-        moves[key] = float(np.max(np.abs(n - r))) / scale
-    return moves
-
-
-def describe_mismatch(ref_path, new_path):
-    if ref_path.suffix == ".csv":
-        ref, new = (sdio.read_energy_log(p) for p in (ref_path, new_path))
-    else:
-        ref, new = (sdio.read_snapshot(p)[0] for p in (ref_path, new_path))
-    moves = ", ".join(f"{k} {v:.3e}" if isinstance(v, float) else f"{k} {v}"
-                      for k, v in relative_moves(ref, new).items())
-    return f"{ref_path.parent.name}/{ref_path.name} moved: {moves}"
-
-
 def host_mismatch():
     recorded = json.loads((REFERENCE / "host.json").read_text("utf-8"))
     here = regenerate.host()
@@ -90,26 +68,30 @@ def test_rerun_matches_reference_bytes(cfg, tmp_path, capsys):
         assert part in summary, (part, summary)
     ref_dir = REFERENCE / cfg.stem
     assert sorted(os.listdir(ref_dir)) == regenerate.kept(tmp_path)
-    mismatches = [describe_mismatch(ref_dir / name, tmp_path / name)
-                  for name in sorted(os.listdir(ref_dir))
-                  if (ref_dir / name).read_bytes()
-                  != (tmp_path / name).read_bytes()]
-    assert not mismatches, "\n".join(mismatches + host_mismatch())
+    moved = regenerate.mismatches(ref_dir, tmp_path,
+                                  sorted(os.listdir(ref_dir)))
+    assert not moved, "\n".join(moved + host_mismatch())
 
 
 def test_reference_mismatch_reports_the_move(tmp_path):
-    # one ulp in one row is a mismatch, and the message measures it
+    # one ulp in one row is a mismatch, and the message measures it; a
+    # residual that flips sign is a round-off move of the energy, not a
+    # move of order 1 of the residual's own maximum
     ref = REFERENCE / "maxwell_creep_1d" / "energy.csv"
+    log = sdio.read_energy_log(ref)
     lines = ref.read_text("utf-8").splitlines(keepends=True)
     cols = lines[5].rstrip("\n").split(",")
     cols[3] = repr(float(np.nextafter(float(cols[3]), np.inf)))
+    cols[7] = repr(-float(np.max(np.abs(log["residual"]))))
     lines[5] = ",".join(cols) + "\n"
     moved = tmp_path / "energy.csv"
     moved.write_text("".join(lines), "utf-8")
     assert moved.read_bytes() != ref.read_bytes()
-    message = describe_mismatch(ref, moved)
-    stored = float(message.split("stored ")[1].split(",")[0])
+    message = regenerate.describe_mismatch(ref, moved)
+    stored, residual = (float(message.split(f"{key} ")[1].split(",")[0])
+                        for key in ("stored", "residual"))
     assert 0.0 < stored < 1e-15
+    assert 0.0 < residual < 1e-15
     assert "kinetic 0.000e+00" in message
 
 
