@@ -135,6 +135,8 @@ def cmd_run(args):
         last = seen["last"]
         print(f"steps: {seen['steps']}  t_end: {last.time:.6g}  "
               f"tau: {icfg.tau:.6g}")
+        print(f"estimate: {icfg.cfl_iters} Lanczos iterations, "
+              f"relative residual {icfg.cfl_residual:.3e}")
         print(f"final energy: {last.total:.12g}  "
               f"max |residual|: {seen['res']:.3e}  "
               f"min a: {seen['a']:.6g}")

@@ -402,18 +402,20 @@ def build_simulation(cfg):
 def integrator_config(cfg, disc, material, state):
     """Integrator settings of a config.
 
-    With tau = auto, tau is the bound estimated at the initial state, and
-    the config carries it as ``tau_max``, so neither the run nor a
-    convergence study estimates it again.
+    The bound is estimated at the initial state, and the config carries it
+    as ``tau_max`` with the estimate's iterations and residual, so neither
+    the run nor a convergence study estimates it again.  With tau = auto,
+    tau is that bound.
     """
     from .integrator import max_stable_timestep
 
     it = cfg.integrator
-    tau, tau_max = it["tau"], None
-    if tau == "auto":
-        tau = tau_max = max_stable_timestep(disc, material, state.z,
-                                            it["eta"])[0]
+    info = {}
+    tau_max, _ = max_stable_timestep(disc, material, state.z, it["eta"],
+                                     info=info)
     return IntegratorConfig(
-        tau=tau, t_end=it["t_end"], eta=it["eta"],
+        tau=tau_max if it["tau"] == "auto" else it["tau"],
+        t_end=it["t_end"], eta=it["eta"],
         enforce_energy_inequality=it["enforce_energy_inequality"],
-        energy_tol=it["energy_tolerance"], tau_max=tau_max)
+        energy_tol=it["energy_tolerance"], tau_max=tau_max,
+        cfl_iters=info["iters"], cfl_residual=info["residual"])

@@ -35,6 +35,7 @@ identity is used, with the physical initial energy T(v0) + Phi(Sigma0, z0)
 as the left anchor.
 """
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -153,7 +154,9 @@ class IntegratorConfig:
     ``eta`` is the CFL safety margin in (0, 1): the fraction of the stored
     energy guaranteed to survive the staggered kinetic split at every step.
     ``tau_max`` is the bound at ``eta`` and the initial state, if already
-    measured; it holds for the whole run.  When
+    measured; it holds for the whole run.  ``cfl_iters`` and
+    ``cfl_residual`` are the Lanczos iterations and relative residual of
+    that estimate, when known.  When
     ``enforce_energy_inequality`` is set, a step whose ledger residual
     exceeds ``energy_tol * max(1, |E^k|)``, with E^k the step's own left
     anchor ``ledger.energy_prev``, raises :class:`EnergyInequalityError`
@@ -166,6 +169,8 @@ class IntegratorConfig:
     enforce_energy_inequality: bool = False
     energy_tol: float = 1e-9
     tau_max: Optional[float] = None
+    cfl_iters: Optional[int] = None
+    cfl_residual: Optional[float] = None
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -445,20 +450,38 @@ def advance(state, disc, material, loading, cfg):
 RITZ_SHIFTS = 255   # shifts per multisection sweep: 8 bits each
 
 
+def _above(x, alphas, b2):
+    """Whether x lies above every eigenvalue of the tridiagonal matrix with
+    diagonal ``alphas`` and squared off-diagonal ``b2``: every pivot of the
+    LDL^T factorization of T - x I is negative.  Stops at the first pivot
+    that is not."""
+    d = alphas[0] - x
+    for a, bb in zip(alphas[1:], b2):
+        if not d < 0.0:
+            return False
+        d = a - (x + bb / d)
+    return d < 0.0
+
+
 def _top_ritz(alphas, betas):
     """Top eigenpair of a Lanczos tridiagonal matrix in O(j) time and memory.
 
     ``alphas`` and ``betas`` are the diagonal and the (positive)
     off-diagonal.  Returns ``(theta, y_last)``: theta is an upper bound
     on the largest eigenvalue, within 1e-9 relative, and y_last is the
-    last component of its unit eigenvector.
+    last component of its unit eigenvector.  When Gershgorin puts every
+    eigenvalue at or below 0 it returns ``(0.0, 0.0)``: 0 bounds them
+    all, with no residual.
 
-    theta comes from Sturm-count multisection: x lies above every
-    eigenvalue exactly when all pivots of the LDL^T factorization of
-    T - x I are negative, and each sweep tests RITZ_SHIFTS shifts at
-    once.  The eigenvector comes from three steps of inverse iteration
-    with the shift theta, where theta I - T is positive definite and,
-    started from a positive vector, every term of the solve is positive.
+    theta comes from Sturm-count multisection: each sweep bisects for the
+    first of RITZ_SHIFTS evenly spaced shifts above every eigenvalue
+    (:func:`_above`), with no numpy call inside the sweep.  Under
+    round-to-nearest each computed pivot does not increase with x while
+    the pivots before it are negative, so that test is monotone in x.  A
+    sweep that cannot narrow the bracket ends the search.  The
+    eigenvector comes from three steps of inverse iteration with the
+    shift theta, where theta I - T is positive definite and, started from
+    a positive vector, every term of the solve is positive.
     """
     b2 = [b * b for b in betas]
     # the diagonal bounds the top eigenvalue below and Gershgorin above;
@@ -467,25 +490,17 @@ def _top_ritz(alphas, betas):
     lo = max(alphas)
     hi = (1.0 + 1e-12) * max(a + l + r for a, l, r in
                              zip(alphas, [0.0] + betas, betas + [0.0]))
-    dmax = np.empty(RITZ_SHIFTS)
+    if not hi > 0.0:
+        return 0.0, 0.0
     while hi - lo > 1e-9 * hi:
-        x = np.linspace(lo, hi, RITZ_SHIFTS + 2)[1:-1]
-        d = alphas[0] - x
-        dmax[:] = d
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for a, bb in zip(alphas[1:], b2):
-                np.divide(bb, d, out=d)
-                d += x
-                np.subtract(a, d, out=d)    # next pivot a - (x + bb / d)
-                np.maximum(dmax, d, out=dmax)
-        above = dmax < 0.0
-        k = int(np.argmax(above))
-        if above[k]:
-            hi = float(x[k])
-            if k:
-                lo = float(x[k - 1])
-        else:
-            lo = float(x[-1])
+        xs = np.linspace(lo, hi, RITZ_SHIFTS + 2)[1:-1].tolist()
+        k = bisect.bisect_left(xs, True,
+                               key=lambda x: _above(x, alphas, b2))
+        # the shifts either side of the first one above, lo and hi as ends
+        bracket = ([lo] + xs)[k], (xs + [hi])[k]
+        if bracket == (lo, hi):
+            break
+        lo, hi = bracket
     # pivots of hi I - T, negated from the same operations as above, so
     # they are all > 0 exactly as they were found to be
     d = alphas[0] - hi
@@ -528,17 +543,17 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
     uniform random stress drawn with seed 0.  Its three-term recurrence
     carries H q beside each Lanczos vector, so an iteration costs one T
     (without its leading H) and one H, and memory is a few stress vectors:
-    no basis is stored and none is reorthogonalised.  The top Ritz pair (theta,
-    y) of the j x j tridiagonal Lanczos matrix is extracted in O(j)
-    (:func:`_top_ritz`, theta rounded up) every max(8, j/2) iterations
-    and once at j = the number of active stress DOFs, where the Krylov
-    space is exhausted.  The iteration stops once the Ritz residual
-    beta_j |e_j^T y| is at most ``tol * theta``, or on a breakdown
-    (beta_j <= tol * max alpha: an invariant subspace, exact
-    convergence), and returns lambda = theta + residual, so any
-    remaining error makes tau smaller, never larger.  When ``info`` is a
-    dict it receives ``iters`` (Lanczos iterations) and ``residual``
-    (the final Ritz residual over theta).
+    no basis is stored and none is reorthogonalised.  The top Ritz pair
+    (theta, y) of the j x j tridiagonal Lanczos matrix is extracted by
+    :func:`_top_ritz` (theta rounded up; about 8 j scalar steps per
+    multisection sweep) every max(8, j/2) iterations and once at j = the
+    number of active stress DOFs, where the Krylov space is exhausted.
+    The iteration stops once the Ritz residual beta_j |e_j^T y| is at
+    most ``tol * theta``, or on a breakdown (beta_j <= tol * max alpha:
+    an invariant subspace, exact convergence), and returns lambda =
+    theta + residual, so any remaining error makes tau smaller, never
+    larger.  When ``info`` is a dict it receives ``iters`` (Lanczos
+    iterations) and ``residual`` (the final Ritz residual over theta).
 
     ``max_iter`` defaults to 2 n + 8, n the active stress DOFs: exact
     arithmetic ends the iteration by j = n, and the second n is margin for
@@ -628,7 +643,7 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
                           residuals=[residual / theta])
     if info is not None:
         info["iters"] = j
-        info["residual"] = float(residual / theta)
+        info["residual"] = float(residual / theta) if residual else 0.0
     lam = theta + residual
     if lam <= 0.0:
         return np.inf, lam

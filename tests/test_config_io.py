@@ -367,6 +367,20 @@ def test_cli_cfl_prints_bound(tmp_path, capsys):
     assert 0 < iters <= 41 and 0.0 <= residual <= 1e-6
 
 
+@pytest.mark.parametrize("tau", ["auto", "0.01"])
+def test_cli_run_reports_the_cfl_estimate(tmp_path, capsys, tau):
+    # the run's summary reports the estimate it checked tau against, in
+    # the words of `stagdyn cfl`, whether tau is auto or fixed
+    path = write_cfg(tmp_path, run_cfg_text(tmp_path).replace(
+        "tau = auto", f"tau = {tau}"))
+    assert main(["cfl", path]) == 0
+    cfl_lines = capsys.readouterr().out.splitlines()
+    assert main(["run", path]) == 0
+    run_lines = capsys.readouterr().out.splitlines()
+    estimate = [l for l in cfl_lines if l.startswith("estimate:")]
+    assert len(estimate) == 1 and estimate[0] in run_lines
+
+
 def test_cli_cfl_matches_formula(tmp_path, capsys):
     # the classic 1D bound: tau_max ~ h sqrt(rho/C)
     text = MINIMAL_ELASTIC.replace("modulus = 1.0", "modulus = 4.0").replace(

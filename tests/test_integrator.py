@@ -1,6 +1,10 @@
 """Integrator tests: substep examples, energy ledger, CFL estimator."""
 
+import math
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -30,6 +34,7 @@ from stagdyn.integrator import (
     step_internal,
     step_velocity,
     stability_coefficient,
+    _above,
     _top_ritz,
 )
 from stagdyn.materials import (
@@ -431,20 +436,159 @@ def test_power_iteration_matches_dense(make):
     assert lam >= lam_ref * (1.0 - 1e-12)
 
 
+def _top_ritz_sweep(alphas, betas):
+    """``_top_ritz`` with a vectorized sweep: each multisection sweep tests
+    all 255 shifts at once in numpy and takes the first one above every
+    eigenvalue by argmax.  The bisection must reproduce it bit for bit."""
+    shifts = 255
+    b2 = [b * b for b in betas]
+    lo = max(alphas)
+    hi = (1.0 + 1e-12) * max(a + l + r for a, l, r in
+                             zip(alphas, [0.0] + betas, betas + [0.0]))
+    dmax = np.empty(shifts)
+    while hi - lo > 1e-9 * hi:
+        x = np.linspace(lo, hi, shifts + 2)[1:-1]
+        d = alphas[0] - x
+        dmax[:] = d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for a, bb in zip(alphas[1:], b2):
+                np.divide(bb, d, out=d)
+                d += x
+                np.subtract(a, d, out=d)
+                np.maximum(dmax, d, out=dmax)
+        above = dmax < 0.0
+        k = int(np.argmax(above))
+        if above[k]:
+            hi = float(x[k])
+            if k:
+                lo = float(x[k - 1])
+        else:
+            lo = float(x[-1])
+    d = alphas[0] - hi
+    g = [-d]
+    for a, bb in zip(alphas[1:], b2):
+        d = a - (hi + bb / d)
+        g.append(-d)
+    y = [1.0] * len(alphas)
+    for _ in range(3):
+        u = y[0]
+        v = [u / g[0]]
+        for yi, b, g_prev, gi in zip(y[1:], betas, g, g[1:]):
+            u = yi + b * u / g_prev
+            v.append(u / gi)
+        w = v[-1]
+        y = [w]
+        for vi, b, gi in zip(v[-2::-1], betas[::-1], g[-2::-1]):
+            w = vi + b * w / gi
+            y.append(w)
+        y.reverse()
+        norm = np.sqrt(sum(yi * yi for yi in y))
+        y = [yi / norm for yi in y]
+    return hi, y[-1]
+
+
+def _same_floats(a, b):
+    return [float(x).hex() for x in a] == [float(x).hex() for x in b]
+
+
 @pytest.mark.parametrize("j", [1, 2, 7, 60, 300])
 def test_top_ritz_matches_dense_eigh(j):
     # random tridiagonal matrices and the clustered, Gershgorin-exact
-    # Laplacian tridiag(1, 2, 1), against LAPACK on the dense matrix
+    # Laplacian tridiag(1, 2, 1), against LAPACK on the dense matrix and
+    # bit for bit against the vectorized sweep
     rng = np.random.default_rng(j)
     cases = [(list(rng.uniform(0.5, 1.5, j)),
               list(rng.uniform(0.1, 0.5, j - 1))),
              ([2.0] * j, [1.0] * (j - 1))]
     for alphas, betas in cases:
         theta, y_last = _top_ritz(alphas, betas)
+        assert _same_floats((theta, y_last), _top_ritz_sweep(alphas, betas))
         t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
         vals, vecs = np.linalg.eigh(t)
         assert vals[-1] <= theta <= vals[-1] * (1.0 + 1e-9)
         assert abs(abs(y_last) - abs(vecs[-1, -1])) <= 1e-9
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (disc_1d(nx=40, h=0.025), DamageMaterial(
+        eps0=1.0, eps=0.05, g_c=0.4, viscosity=0.3)),
+    lambda: (disc_1d(nx=40, h=0.025), BiotMaterial(
+        biot_modulus=0.4, biot_coefficient=0.4, l_coefficient=0.1,
+        zeta_eq=0.0, capillarity=0.02, mobility=0.5)),
+    lambda: (disc_2d(nx=8, ny=8, h=0.125),
+             PlasticCreepMaterial(viscosity=0.5, sigma_y=0.05)),
+], ids=["damage-1d", "biot-1d", "plastic-2d"])
+def test_top_ritz_equals_the_sweep_on_lanczos_tridiagonals(monkeypatch,
+                                                           make):
+    # every tridiagonal the estimator hands over, at each of its checks
+    d, m = make()
+    seen = []
+
+    def recorded(alphas, betas):
+        seen.append((list(alphas), list(betas)))
+        return _top_ritz(alphas, betas)
+
+    monkeypatch.setattr(integrator, "_top_ritz", recorded)
+    max_stable_timestep(d, m, m.z_init(d), 0.1)
+    assert len(seen) >= 2
+    for alphas, betas in seen:
+        assert _same_floats(_top_ritz(alphas, betas),
+                            _top_ritz_sweep(alphas, betas))
+
+
+def test_pivot_test_is_monotone_across_the_top_eigenvalue():
+    # bisection finds the sweep's first shift above every eigenvalue only
+    # if the test flips once: consecutive floats around the top, and a
+    # coarser grid across +-1e-9 of it
+    rng = np.random.default_rng(3)
+    cases = [([2.0] * 60, [1.0] * 59),
+             (list(rng.uniform(0.5, 1.5, 60)),
+              list(rng.uniform(0.1, 0.5, 59)))]
+    for alphas, betas in cases:
+        t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        top = float(np.linalg.eigvalsh(t)[-1])
+        xs = [top + k * math.ulp(top) for k in range(-300, 301)]
+        xs = sorted(xs + np.linspace(top * (1 - 1e-9), top * (1 + 1e-9),
+                                     2001).tolist())
+        flags = [_above(x, alphas, [b * b for b in betas]) for x in xs]
+        first = flags.index(True)
+        assert first > 0 and not any(flags[:first]) and all(flags[first:])
+
+
+def test_top_ritz_returns_on_degenerate_tridiagonals():
+    # a Gershgorin bound at or below 0 (hi < 0, or T = 0) gives (0, 0):
+    # 0 bounds every eigenvalue with no residual, so an estimate on a zero
+    # operator gives tau = inf.  A positive bound over a negative top
+    # eigenvalue ends once a sweep cannot narrow the bracket.  In a child
+    # process, so that a hang fails instead of blocking the suite
+    script = (
+        "import numpy as np\n"
+        "from stagdyn.grid import Grid, build\n"
+        "from stagdyn.integrator import _top_ritz, max_stable_timestep\n"
+        "from stagdyn.materials import ElasticMaterial\n"
+        "print(_top_ritz([-1.0, -2.0], [0.5]), _top_ritz([0.0], []))\n"
+        "print(*map(float, _top_ritz([-3.0, -1.0], [1.5])))\n"
+        "d = build(Grid(dim=1, nx=8, h=0.5, bc=('dirichlet',) * 2), 1.0,\n"
+        "          {'modulus': 1.0})\n"
+        "d.inv_mass = np.zeros_like(d.inv_mass)\n"
+        "info = {}\n"
+        "m = ElasticMaterial()\n"
+        "print(max_stable_timestep(d, m, m.z_init(d), 0.1, info=info), "
+        "info)\n")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    guarded, negative, zero_operator = proc.stdout.splitlines()
+    assert guarded == "(0.0, 0.0) (0.0, 0.0)"
+    assert zero_operator == "(inf, 0.0) {'iters': 1, 'residual': 0.0}"
+    theta, y_last = map(float, negative.split())
+    vals, vecs = np.linalg.eigh([[-3.0, 1.5], [1.5, -1.0]])
+    assert abs(theta - vals[-1]) <= 1e-9 * abs(vals[-1])
+    assert abs(abs(y_last) - abs(vecs[-1, -1])) <= 1e-9
 
 
 def top_mode(d, m):
