@@ -282,16 +282,17 @@ def check_damage_direct_solve(rng):
 
 
 def check_cfl_estimator(rng):
-    # the finest 1D grid the dense oracle reaches: its top modes are the
-    # most tightly clustered, where an early stop shows
+    # the finest 1D and clamped 2D grids the dense oracle reaches: their
+    # top modes are the most tightly clustered, where an early stop shows
     nx = MAX_ORACLE_DOFS - 1
-    d = _disc_1d(nx=nx, h=1.0 / nx, c=2.0)
     m = ElasticMaterial()
-    _, lam = max_stable_timestep(d, m, m.z_init(d), 0.0)
-    lam_ref = dense_generalized_rayleigh(d, m, m.z_init(d))
-    _require(abs(lam - lam_ref) <= 1e-6 * lam_ref
-             and lam >= lam_ref * (1.0 - 1e-12),
-             f"Lanczos CFL estimate {lam:.12g} vs dense {lam_ref:.12g}")
+    for d in (_disc_1d(nx=nx, h=1.0 / nx, c=2.0),
+              _disc_2d(bc=("dirichlet",) * 4, n=(12, 12))):
+        _, lam = max_stable_timestep(d, m, m.z_init(d), 0.0)
+        lam_ref = dense_generalized_rayleigh(d, m, m.z_init(d))
+        _require(abs(lam - lam_ref) <= 1e-6 * lam_ref
+                 and lam >= lam_ref * (1.0 - 1e-12),
+                 f"{d.dim}D CFL estimate {lam:.12g} vs dense {lam_ref:.12g}")
 
 
 def check_ledger_reference(rng):

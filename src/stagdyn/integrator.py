@@ -63,15 +63,9 @@ class State:
     made this state already computed, carried for the next energy audit:
     E^k = 1/2 <M v^k, v^{k-1}> + Phi(Sigma^k, z^k), dPhi_s(Sigma^k, (z^k
     + z^{k-1})/2) and, only for a material without ``dphi_dsigma_shift``,
-    dPhi_s(Sigma^k, z^k).  They are None on states not made by
-    :func:`advance` (initial states, and every :meth:`copy`, which drops
-    them), and the audit then computes them afresh.  :func:`advance`
-    checks the fields it makes for finiteness (through its ledger), so
-    the next step checks ``v`` and ``sigma`` only when ``dphi_mid`` is
-    None.  A caller that edits ``v``, ``sigma`` or ``z`` of an advanced
-    state in place must edit a copy or set all three to None first, or
-    the next ledger uses stale values and the next step trusts the edited
-    fields.
+    dPhi_s(Sigma^k, z^k).  They are None on initial states and on every
+    :meth:`copy`, and the audit then computes them afresh.  An advanced
+    state is read-only, so they cannot go stale; its copy is editable.
     """
 
     u: np.ndarray
@@ -422,7 +416,7 @@ def energy_audit(prev, nxt, disc, material, loading, cfg, step_info=None):
 # ---------------------------------------------------------------------------
 
 def advance(state, disc, material, loading, cfg):
-    """One full staggered step; returns (new state, ledger).
+    """One full staggered step; returns (read-only new state, ledger).
 
     The new fields are scanned for finiteness (Sigma', z', v', the first
     non-finite one raising) only when the ledger's kinetic pair or stored
@@ -444,6 +438,9 @@ def advance(state, disc, material, loading, cfg):
                           ("velocity", v_next)):
             _require_finite(name, arr)
     nxt.energy = ledger.total
+    for arr in (u_next, v_next, sigma_next, z_next, dphi_mid, nxt.dphi_end):
+        if arr is not None:
+            arr.setflags(write=False)
     return nxt, ledger
 
 
@@ -469,9 +466,10 @@ def _top_ritz(alphas, betas):
     ``alphas`` and ``betas`` are the diagonal and the (positive)
     off-diagonal.  Returns ``(theta, y_last)``: theta is an upper bound
     on the largest eigenvalue, within 1e-9 relative, and y_last is the
-    last component of its unit eigenvector.  When Gershgorin puts every
-    eigenvalue at or below 0 it returns ``(0.0, 0.0)``: 0 bounds them
-    all, with no residual.
+    last component of its unit eigenvector, both found on T over its
+    Gershgorin bound, where no scale of T under- or overflows.  When
+    Gershgorin puts every eigenvalue at or below 0 it returns
+    ``(0.0, 0.0)``: 0 bounds them all, with no residual.
 
     theta comes from Sturm-count multisection: each sweep bisects for the
     first of RITZ_SHIFTS evenly spaced shifts above every eigenvalue
@@ -483,15 +481,16 @@ def _top_ritz(alphas, betas):
     shift theta, where theta I - T is positive definite and, started from
     a positive vector, every term of the solve is positive.
     """
-    b2 = [b * b for b in betas]
-    # the diagonal bounds the top eigenvalue below and Gershgorin above;
-    # the bound is widened so that hi I - T is positive definite even
-    # when Gershgorin is exact
-    lo = max(alphas)
-    hi = (1.0 + 1e-12) * max(a + l + r for a, l, r in
-                             zip(alphas, [0.0] + betas, betas + [0.0]))
-    if not hi > 0.0:
+    scale = max(a + l + r for a, l, r in
+                zip(alphas, [0.0] + betas, betas + [0.0]))
+    if not scale > 0.0:
         return 0.0, 0.0
+    alphas = [a / scale for a in alphas]
+    betas = [b / scale for b in betas]
+    b2 = [b * b for b in betas]
+    # on T / scale the diagonal bounds the top eigenvalue below and 1, its
+    # Gershgorin bound widened past round-off, above: hi I - T is definite
+    lo, hi = max(alphas), 1.0 + 1e-12
     while hi - lo > 1e-9 * hi:
         xs = np.linspace(lo, hi, RITZ_SHIFTS + 2)[1:-1].tolist()
         k = bisect.bisect_left(xs, True,
@@ -523,7 +522,23 @@ def _top_ritz(alphas, betas):
         y.reverse()
         norm = np.sqrt(sum(yi * yi for yi in y))
         y = [yi / norm for yi in y]
-    return hi, y[-1]
+    return hi * scale, y[-1]
+
+
+def _top_mode_guess(disc):
+    """The sign pattern (-1)^i times the half-sine sin(pi x / L) per axis,
+    at each stress DOF's own position: nodes (i + 1/2, L = nx + 1) in 1D,
+    cell centres (i + 1/2, L = n) and vertices (i, L = n) in 2D."""
+    def axis(n, shift, span):
+        i = np.arange(n)
+        return (-1.0) ** i * np.sin(np.pi * (i + shift) / span)
+
+    g = disc.grid
+    if disc.dim == 1:
+        return axis(g.nx + 1, 0.5, g.nx + 1)
+    centres = np.outer(axis(g.nx, 0.5, g.nx), axis(g.ny, 0.5, g.ny)).ravel()
+    vertices = np.outer(axis(g.nx + 1, 0.0, g.nx), axis(g.ny + 1, 0.0, g.ny))
+    return np.concatenate([centres, centres, vertices.ravel()])
 
 
 def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
@@ -535,43 +550,42 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
         sup_S  <E* C I H S, M^-1 E* C I H S> / (1/2 <H S, S>_w)
 
     with H the proto-stress Hessian of the stored energy at the probe
-    internal state, i.e. the top eigenvalue of T = 2 C E M^-1 E* C I H,
-    which is self-adjoint in the H/2 inner product.  The probe is
-    ``material.stiffest_state(z_probe)``: the bound holds for a whole run.
+    ``material.stiffest_state(z_probe)``, so the bound holds for a whole
+    run: the top eigenvalue of T = 2 C E M^-1 E* C I H, self-adjoint in
+    the H/2 inner product.
 
-    The estimate is a Lanczos iteration in that inner product from a
-    uniform random stress drawn with seed 0.  Its three-term recurrence
+    The estimate is a Lanczos iteration in that inner product, started
+    from :func:`_top_mode_guess` plus 2e-3 times a uniform random stress
+    drawn with seed 0, which gives every mode weight.  Its recurrence
     carries H q beside each Lanczos vector, so an iteration costs one T
     (without its leading H) and one H, and memory is a few stress vectors:
     no basis is stored and none is reorthogonalised.  The top Ritz pair
     (theta, y) of the j x j tridiagonal Lanczos matrix is extracted by
-    :func:`_top_ritz` (theta rounded up; about 8 j scalar steps per
-    multisection sweep) every max(8, j/2) iterations and once at j = the
-    number of active stress DOFs, where the Krylov space is exhausted.
-    The iteration stops once the Ritz residual beta_j |e_j^T y| is at
-    most ``tol * theta``, or on a breakdown (beta_j <= tol * max alpha:
-    an invariant subspace, exact convergence), and returns lambda =
-    theta + residual, so any remaining error makes tau smaller, never
-    larger.  When ``info`` is a dict it receives ``iters`` (Lanczos
+    :func:`_top_ritz` (theta rounded up) every max(8, j/2) iterations and
+    once at j = the number of active stress DOFs, where the Krylov space
+    is exhausted.  The iteration stops once the Ritz residual
+    beta_j |e_j^T y| is at most ``tol * theta``, or on a breakdown
+    (beta_j <= tol * max alpha: an invariant subspace), and returns
+    lambda = theta + residual, so any remaining error makes tau smaller,
+    never larger.  When ``info`` is a dict it receives ``iters`` (Lanczos
     iterations) and ``residual`` (the final Ritz residual over theta).
 
     ``max_iter`` defaults to 2 n + 8, n the active stress DOFs: exact
     arithmetic ends the iteration by j = n, and the second n is margin for
     lost orthogonality.  So a broken (E, E*) adjointness mostly fails fast,
-    but not on every grid: it may return a finite lambda (a stencil with an
-    unzeroed ghost column did on 4 x 4, 7 x 7 and 15 x 15 clamped grids).
-    The check for that is ``stagdyn check`` ``adjointness``.
-
-    Raises :class:`ConfigError` when the stored energy is not positive
-    definite at the probe, and :class:`SolverError` carrying the last
-    relative residual when ``max_iter`` iterations do not converge.
+    but not on every grid (a stencil with an unzeroed ghost column gives
+    a finite lambda on a 12 x 12 clamped grid): ``stagdyn check``
+    ``adjointness`` is the check for that.  Raises :class:`ConfigError`
+    when the stored energy is not positive definite at the probe, and
+    :class:`SolverError` carrying the last relative residual when
+    ``max_iter`` iterations do not converge.
 
     The bound is sharp: tau <= tau_max(eta) makes the per-state
     stability coefficient a = 1 - (tau^2/8) q(S)/Phi at least eta for
     every state whose quotient q/Phi stays below lambda, with equality
     at eta -> 0 on the marginal mode (1D elastic: tau_max -> h
-    sqrt(rho/C)).  eta must lie in [0, 1) here; it is the fraction of
-    the stored energy retained by the split.
+    sqrt(rho/C)).  eta, in [0, 1) here, is the fraction of the stored
+    energy retained by the split.
     """
     if not 0 <= eta < 1:
         raise ConfigError("cfl margin eta must be in [0, 1)",
@@ -597,8 +611,9 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
     not_pd = ConfigError("stored energy not positive definite at probe",
                          "material")
     # Python's generator: numpy.random would load OpenSSL into every run
-    q = np.frombuffer(random.Random(0).randbytes(8 * disc.n_s),
-                      dtype="<u8") / 2.0 ** 64 - 0.5
+    q = 2e-3 * (np.frombuffer(random.Random(0).randbytes(8 * disc.n_s),
+                              dtype="<u8") / 2.0 ** 64 - 0.5)
+    q += _top_mode_guess(disc)
     q[disc.s_inactive] = 0.0
     hq = apply_H(q)
     norm2 = 0.5 * disc.sdot(hq, q)

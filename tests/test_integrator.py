@@ -1,5 +1,6 @@
 """Integrator tests: substep examples, energy ledger, CFL estimator."""
 
+import itertools
 import math
 import os
 import pathlib
@@ -20,7 +21,7 @@ from stagdyn.errors import (
     NonFiniteFieldError,
     SolverError,
 )
-from stagdyn.grid import Grid, build
+from stagdyn.grid import BC_KINDS, Grid, build
 from stagdyn.integrator import (
     IntegratorConfig,
     Loading,
@@ -47,6 +48,8 @@ from stagdyn.oracle import (
     MAX_ORACLE_DOFS,
     dense_generalized_rayleigh,
     dense_operator,
+    ledger_defects,
+    reference_ledger,
 )
 
 
@@ -360,6 +363,38 @@ def test_advance_shares_the_previous_fields_and_never_writes_them():
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("material", [
+    PlasticCreepMaterial(viscosity=0.5),
+    DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4, viscosity=0.3),
+], ids=["maxwell", "damage"])
+def test_advanced_state_is_read_only(material):
+    # an in-place edit would leave the values an advanced state carries
+    # for the next ledger stale, so it raises; the same edit on a copy
+    # runs, and the next ledger is the full-evaluation one
+    d, m = disc_1d(nx=30, h=1.0 / 30.0), material
+    loading = no_loading(d)
+    st = initial_state(d, m, sigma=0.5 * bump_sigma(d))
+    cfg = cfg_for(d, m, steps=10)
+    for _ in range(5):
+        st, _ = advance(st, d, m, loading, cfg)
+    names = ["u", "v", "sigma", "z", "dphi_mid"]
+    if m.dphi_dsigma_shift is None:
+        names.append("dphi_end")
+    for name in names:
+        arr = getattr(st, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 1.1
+    for name in ("u", "v", "sigma", "z"):
+        edited = st.copy()
+        arr = getattr(edited, name)
+        arr *= 1.1
+        nxt, ledger = advance(edited, d, m, loading, cfg)
+        _, info = step_internal(edited, nxt.sigma, m, d, cfg)
+        rel, res = ledger_defects(ledger, reference_ledger(
+            edited, nxt, d, m, loading, cfg.tau, step_info=info))
+        assert rel <= 1e-13 and res <= 1e-15, (name, rel, res)
+
+
 # ---------------------------------------------------------------------------
 # CFL estimator and stability coefficient
 # ---------------------------------------------------------------------------
@@ -436,15 +471,84 @@ def test_power_iteration_matches_dense(make):
     assert lam >= lam_ref * (1.0 - 1e-12)
 
 
+def _estimate_defect(d, m, probe):
+    """(lambda - lambda_dense) / lambda_dense of the estimate at ``probe``."""
+    _, lam = max_stable_timestep(d, m, probe, 0.0)
+    lam_ref = dense_generalized_rayleigh(d, m, m.stiffest_state(probe))
+    return (lam - lam_ref) / lam_ref
+
+
+def test_cfl_estimate_matches_dense_on_every_2d_boundary_set():
+    # the start vector is weighted toward the clamped grid's top mode;
+    # each other set of boundary kinds moves that mode, and the estimate
+    # must still find it: within 1e-6 of a dense eigensolve, never below
+    m = ElasticMaterial()
+    bad = {}
+    for bc in itertools.product(BC_KINDS, repeat=4):
+        d = disc_2d(nx=9, ny=8, h=1.0 / 9.0, bc=bc)
+        rel = _estimate_defect(d, m, m.z_init(d))
+        if not -1e-12 <= rel <= 1e-6:
+            bad[bc] = rel
+    assert not bad
+
+
+def _damaged_probe(rng, d, m):
+    """Damage at random, or a damaged field with a small intact island
+    at a random place: the top mode sits on the island."""
+    n = m.z_size(d)
+    if rng.random() < 0.5:
+        return rng.uniform(0.0, 1.0, n)
+    z = np.full(n, rng.uniform(0.05, 0.3))
+    at = int(rng.integers(n))
+    z[at:at + int(rng.integers(1, 4))] = 1.0
+    return z
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cfl_estimate_matches_dense_on_damaged_probes(dim):
+    # heterogeneous stiffness localizes the top mode, in either mode of
+    # the material and with or without the stress-gradient term; 1D on
+    # the finest grid the oracle reaches, where the top is most clustered
+    rng = np.random.default_rng(40 + dim)
+    nx = MAX_ORACLE_DOFS - 1
+    d = disc_1d(nx=nx, h=1.0 / nx) if dim == 1 else disc_2d(
+        nx=9, ny=8, h=1.0 / 9.0)
+    bad = []
+    for k in range(10):
+        m = DamageMaterial(eps0=1.0, eps=0.05, g_c=0.5, viscosity=0.3,
+                           mode=("unidirectional", "healing")[k % 2],
+                           strain_gradient=0.02 * (k // 2 % 2))
+        probe = _damaged_probe(rng, d, m)
+        if m.mode == "healing":
+            probe *= 2.0  # stiffer than intact in places
+        rel = _estimate_defect(d, m, probe)
+        if not -1e-12 <= rel <= 1e-6:
+            bad.append((k, rel))
+    assert not bad
+
+
+def test_cfl_estimate_iterations_at_128():
+    # the start vector's weight on the top mode: a clamped 128^2 plate
+    # converges in a fraction of the 271 iterations a uniform random
+    # start takes
+    d = disc_2d(nx=128, ny=128, h=1.0 / 128.0)
+    m = PlasticCreepMaterial(viscosity=0.5, sigma_y=0.05)
+    info = {}
+    max_stable_timestep(d, m, m.z_init(d), 0.1, info=info)
+    assert info["iters"] <= 81
+
+
 def _top_ritz_sweep(alphas, betas):
     """``_top_ritz`` with a vectorized sweep: each multisection sweep tests
     all 255 shifts at once in numpy and takes the first one above every
     eigenvalue by argmax.  The bisection must reproduce it bit for bit."""
     shifts = 255
+    scale = max(a + l + r for a, l, r in
+                zip(alphas, [0.0] + betas, betas + [0.0]))
+    alphas = [a / scale for a in alphas]
+    betas = [b / scale for b in betas]
     b2 = [b * b for b in betas]
-    lo = max(alphas)
-    hi = (1.0 + 1e-12) * max(a + l + r for a, l, r in
-                             zip(alphas, [0.0] + betas, betas + [0.0]))
+    lo, hi = max(alphas), 1.0 + 1e-12
     dmax = np.empty(shifts)
     while hi - lo > 1e-9 * hi:
         x = np.linspace(lo, hi, shifts + 2)[1:-1]
@@ -484,7 +588,7 @@ def _top_ritz_sweep(alphas, betas):
         y.reverse()
         norm = np.sqrt(sum(yi * yi for yi in y))
         y = [yi / norm for yi in y]
-    return hi, y[-1]
+    return hi * scale, y[-1]
 
 
 def _same_floats(a, b):
@@ -553,6 +657,15 @@ def test_pivot_test_is_monotone_across_the_top_eigenvalue():
         flags = [_above(x, alphas, [b * b for b in betas]) for x in xs]
         first = flags.index(True)
         assert first > 0 and not any(flags[:first]) and all(flags[first:])
+
+
+def test_top_ritz_scales_away_under_and_overflow():
+    # unscaled, b * b underflows to 0 at 1e-200 (theta 5e-324, y_last
+    # nan) and overflows at 1e200; T over its Gershgorin bound does not
+    for b in (1e-200, 1e200):
+        theta, y_last = _top_ritz([0.0, 0.0], [b])
+        assert b <= theta <= b * (1.0 + 1e-9)
+        assert abs(abs(y_last) - math.sqrt(0.5)) <= 1e-9
 
 
 def test_top_ritz_returns_on_degenerate_tridiagonals():
