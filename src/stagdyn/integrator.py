@@ -217,8 +217,9 @@ def step_sigma(state, disc, loading, cfg):
         _require_finite("proto-stress", state.sigma)
     tau_eff = 0.5 * cfg.tau if state.k == 0 else cfg.tau
     # sigma + (tau_eff C) E v: tau_eff folds into the moduli (I = id)
-    sigma_next = disc.apply_C(disc.apply_E(state.v),
-                              np.multiply(disc.moduli, tau_eff).tolist())
+    m = disc.moduli
+    m = m * tau_eff if disc.dim == 1 else [c * tau_eff for c in m]
+    sigma_next = disc.apply_C(disc.apply_E(state.v), m)
     np.add(state.sigma, sigma_next, out=sigma_next)
     dg = loading.d_increment(state.k, cfg.tau)
     if dg is not None:

@@ -128,9 +128,13 @@ def radial_return(trial_norm, sigma_y, factor):
 
     The flow increment that minimises ``sigma_y*|d| + factor/2*|d|^2 -
     <trial, d>`` is ``s * trial`` with ``s = (|trial| - sigma_y) /
-    (factor*|trial|)`` outside the yield set and ``s = 0`` inside it.
+    (factor*|trial|)`` outside the yield set and ``s = 0`` inside it and
+    at a NaN norm.  The denominator's floor, the smallest normal double,
+    moves only zero quotients (no 0/0) and a subnormal ``factor*|trial|``.
     """
-    excess = trial_norm - sigma_y
-    scale = np.zeros_like(excess)
-    np.divide(excess, factor * trial_norm, out=scale, where=excess > 0.0)
+    scale = trial_norm - sigma_y
+    np.fmax(scale, 0.0, out=scale)
+    den = np.multiply(trial_norm, factor)
+    np.fmax(den, np.finfo(float).tiny, out=den)
+    scale /= den
     return scale

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, SolverError
-from .solvers import solve_asymmetric_quadratic, solve_linear_spd, _cg
+from .solvers import (_cg, solve_asymmetric_quadratic,
+                      solve_bound_constrained, solve_linear_spd)
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -623,7 +624,7 @@ class DamageMaterial(MaterialModel):
         if g is None:
             g = self.dphi_dsigma(disc, sigma, z)
         return (0.5 * disc.sdot(g, sigma)
-                + disc.zdot(self.phi_d(z), np.ones_like(z))
+                + float((disc.zs_weights * self.phi_d(z)).sum())
                 + 0.5 * self.kappa * disc.grad_z_norm2(z))
 
     def dphi_dsigma(self, disc, sigma, z):
@@ -671,23 +672,28 @@ class DamageMaterial(MaterialModel):
 
     def internal_step(self, disc, sigma_next, z_k, tau, z_prev=None):
         # the rate term's slopes below and above zero: eps1 and 1/eps1
-        # when healing, in the box z' <= max(1, z_k); irreversible steps
-        # keep eps1 and bound the increment by 0 instead, the infinite
-        # slope of psi
+        # when healing, in the box z' <= max(1, z_k), by a sign iteration;
+        # irreversible steps keep eps1 and bound the increment by 0 instead,
+        # the infinite slope of psi: one quadratic, shifted by 2 eps1/tau
         chat = self.compliance_density(disc, sigma_next)
         b = -self.dphi_dz(disc, sigma_next, z_k, chat=chat)
-        heal = self.mode == "healing"
-        info = {}
-        bands = self._quad_bands(disc, chat)
-        # 1D starts at the last increment (2D's projected CG is slower so);
-        # an irreversible step keeps it only where it still loads, b < 0
-        x0 = None if z_prev is None or bands is None else np.where(
-            heal | (b < 0.0), z_k - z_prev, 0.0)
-        return z_k + solve_asymmetric_quadratic(
-            self._quad_operator(disc, chat), b, disc.zdot, self.eps1 / tau,
-            1.0 / (self.eps1 * tau) if heal else self.eps1 / tau, KKT_TOL,
-            lower=-z_k, upper=np.maximum(1.0 - z_k, 0.0) if heal else 0.0,
-            bands=bands, info=info, x0=x0), info
+        info, bands = {"sign_rounds": 1}, self._quad_bands(disc, chat)
+        apply_H = self._quad_operator(disc, chat) if bands is None else None
+        # 1D starts at the last increment (2D's projected CG is slower so)
+        x0 = None if z_prev is None or bands is None else z_k - z_prev
+        rate = self.eps1 / tau
+        if self.mode == "healing":
+            return z_k + solve_asymmetric_quadratic(
+                apply_H, b, disc.zdot, rate, 1.0 / (self.eps1 * tau),
+                KKT_TOL, lower=-z_k, upper=np.maximum(1.0 - z_k, 0.0),
+                bands=bands, info=info, x0=x0), info
+        if bands is not None:
+            bands = (bands[0], bands[1] + 2.0 * rate, bands[2])
+        # an irreversible step keeps x0 only where it still loads, b < 0
+        x0 = None if x0 is None else np.where(b < 0.0, x0, 0.0)
+        return z_k + solve_bound_constrained(
+            lambda u: apply_H(u) + 2.0 * rate * u, b, disc.zdot, 0.0, KKT_TOL,
+            lower=-z_k, bands=bands, info=info, x0=x0), info
 
     def dissipation_rate(self, disc, zdot):
         if self.mode == "unidirectional":

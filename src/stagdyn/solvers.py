@@ -104,8 +104,8 @@ def solve_bound_constrained(apply_A, b, dot, upper, tol, lower=None,
     with strictly diagonally dominant rows (else ValueError), each round
     forms the gradient by their banded product and solves for the step on
     the free points exactly, by elimination; ``apply_A`` may be None.
-    Else each round applies ``apply_A`` and runs projected CG to ``0.1 *
-    tol``.  An ``info`` dict receives ``rounds``, the rounds that solved.
+    Else each round applies ``apply_A`` (a new array per call) and runs
+    projected CG to ``0.1 * tol``.  ``info`` receives the solving ``rounds``.
 
     KKT at the solution: inactive points have zero gradient, points at the
     upper bound have gradient <= 0 and points at the lower bound gradient
@@ -121,7 +121,9 @@ def solve_bound_constrained(apply_A, b, dot, upper, tol, lower=None,
     upper = np.inf if upper is None else upper
     lower = -np.inf if lower is None else lower
 
-    def slack(bound):
+    def slack(bound):  # 1e-14 of the largest finite |bound|, and of 1
+        if isinstance(bound, float):  # np.inf for None too
+            return 1e-14 * (abs(bound) if 1.0 < abs(bound) < np.inf else 1.0)
         return 1e-14 * float(np.abs(bound).max(initial=1.0,
                                                where=np.isfinite(bound)))
 
@@ -129,7 +131,8 @@ def solve_bound_constrained(apply_A, b, dot, upper, tol, lower=None,
     x = np.zeros_like(b) if x0 is None else x0
     x = np.maximum(np.minimum(x, upper), lower)
     for rounds in range(2 * b.shape[0] + 30):
-        g = apply_A(x) - b
+        g = apply_A(x)
+        g -= b
         off_upper, off_lower = x < near_upper, x > near_lower
         # KKT fails where g pushes a point, beyond the tolerance, to a
         # side it can leave: down off the lower bound, up off the upper

@@ -219,3 +219,23 @@ def test_radial_return_matches_plain_expression_bitwise():
             got = kernels.radial_return(trial, sigma_y, factor)
             assert same_bits(got, ref_radial_return(trial, sigma_y, factor))
             assert not np.shares_memory(got, trial)
+
+
+def test_radial_return_edge_norms_match_plain_expression():
+    # the unmasked quotient on the yield surface, at a zero norm with no
+    # yield stress, and at infinite and NaN norms: the bits of the masked
+    # expression, with NaN where it has NaN (inf / inf)
+    trial = np.array([0.0, 0.1, 0.5, np.inf, -np.inf, np.nan, 2.0])
+    for sigma_y in (0.0, 0.1, 0.5):
+        for factor in (0.3, 3.0):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                got = kernels.radial_return(trial, sigma_y, factor)
+                ref = ref_radial_return(trial, sigma_y, factor)
+            nan = np.isnan(ref)
+            assert nan.any() and np.array_equal(np.isnan(got), nan)
+            assert same_bits(got[~nan], ref[~nan])
+    # |trial| = sigma_y = 0 forms no 0 / 0, at any factor
+    with np.errstate(all="raise"):
+        for factor in (1e-300, 0.3, 3.0):
+            assert same_bits(kernels.radial_return(np.zeros(9), 0.0, factor),
+                             np.zeros(9))

@@ -1000,6 +1000,64 @@ def test_1d_damage_step_calls_lap_z_once(mode, monkeypatch):
     assert 1 <= info["sign_rounds"] <= info["rounds"]
 
 
+def sign_iteration_damage_step(m, d, sigma, z_k, tau, z_prev=None):
+    """The irreversible damage step by the healing mode's sign iteration,
+    with the slope eps1/tau on both sides of zero and the increment
+    bounded by 0 above; 1D starts at the last increment where b < 0."""
+    from stagdyn.materials import KKT_TOL
+    from stagdyn.solvers import solve_asymmetric_quadratic
+
+    chat = m.compliance_density(d, sigma)
+    b = -m.dphi_dz(d, sigma, z_k, chat=chat)
+    bands = m._quad_bands(d, chat)
+    x0 = None if z_prev is None or bands is None else np.where(
+        b < 0.0, z_k - z_prev, 0.0)
+    info = {}
+    delta = solve_asymmetric_quadratic(
+        m._quad_operator(d, chat), b, d.zdot, m.eps1 / tau, m.eps1 / tau,
+        KKT_TOL, lower=-z_k, upper=0.0, bands=bands, info=info, x0=x0)
+    return z_k + delta, info
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_irreversible_damage_step_is_the_sign_iteration_bitwise(
+        dim, monkeypatch):
+    # equal slopes freeze the rate coefficient at eps1/tau everywhere, so
+    # one bound-constrained solve with the bands (1D, by elimination) or
+    # the operator (2D, by projected CG) shifted by 2 eps1/tau is the sign
+    # iteration's only round; the step itself runs no sign iteration
+    if dim == 1:
+        d = disc_1d(nx=256, h=1.0 / 256, bc=("dirichlet", "neumann"))
+        amplitude, tau = 3.0, 0.004
+    else:
+        d = disc_2d(nx=16, ny=12, h=1.0 / 64)
+        amplitude, tau = 6.0, 0.02
+    m = DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4, viscosity=0.3)
+    rng = np.random.default_rng(46)
+    calls = []
+    real = materials.solve_asymmetric_quadratic
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(materials, "solve_asymmetric_quadratic", counted)
+    for _ in range(3):
+        z_k = rng.uniform(0.3, 1.0, d.zs_n)
+        z_k[rng.random(d.zs_n) < 0.1] = 0.0
+        z_prev = np.minimum(z_k + 0.05 * rng.random(d.zs_n), 1.0)
+        sigma = amplitude * rng.standard_normal(d.n_s)
+        z, info = m.internal_step(d, sigma, z_k, tau, z_prev=z_prev)
+        ref, ref_info = sign_iteration_damage_step(m, d, sigma, z_k, tau,
+                                                   z_prev)
+        assert np.array_equal(z.view(np.uint64), ref.view(np.uint64))
+        assert info == ref_info and info["sign_rounds"] == 1
+        # points damaging, points held at 0 and points held at z_k
+        assert np.any((z > 0.0) & (z < z_k))
+        assert np.any(z == 0.0) and np.any((z == z_k) & (z_k > 0.0))
+    assert calls == []
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_irreversible_damage_step_takes_one_sign_round(dim):
     # equal slopes on both sides of zero: the sign round's coefficients
