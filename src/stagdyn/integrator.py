@@ -562,9 +562,12 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
     (without its leading H) and one H, and memory is a few stress vectors:
     no basis is stored and none is reorthogonalised.  The top Ritz pair
     (theta, y) of the j x j tridiagonal Lanczos matrix is extracted by
-    :func:`_top_ritz` (theta rounded up) every max(8, j/2) iterations and
-    once at j = the number of active stress DOFs, where the Krylov space
-    is exhausted.  The iteration stops once the Ritz residual
+    :func:`_top_ritz` (theta rounded up) at j = 8 and at j = the number
+    of active stress DOFs, where the Krylov space is exhausted.  A failed
+    check schedules the next max(8, j/2) iterations on, or, when the
+    relative residual rho fell since the last check, where that rate
+    predicts rho <= tol, if sooner, but at least 2 on: rho is not
+    monotone.  The iteration stops once the Ritz residual
     beta_j |e_j^T y| is at most ``tol * theta``, or on a breakdown
     (beta_j <= tol * max alpha: an invariant subspace), and returns
     lambda = theta + residual, so any remaining error makes tau smaller,
@@ -626,7 +629,7 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
     n_active = int(np.count_nonzero(disc.s_active))
     if max_iter is None:
         max_iter = 2 * n_active + 8
-    check_at = 8
+    check_at, rho_last = 8, 0.0
     for j in range(1, max_iter + 1):
         w = apply_T(hq)
         if j > 1:
@@ -648,7 +651,12 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
             residual = beta * abs(y_last)
             if beta <= small or residual <= tol * theta:
                 break
-            check_at = j + max(8, j // 2)
+            rho, step = residual / theta, max(8, j // 2)
+            if tol < rho < rho_last:
+                # where the rate since the last check predicts rho <= tol
+                rate = max(math.log(rho_last / rho), 1e-300) / (j - j_last)
+                step = max(2, math.ceil(min(step, math.log(rho / tol) / rate)))
+            j_last, rho_last, check_at = j, rho, j + step
         betas.append(beta)
         w *= 1.0 / beta
         hw *= 1.0 / beta

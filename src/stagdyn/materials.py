@@ -584,6 +584,7 @@ class DamageMaterial(MaterialModel):
         self.eps_grad = float(strain_gradient)
         self.kappa = self.eps * self.g_c
         self.gamma_floor = (self.eps / self.eps0) ** 2
+        self._bands = (None, None)
 
     def gamma(self, a):
         return self.gamma_floor + a * a
@@ -665,10 +666,13 @@ class DamageMaterial(MaterialModel):
         """The bands of :meth:`_quad_operator` in 1D; None in 2D."""
         if disc.lap_z_bands is None:
             return None
-        sub, lap_diag, sup = disc.lap_z_bands
-        c = -0.5 * self.kappa
-        diag = 0.5 * (chat + 2.0 * self.g_c / self.eps) + c * lap_diag
-        return c * sub, diag, c * sup
+        if self._bands[0] is not disc.lap_z_bands:
+            c = -0.5 * self.kappa
+            self._bands = disc.lap_z_bands, [c * b for b in disc.lap_z_bands]
+            for b in self._bands[1]:  # shared by every step from here on
+                b.setflags(write=False)
+        sub, lap_diag, sup = self._bands[1]
+        return sub, 0.5 * (chat + 2.0 * self.g_c / self.eps) + lap_diag, sup
 
     def internal_step(self, disc, sigma_next, z_k, tau, z_prev=None):
         # the rate term's slopes below and above zero: eps1 and 1/eps1

@@ -535,7 +535,78 @@ def test_cfl_estimate_iterations_at_128():
     m = PlasticCreepMaterial(viscosity=0.5, sigma_y=0.05)
     info = {}
     max_stable_timestep(d, m, m.z_init(d), 0.1, info=info)
-    assert info["iters"] <= 81
+    assert info["iters"] <= 44
+
+
+def _clamped_plate(n):
+    d = disc_2d(nx=n, ny=n, h=1.0 / n)
+    return d, PlasticCreepMaterial(viscosity=0.5, sigma_y=0.05)
+
+
+# the clamped plates and the two 1D probes the estimate sees in a run:
+# damage at nx = 256 and the Biot column of biot_seepage_1d.cfg
+SCHEDULE_CASES = {
+    "plate-64": lambda: _clamped_plate(64),
+    "plate-128": lambda: _clamped_plate(128),
+    "damage-256": lambda: (
+        disc_1d(nx=256, h=1.0 / 256.0, bc=("dirichlet", "neumann")),
+        DamageMaterial(eps0=1.0, eps=0.05, g_c=0.4, viscosity=0.3)),
+    "biot-50": lambda: (disc_1d(nx=50, h=0.02), BiotMaterial(
+        biot_modulus=0.4, biot_coefficient=0.4, l_coefficient=0.1,
+        capillarity=0.02, mobility=0.5)),
+}
+
+
+def _first_passing_check(d, m, upto):
+    """The first j whose Ritz check passes: an estimate capped at
+    max_iter = j checks at j and raises only if no check up to j passed."""
+    for j in range(1, upto + 1):
+        try:
+            max_stable_timestep(d, m, m.z_init(d), 0.1, max_iter=j)
+        except SolverError:
+            continue
+        return j
+    raise AssertionError(f"no check passes up to j = {upto}")
+
+
+@pytest.mark.parametrize("case", ["plate-64", "plate-128"])
+def test_cfl_estimate_stops_near_the_first_passing_check(case):
+    # the checks fall where the residual's rate predicts it passes, so the
+    # estimate runs at most 4 iterations past the first j that would pass
+    d, m = SCHEDULE_CASES[case]()
+    info = {}
+    max_stable_timestep(d, m, m.z_init(d), 0.1, info=info)
+    first = _first_passing_check(d, m, info["iters"])
+    assert first <= info["iters"] <= first + 4
+
+
+@pytest.mark.parametrize("case", SCHEDULE_CASES)
+def test_cfl_estimate_costs_no_more_than_the_fixed_schedule(monkeypatch,
+                                                            case):
+    # the fixed schedule checks at 8 and then every max(8, j/2) iterations,
+    # and stops at the first of those checks that passes: capped there,
+    # the estimate returns.  Before it, the fixed schedule made no fewer
+    # iterations than that j, and one _top_ritz call per check up to it
+    d, m = SCHEDULE_CASES[case]()
+    calls, info = [], {}
+
+    def counted(alphas, betas):
+        calls.append(len(alphas))
+        return _top_ritz(alphas, betas)
+
+    monkeypatch.setattr(integrator, "_top_ritz", counted)
+    max_stable_timestep(d, m, m.z_init(d), 0.1, info=info)
+    iters, checks = info["iters"], len(calls)
+    fixed = [8]
+    while True:
+        try:
+            max_stable_timestep(d, m, m.z_init(d), 0.1, max_iter=fixed[-1])
+            break
+        except SolverError:
+            fixed.append(fixed[-1] + max(8, fixed[-1] // 2))
+    assert fixed[-1] < np.count_nonzero(d.s_active)
+    assert iters <= fixed[-1]
+    assert checks <= len(fixed) + 1
 
 
 def _top_ritz_sweep(alphas, betas):

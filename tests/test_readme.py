@@ -74,3 +74,23 @@ def test_exit_codes_equal_the_cli_constants():
     assert {name: int(code) for code, name in rows} == {
         name: value for name, value in vars(cli).items()
         if name.startswith("EXIT_")}
+
+
+def test_quoted_cfl_iteration_count_is_measured():
+    # the estimator note quotes the Lanczos iterations of tau = auto on
+    # viscoplastic_2d refined to 256^2: a fresh estimate must make as many
+    from stagdyn.integrator import max_stable_timestep
+
+    quoted = re.search(r"\((\d+) Lanczos iterations on `viscoplastic_2d`\s+"
+                       r"at 256²", README)
+    text = (ROOT / "configs" / "viscoplastic_2d.cfg").read_text(
+        encoding="utf-8")
+    for key, value in (("nx", 256), ("ny", 256), ("h", 1.0 / 256.0)):
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value!r}", text, flags=re.M)
+    cfg = config.parse_config(text)
+    disc, material, _, state = config.build_simulation(cfg)
+    info = {}
+    max_stable_timestep(disc, material, state.z, cfg.integrator["eta"],
+                        info=info)
+    assert disc.shape_c == (256, 256)
+    assert int(quoted.group(1)) == info["iters"]
