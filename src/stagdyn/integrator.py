@@ -461,16 +461,14 @@ def _above(x, alphas, b2):
     return d < 0.0
 
 
-def _top_ritz(alphas, betas):
+def _top_ritz(alphas, betas, warm=None):
     """Top eigenpair of a Lanczos tridiagonal matrix in O(j) time and memory.
 
     ``alphas`` and ``betas`` are the diagonal and the (positive)
-    off-diagonal.  Returns ``(theta, y_last)``: theta is an upper bound
-    on the largest eigenvalue, within 1e-9 relative, and y_last is the
-    last component of its unit eigenvector, both found on T over its
-    Gershgorin bound, where no scale of T under- or overflows.  When
-    Gershgorin puts every eigenvalue at or below 0 it returns
-    ``(0.0, 0.0)``: 0 bounds them all, with no residual.
+    off-diagonal.  Returns ``(theta, y)``: theta is an upper bound on the
+    largest eigenvalue, within 1e-9 relative, and y its unit eigenvector
+    (a list), both found on T over its Gershgorin bound, where no scale of
+    T under- or overflows; ``(0.0, [0.0])``, no residual, if that is <= 0.
 
     theta comes from Sturm-count multisection: each sweep bisects for the
     first of RITZ_SHIFTS evenly spaced shifts above every eigenvalue
@@ -481,17 +479,29 @@ def _top_ritz(alphas, betas):
     eigenvector comes from three steps of inverse iteration with the
     shift theta, where theta I - T is positive definite and, started from
     a positive vector, every term of the solve is positive.
+
+    ``warm = (lo, hi, y0)`` resumes the check on a leading block of T: lo
+    bounds its top eigenvalue below, and so T's (Cauchy interlacing).  The
+    search runs from lo to lo (1 + 2.5e-7), one sweep's width, as theta
+    rises little between checks, else to hi, whichever :func:`_above`
+    certifies, else cold; y is one inverse step from y0 padded with zeros.
     """
     scale = max(a + l + r for a, l, r in
                 zip(alphas, [0.0] + betas, betas + [0.0]))
     if not scale > 0.0:
-        return 0.0, 0.0
+        return 0.0, [0.0]
     alphas = [a / scale for a in alphas]
     betas = [b / scale for b in betas]
     b2 = [b * b for b in betas]
     # on T / scale the diagonal bounds the top eigenvalue below and 1, its
     # Gershgorin bound widened past round-off, above: hi I - T is definite
     lo, hi = max(alphas), 1.0 + 1e-12
+    rounds, y = 3, [1.0] * len(alphas)
+    for x in (min(warm[0] * (1 + 2.5e-7), warm[1]), warm[1]) if warm else ():
+        if _above(x / scale, alphas, b2):
+            lo, hi = max(lo, warm[0] / scale), min(hi, x / scale)
+            rounds, y = 1, warm[2] + [0.0] * (len(alphas) - len(warm[2]))
+            break
     while hi - lo > 1e-9 * hi:
         xs = np.linspace(lo, hi, RITZ_SHIFTS + 2)[1:-1].tolist()
         k = bisect.bisect_left(xs, True,
@@ -508,8 +518,7 @@ def _top_ritz(alphas, betas):
     for a, bb in zip(alphas[1:], b2):
         d = a - (hi + bb / d)
         g.append(-d)
-    y = [1.0] * len(alphas)
-    for _ in range(3):
+    for _ in range(rounds):
         u = y[0]
         v = [u / g[0]]
         for yi, b, g_prev, gi in zip(y[1:], betas, g, g[1:]):
@@ -523,7 +532,7 @@ def _top_ritz(alphas, betas):
         y.reverse()
         norm = np.sqrt(sum(yi * yi for yi in y))
         y = [yi / norm for yi in y]
-    return hi * scale, y[-1]
+    return hi * scale, y
 
 
 def _top_mode_guess(disc):
@@ -563,16 +572,20 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
     no basis is stored and none is reorthogonalised.  The top Ritz pair
     (theta, y) of the j x j tridiagonal Lanczos matrix is extracted by
     :func:`_top_ritz` (theta rounded up) at j = 8 and at j = the number
-    of active stress DOFs, where the Krylov space is exhausted.  A failed
-    check schedules the next max(8, j/2) iterations on, or, when the
-    relative residual rho fell since the last check, where that rate
-    predicts rho <= tol, if sooner, but at least 2 on: rho is not
-    monotone.  The iteration stops once the Ritz residual
+    of active stress DOFs, where the Krylov space is exhausted, each check
+    after the first from the last: its Ritz vector and the bracket
+    [theta (1 - 1e-9), theta + residual], whose lower end bounds this
+    top eigenvalue too, as the last T is a leading block of this one
+    (Cauchy interlacing).  A failed check schedules the next max(8, j/2)
+    iterations on, or, when the relative residual rho fell since the last
+    check, where that rate predicts rho <= tol, if sooner, but at least 2
+    on: rho is not monotone.  The iteration stops once the Ritz residual
     beta_j |e_j^T y| is at most ``tol * theta``, or on a breakdown
     (beta_j <= tol * max alpha: an invariant subspace), and returns
     lambda = theta + residual, so any remaining error makes tau smaller,
     never larger.  When ``info`` is a dict it receives ``iters`` (Lanczos
-    iterations) and ``residual`` (the final Ritz residual over theta).
+    iterations), ``residual`` (the final Ritz residual over theta) and
+    ``checks`` (Ritz checks).
 
     ``max_iter`` defaults to 2 n + 8, n the active stress DOFs: exact
     arithmetic ends the iteration by j = n, and the second n is margin for
@@ -629,7 +642,7 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
     n_active = int(np.count_nonzero(disc.s_active))
     if max_iter is None:
         max_iter = 2 * n_active + 8
-    check_at, rho_last = 8, 0.0
+    check_at, rho_last, warm, checks = 8, 0.0, None, 0
     for j in range(1, max_iter + 1):
         w = apply_T(hq)
         if j > 1:
@@ -647,10 +660,11 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
             raise not_pd
         beta = float(np.sqrt(max(beta2, 0.0)))
         if beta <= small or j in (check_at, n_active, max_iter):
-            theta, y_last = _top_ritz(alphas, betas)
-            residual = beta * abs(y_last)
+            theta, y = _top_ritz(alphas, betas, warm)
+            residual, checks = beta * abs(y[-1]), checks + 1
             if beta <= small or residual <= tol * theta:
                 break
+            warm = (theta - 1e-9 * abs(theta), theta + residual, y)
             rho, step = residual / theta, max(8, j // 2)
             if tol < rho < rho_last:
                 # where the rate since the last check predicts rho <= tol
@@ -668,6 +682,7 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
     if info is not None:
         info["iters"] = j
         info["residual"] = float(residual / theta) if residual else 0.0
+        info["checks"] = checks
     lam = theta + residual
     if lam <= 0.0:
         return np.inf, lam

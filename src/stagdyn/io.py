@@ -73,7 +73,7 @@ def write_snapshot(path, fields, dim):
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
             fh.write(struct.pack("<Q", data.size))
-            fh.write(data.tobytes())
+            fh.write(data)
 
 
 def _read_exact(fh, size, what):

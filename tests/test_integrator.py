@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from stagdyn import cli, integrator, kernels
+from stagdyn import cli, config, integrator, kernels
 from stagdyn.errors import (
     CflViolationError,
     ConfigError,
@@ -557,6 +557,26 @@ SCHEDULE_CASES = {
 }
 
 
+def _config_case(name):
+    """The discretization and material of a shipped config."""
+    cfg = config.parse_config((CONFIGS / name).read_text(encoding="utf-8"))
+    d, m, _, _ = config.build_simulation(cfg)
+    return d, m
+
+
+def _record_checks(monkeypatch):
+    """The list that receives each Ritz check of the estimator from here
+    on, as ``(alphas, betas, warm)``."""
+    seen = []
+
+    def recorded(alphas, betas, warm=None):
+        seen.append((list(alphas), list(betas), warm))
+        return _top_ritz(alphas, betas, warm)
+
+    monkeypatch.setattr(integrator, "_top_ritz", recorded)
+    return seen
+
+
 def _first_passing_check(d, m, upto):
     """The first j whose Ritz check passes: an estimate capped at
     max_iter = j checks at j and raises only if no check up to j passed."""
@@ -586,17 +606,15 @@ def test_cfl_estimate_costs_no_more_than_the_fixed_schedule(monkeypatch,
     # the fixed schedule checks at 8 and then every max(8, j/2) iterations,
     # and stops at the first of those checks that passes: capped there,
     # the estimate returns.  Before it, the fixed schedule made no fewer
-    # iterations than that j, and one _top_ritz call per check up to it
+    # iterations than that j, and one _top_ritz call per check up to it;
+    # every check after the first resumes the one before it
     d, m = SCHEDULE_CASES[case]()
-    calls, info = [], {}
-
-    def counted(alphas, betas):
-        calls.append(len(alphas))
-        return _top_ritz(alphas, betas)
-
-    monkeypatch.setattr(integrator, "_top_ritz", counted)
+    seen, info = _record_checks(monkeypatch), {}
     max_stable_timestep(d, m, m.z_init(d), 0.1, info=info)
-    iters, checks = info["iters"], len(calls)
+    iters, checks = info["iters"], info["checks"]
+    assert checks == len(seen)
+    assert [warm is None for _, _, warm in seen] == [True] + [False] * (
+        checks - 1)
     fixed = [8]
     while True:
         try:
@@ -610,9 +628,10 @@ def test_cfl_estimate_costs_no_more_than_the_fixed_schedule(monkeypatch,
 
 
 def _top_ritz_sweep(alphas, betas):
-    """``_top_ritz`` with a vectorized sweep: each multisection sweep tests
-    all 255 shifts at once in numpy and takes the first one above every
-    eigenvalue by argmax.  The bisection must reproduce it bit for bit."""
+    """Cold ``_top_ritz`` with a vectorized sweep: each multisection sweep
+    tests all 255 shifts at once in numpy and takes the first one above
+    every eigenvalue by argmax.  The bisection must reproduce it bit for
+    bit."""
     shifts = 255
     scale = max(a + l + r for a, l, r in
                 zip(alphas, [0.0] + betas, betas + [0.0]))
@@ -659,11 +678,13 @@ def _top_ritz_sweep(alphas, betas):
         y.reverse()
         norm = np.sqrt(sum(yi * yi for yi in y))
         y = [yi / norm for yi in y]
-    return hi * scale, y[-1]
+    return hi * scale, y
 
 
-def _same_floats(a, b):
-    return [float(x).hex() for x in a] == [float(x).hex() for x in b]
+def _same_ritz(a, b):
+    """Whether two ``(theta, y)`` pairs agree bit for bit."""
+    return ([float(x).hex() for x in [a[0], *a[1]]]
+            == [float(x).hex() for x in [b[0], *b[1]]])
 
 
 @pytest.mark.parametrize("j", [1, 2, 7, 60, 300])
@@ -676,12 +697,12 @@ def test_top_ritz_matches_dense_eigh(j):
               list(rng.uniform(0.1, 0.5, j - 1))),
              ([2.0] * j, [1.0] * (j - 1))]
     for alphas, betas in cases:
-        theta, y_last = _top_ritz(alphas, betas)
-        assert _same_floats((theta, y_last), _top_ritz_sweep(alphas, betas))
+        theta, y = _top_ritz(alphas, betas)
+        assert _same_ritz((theta, y), _top_ritz_sweep(alphas, betas))
         t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
         vals, vecs = np.linalg.eigh(t)
         assert vals[-1] <= theta <= vals[-1] * (1.0 + 1e-9)
-        assert abs(abs(y_last) - abs(vecs[-1, -1])) <= 1e-9
+        assert abs(abs(y[-1]) - abs(vecs[-1, -1])) <= 1e-9
 
 
 @pytest.mark.parametrize("make", [
@@ -695,20 +716,108 @@ def test_top_ritz_matches_dense_eigh(j):
 ], ids=["damage-1d", "biot-1d", "plastic-2d"])
 def test_top_ritz_equals_the_sweep_on_lanczos_tridiagonals(monkeypatch,
                                                            make):
-    # every tridiagonal the estimator hands over, at each of its checks
+    # every tridiagonal the estimator hands over, at each of its checks,
+    # extracted cold
     d, m = make()
-    seen = []
-
-    def recorded(alphas, betas):
-        seen.append((list(alphas), list(betas)))
-        return _top_ritz(alphas, betas)
-
-    monkeypatch.setattr(integrator, "_top_ritz", recorded)
+    seen = _record_checks(monkeypatch)
     max_stable_timestep(d, m, m.z_init(d), 0.1)
     assert len(seen) >= 2
-    for alphas, betas in seen:
-        assert _same_floats(_top_ritz(alphas, betas),
-                            _top_ritz_sweep(alphas, betas))
+    for alphas, betas, _ in seen:
+        assert _same_ritz(_top_ritz(alphas, betas),
+                          _top_ritz_sweep(alphas, betas))
+
+
+WARM_CASES = {**SCHEDULE_CASES,
+              "damage_1d": lambda: _config_case("damage_1d.cfg"),
+              "biot_seepage_1d": lambda: _config_case("biot_seepage_1d.cfg")}
+
+
+@pytest.mark.parametrize("case", WARM_CASES)
+def test_warm_ritz_checks_agree_with_cold(monkeypatch, case):
+    # each check after the first resumes the last: its upper end is
+    # certified (so the warm path runs), and it finds the cold theta to
+    # 1e-9 and the cold |y_last| to 1e-6, both relative
+    d, m = WARM_CASES[case]()
+    seen = _record_checks(monkeypatch)
+    max_stable_timestep(d, m, m.z_init(d), 0.1)
+    assert len(seen) >= 3
+    for alphas, betas, warm in seen[1:]:
+        assert _above(warm[1], alphas, [b * b for b in betas])
+        theta, y = _top_ritz(alphas, betas, warm)
+        theta_cold, y_cold = _top_ritz(alphas, betas)
+        assert abs(theta - theta_cold) <= 1e-9 * theta_cold
+        assert abs(abs(y[-1]) - abs(y_cold[-1])) <= 1e-6 * abs(y_cold[-1])
+
+
+def _lanczos_tridiagonal(diag, j):
+    """j steps of plain Lanczos on the diagonal matrix ``diag``, from the
+    uniform start and without reorthogonalization."""
+    q_prev, q = np.zeros_like(diag), np.full_like(diag, diag.size ** -0.5)
+    alphas, betas, beta = [], [], 0.0
+    for _ in range(j):
+        w = diag * q - beta * q_prev
+        alphas.append(float(q @ w))
+        w -= alphas[-1] * q
+        beta = float(np.linalg.norm(w))
+        betas.append(beta)
+        q_prev, q = q, w / beta
+    return alphas, betas[:-1]
+
+
+def test_warm_ritz_check_bounds_a_ghost_top_eigenvalue():
+    # lost orthogonality copies an isolated top eigenvalue (a ghost): T
+    # then has it twice, to round-off, and a check resumed from before
+    # the copy must still bound it from above, within 1e-9
+    alphas, betas = _lanczos_tridiagonal(
+        np.concatenate([np.linspace(0.0, 1.0, 30), [2.0]]), 80)
+    vals = np.linalg.eigvalsh(np.diag(alphas) + np.diag(betas, 1)
+                              + np.diag(betas, -1))
+    assert vals[-1] - vals[-2] <= 1e-12 * vals[-1]
+    for j_prev in (10, 20, 40):
+        theta_prev, y_prev = _top_ritz(alphas[:j_prev], betas[:j_prev - 1])
+        residual = betas[j_prev - 1] * abs(y_prev[-1])
+        warm = (theta_prev * (1.0 - 1e-9), theta_prev + residual, y_prev)
+        theta, y = _top_ritz(alphas, betas, warm)
+        assert vals[-1] <= theta <= vals[-1] * (1.0 + 1e-9)
+        assert abs(math.fsum(yi * yi for yi in y) - 1.0) <= 1e-12
+
+
+def test_warm_ritz_check_past_one_sweep_uses_the_residual_bound():
+    # the top of T_40 lies 1.6e-5 above the leading block's: one sweep's
+    # width above lo is not certified, theta + residual is, and the check
+    # still agrees with the cold one
+    rng = np.random.default_rng(2)
+    alphas, betas = (list(rng.uniform(0.5, 1.5, 40)),
+                     list(rng.uniform(0.1, 0.5, 39)))
+    b2 = [b * b for b in betas]
+    theta_prev, y_prev = _top_ritz(alphas[:20], betas[:19])
+    warm = (theta_prev * (1.0 - 1e-9),
+            theta_prev + betas[19] * abs(y_prev[-1]), y_prev)
+    assert not _above(warm[0] * (1.0 + 2.5e-7), alphas, b2)
+    assert _above(warm[1], alphas, b2)
+    theta, y = _top_ritz(alphas, betas, warm)
+    theta_cold, y_cold = _top_ritz(alphas, betas)
+    top = np.linalg.eigvalsh(np.diag(alphas) + np.diag(betas, 1)
+                             + np.diag(betas, -1))[-1]
+    assert top <= theta <= top * (1.0 + 1e-9)
+    assert abs(theta - theta_cold) <= 1e-9 * theta_cold
+    assert abs(abs(y[-1]) - abs(y_cold[-1])) <= 1e-9
+
+
+def test_uncertified_warm_start_falls_back_to_cold():
+    # a warm upper end below the top eigenvalue fails _above, and the
+    # check runs cold, bit for bit
+    rng = np.random.default_rng(5)
+    alphas, betas = (list(rng.uniform(0.5, 1.5, 40)),
+                     list(rng.uniform(0.1, 0.5, 39)))
+    cold = _top_ritz(alphas, betas)
+    top = np.linalg.eigvalsh(np.diag(alphas) + np.diag(betas, 1)
+                             + np.diag(betas, -1))[-1]
+    theta_prev, y_prev = _top_ritz(alphas[:30], betas[:29])
+    for hi in (top * (1.0 - 1e-12), 0.5 * top):
+        assert not _above(hi, alphas, [b * b for b in betas])
+        warm = (theta_prev * (1.0 - 1e-9), hi, y_prev)
+        assert _same_ritz(_top_ritz(alphas, betas, warm), cold)
 
 
 def test_pivot_test_is_monotone_across_the_top_eigenvalue():
@@ -734,13 +843,13 @@ def test_top_ritz_scales_away_under_and_overflow():
     # unscaled, b * b underflows to 0 at 1e-200 (theta 5e-324, y_last
     # nan) and overflows at 1e200; T over its Gershgorin bound does not
     for b in (1e-200, 1e200):
-        theta, y_last = _top_ritz([0.0, 0.0], [b])
+        theta, y = _top_ritz([0.0, 0.0], [b])
         assert b <= theta <= b * (1.0 + 1e-9)
-        assert abs(abs(y_last) - math.sqrt(0.5)) <= 1e-9
+        assert abs(abs(y[-1]) - math.sqrt(0.5)) <= 1e-9
 
 
 def test_top_ritz_returns_on_degenerate_tridiagonals():
-    # a Gershgorin bound at or below 0 (hi < 0, or T = 0) gives (0, 0):
+    # a Gershgorin bound at or below 0 (hi < 0, or T = 0) gives (0, [0]):
     # 0 bounds every eigenvalue with no residual, so an estimate on a zero
     # operator gives tau = inf.  A positive bound over a negative top
     # eigenvalue ends once a sweep cannot narrow the bracket.  In a child
@@ -751,7 +860,8 @@ def test_top_ritz_returns_on_degenerate_tridiagonals():
         "from stagdyn.integrator import _top_ritz, max_stable_timestep\n"
         "from stagdyn.materials import ElasticMaterial\n"
         "print(_top_ritz([-1.0, -2.0], [0.5]), _top_ritz([0.0], []))\n"
-        "print(*map(float, _top_ritz([-3.0, -1.0], [1.5])))\n"
+        "theta, y = _top_ritz([-3.0, -1.0], [1.5])\n"
+        "print(float(theta), float(y[-1]))\n"
         "d = build(Grid(dim=1, nx=8, h=0.5, bc=('dirichlet',) * 2), 1.0,\n"
         "          {'modulus': 1.0})\n"
         "d.inv_mass = np.zeros_like(d.inv_mass)\n"
@@ -767,8 +877,9 @@ def test_top_ritz_returns_on_degenerate_tridiagonals():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     guarded, negative, zero_operator = proc.stdout.splitlines()
-    assert guarded == "(0.0, 0.0) (0.0, 0.0)"
-    assert zero_operator == "(inf, 0.0) {'iters': 1, 'residual': 0.0}"
+    assert guarded == "(0.0, [0.0]) (0.0, [0.0])"
+    assert zero_operator == ("(inf, 0.0) {'iters': 1, 'residual': 0.0, "
+                             "'checks': 1}")
     theta, y_last = map(float, negative.split())
     vals, vecs = np.linalg.eigh([[-3.0, 1.5], [1.5, -1.0]])
     assert abs(theta - vals[-1]) <= 1e-9 * abs(vals[-1])

@@ -615,6 +615,39 @@ def test_radial_return_against_scan():
         assert abs(d - grid[np.argmin(vals)]) < 1e-4
 
 
+def _negative_zeros(x):
+    return int(np.count_nonzero(np.signbit(x) & (x == 0.0)))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 16, 64, 257, 1000])
+def test_no_negative_zero_from_ties_at_any_length(n):
+    # numpy picks the sign of an fmax tie between 0 and -0 by array length;
+    # np.minimum and np.maximum return their second operand at every
+    # length, so the clip against upper = 0 gives +0, and the return map's
+    # norms (np.abs) and positive floor never tie with -0
+    rng = np.random.default_rng(n)
+    signs = np.where(np.arange(n) % 2, -1.0, 1.0)
+    sub = np.append(0.0, rng.standard_normal(n - 1))
+    sup = np.append(sub[1:], 0.0)
+    bands = (sub, np.abs(sub) + np.abs(sup) + rng.uniform(0.1, 2.0, n), sup)
+    b = rng.uniform(-1.0, 1.0, n)
+    b[n // 2:] = 0.0  # points whose minimizer is 0 itself
+    dot = lambda x, y: float(np.sum(x * y))
+    # b >= 0 holds every point at the upper bound from the start: the
+    # solve returns its clipped x0
+    for b, direct in itertools.product((b, np.abs(b)), (True, False)):
+        x = solve_bound_constrained(
+            None if direct else (lambda u: band_product(bands, u)), b, dot,
+            0.0, 1e-12, lower=-rng.uniform(0.5, 1.0, n),
+            bands=bands if direct else None, x0=signs * 0.0)
+        assert _negative_zeros(x) == 0, direct
+    for sigma_y in (0.0, 0.25):
+        trial = signs * rng.choice([0.0, sigma_y, 1.0], n)
+        scale = radial_return(np.abs(trial), sigma_y, 2.0)
+        assert _negative_zeros(scale) == 0
+        assert (scale[np.abs(trial) <= sigma_y] == 0.0).all()
+
+
 def test_cg_residual_history_monotone_on_shipped_problem():
     # the 1D laplacian-plus-identity problem: residuals decrease after the
     # first sweep (clustered spectrum)
