@@ -243,9 +243,8 @@ class Discretization:
         act[self._xy_sl] = avert.ravel()
         self.s_active = act
 
-        # per-component gradient-graph edge weights for laplacian_stress
-        self._lap_c_wx = np.full((nx - 1, ny), h * h)
-        self._lap_c_wy = np.full((nx, ny - 1), h * h)
+        # vertex gradient-graph edge weights for laplacian_stress; the
+        # cell-centre components use the z edge weights below
         vwx = 0.5 * (wvert[:-1, :] + wvert[1:, :])
         vwx *= avert[:-1, :] * avert[1:, :]
         vwy = 0.5 * (wvert[:, :-1] + wvert[:, 1:])
@@ -402,8 +401,8 @@ class Discretization:
 
         out = np.empty_like(s)
         for view, wx, wy in (
-            (self.sxx_view, self._lap_c_wx, self._lap_c_wy),
-            (self.syy_view, self._lap_c_wx, self._lap_c_wy),
+            (self.sxx_view, self._z_edge_wx, self._z_edge_wy),
+            (self.syy_view, self._z_edge_wx, self._z_edge_wy),
             (self.sxy_view, self._lap_v_wx, self._lap_v_wy),
         ):
             comp = view(s)

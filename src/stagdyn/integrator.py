@@ -35,7 +35,6 @@ identity is used, with the physical initial energy T(v0) + Phi(Sigma0, z0)
 as the left anchor.
 """
 
-import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -445,7 +444,7 @@ def advance(state, disc, material, loading, cfg):
     return nxt, ledger
 
 
-RITZ_SHIFTS = 255   # shifts per multisection sweep: 8 bits each
+CFL_TOL = 1e-6   # the Ritz residual over theta that ends the CFL estimate
 
 
 def _above(x, alphas, b2):
@@ -470,21 +469,21 @@ def _top_ritz(alphas, betas, warm=None):
     (a list), both found on T over its Gershgorin bound, where no scale of
     T under- or overflows; ``(0.0, [0.0])``, no residual, if that is <= 0.
 
-    theta comes from Sturm-count multisection: each sweep bisects for the
-    first of RITZ_SHIFTS evenly spaced shifts above every eigenvalue
-    (:func:`_above`), with no numpy call inside the sweep.  Under
+    theta comes from Sturm-count bisection: the midpoint of the bracket
+    [lo, hi] replaces hi when :func:`_above` certifies it above every
+    eigenvalue, else lo, until hi - lo <= 1e-10 hi, or until the
+    midpoint rounds to an end (on degenerate input).  Under
     round-to-nearest each computed pivot does not increase with x while
-    the pivots before it are negative, so that test is monotone in x.  A
-    sweep that cannot narrow the bracket ends the search.  The
+    the pivots before it are negative, so that test is monotone in x.  The
     eigenvector comes from three steps of inverse iteration with the
     shift theta, where theta I - T is positive definite and, started from
     a positive vector, every term of the solve is positive.
 
     ``warm = (lo, hi, y0)`` resumes the check on a leading block of T: lo
     bounds its top eigenvalue below, and so T's (Cauchy interlacing).  The
-    search runs from lo to lo (1 + 2.5e-7), one sweep's width, as theta
-    rises little between checks, else to hi, whichever :func:`_above`
-    certifies, else cold; y is one inverse step from y0 padded with zeros.
+    search runs from lo to lo (1 + 2.5e-7), as theta rises little between
+    checks, else to hi, whichever :func:`_above` certifies, else cold; y
+    is one inverse step from y0 padded with zeros.
     """
     scale = max(a + l + r for a, l, r in
                 zip(alphas, [0.0] + betas, betas + [0.0]))
@@ -502,15 +501,14 @@ def _top_ritz(alphas, betas, warm=None):
             lo, hi = max(lo, warm[0] / scale), min(hi, x / scale)
             rounds, y = 1, warm[2] + [0.0] * (len(alphas) - len(warm[2]))
             break
-    while hi - lo > 1e-9 * hi:
-        xs = np.linspace(lo, hi, RITZ_SHIFTS + 2)[1:-1].tolist()
-        k = bisect.bisect_left(xs, True,
-                               key=lambda x: _above(x, alphas, b2))
-        # the shifts either side of the first one above, lo and hi as ends
-        bracket = ([lo] + xs)[k], (xs + [hi])[k]
-        if bracket == (lo, hi):
+    while hi - lo > 1e-10 * hi:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
             break
-        lo, hi = bracket
+        if _above(mid, alphas, b2):
+            hi = mid
+        else:
+            lo = mid
     # pivots of hi I - T, negated from the same operations as above, so
     # they are all > 0 exactly as they were found to be
     d = alphas[0] - hi
@@ -530,7 +528,9 @@ def _top_ritz(alphas, betas, warm=None):
             w = vi + b * w / gi
             y.append(w)
         y.reverse()
-        norm = np.sqrt(sum(yi * yi for yi in y))
+        # math.sqrt keeps y, and so the next warm bracket, in Python
+        # floats: the pivot loops run about 3x slower on np.float64
+        norm = math.sqrt(sum(yi * yi for yi in y))
         y = [yi / norm for yi in y]
     return hi * scale, y
 
@@ -551,8 +551,8 @@ def _top_mode_guess(disc):
     return np.concatenate([centres, centres, vertices.ravel()])
 
 
-def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
-                        max_iter=None, info=None):
+def max_stable_timestep(disc, material, z_probe, eta, max_iter=None,
+                        info=None):
     """Largest stable time step sqrt(8 (1 - eta) / lambda).
 
     ``lambda`` is the largest generalized Rayleigh quotient
@@ -569,23 +569,21 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
     drawn with seed 0, which gives every mode weight.  Its recurrence
     carries H q beside each Lanczos vector, so an iteration costs one T
     (without its leading H) and one H, and memory is a few stress vectors:
-    no basis is stored and none is reorthogonalised.  The top Ritz pair
-    (theta, y) of the j x j tridiagonal Lanczos matrix is extracted by
-    :func:`_top_ritz` (theta rounded up) at j = 8 and at j = the number
-    of active stress DOFs, where the Krylov space is exhausted, each check
-    after the first from the last: its Ritz vector and the bracket
-    [theta (1 - 1e-9), theta + residual], whose lower end bounds this
-    top eigenvalue too, as the last T is a leading block of this one
-    (Cauchy interlacing).  A failed check schedules the next max(8, j/2)
+    no basis is stored and none is reorthogonalised.  :func:`_top_ritz`
+    extracts the top Ritz pair (theta, y) of the j x j tridiagonal Lanczos
+    matrix, theta bisected and rounded up, at j = 8 and at j = the number
+    of active stress DOFs, where the Krylov space is exhausted; each check
+    after the first resumes the last, from its Ritz vector and the bracket
+    [theta (1 - 1e-9), theta + residual].  A failed check schedules the next max(8, j/2)
     iterations on, or, when the relative residual rho fell since the last
-    check, where that rate predicts rho <= tol, if sooner, but at least 2
-    on: rho is not monotone.  The iteration stops once the Ritz residual
-    beta_j |e_j^T y| is at most ``tol * theta``, or on a breakdown
-    (beta_j <= tol * max alpha: an invariant subspace), and returns
-    lambda = theta + residual, so any remaining error makes tau smaller,
-    never larger.  When ``info`` is a dict it receives ``iters`` (Lanczos
-    iterations), ``residual`` (the final Ritz residual over theta) and
-    ``checks`` (Ritz checks).
+    check, where that rate predicts rho <= CFL_TOL, if sooner, but at
+    least 2 on: rho is not monotone.  The iteration stops once the Ritz
+    residual beta_j |e_j^T y| is at most ``CFL_TOL * theta``, or on a
+    breakdown (beta_j <= CFL_TOL * max alpha: an invariant subspace), and
+    returns lambda = theta + residual, so any remaining error makes tau
+    smaller, never larger.  When ``info`` is a dict it receives ``iters``
+    (Lanczos iterations), ``residual`` (the final Ritz residual over
+    theta) and ``checks`` (Ritz checks).
 
     ``max_iter`` defaults to 2 n + 8, n the active stress DOFs: exact
     arithmetic ends the iteration by j = n, and the second n is margin for
@@ -595,7 +593,8 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
     ``adjointness`` is the check for that.  Raises :class:`ConfigError`
     when the stored energy is not positive definite at the probe, and
     :class:`SolverError` carrying the last relative residual when
-    ``max_iter`` iterations do not converge.
+    ``max_iter`` iterations do not converge; a ``max_iter`` below 1 is a
+    :class:`ValueError`.
 
     The bound is sharp: tau <= tau_max(eta) makes the per-state
     stability coefficient a = 1 - (tau^2/8) q(S)/Phi at least eta for
@@ -607,6 +606,8 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
     if not 0 <= eta < 1:
         raise ConfigError("cfl margin eta must be in [0, 1)",
                           "integrator.eta")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     z_probe = material.stiffest_state(z_probe)
     dphi0 = material.dphi_dsigma(disc, disc.zeros_s(), z_probe)
 
@@ -655,21 +656,22 @@ def max_stable_timestep(disc, material, z_probe, eta, tol=1e-6,
         beta2 = 0.5 * disc.sdot(hw, w)
         alphas.append(alpha)
         alpha_max = max(alpha_max, alpha)
-        small = tol * alpha_max  # a beta below it bounds the residual
+        small = CFL_TOL * alpha_max  # a beta below it bounds the residual
         if beta2 < -small * small:
             raise not_pd
         beta = float(np.sqrt(max(beta2, 0.0)))
         if beta <= small or j in (check_at, n_active, max_iter):
             theta, y = _top_ritz(alphas, betas, warm)
             residual, checks = beta * abs(y[-1]), checks + 1
-            if beta <= small or residual <= tol * theta:
+            if beta <= small or residual <= CFL_TOL * theta:
                 break
             warm = (theta - 1e-9 * abs(theta), theta + residual, y)
             rho, step = residual / theta, max(8, j // 2)
-            if tol < rho < rho_last:
-                # where the rate since the last check predicts rho <= tol
+            if CFL_TOL < rho < rho_last:
+                # where the rate since the last check predicts a pass
                 rate = max(math.log(rho_last / rho), 1e-300) / (j - j_last)
-                step = max(2, math.ceil(min(step, math.log(rho / tol) / rate)))
+                step = max(2, math.ceil(
+                    min(step, math.log(rho / CFL_TOL) / rate)))
             j_last, rho_last, check_at = j, rho, j + step
         betas.append(beta)
         w *= 1.0 / beta

@@ -10,6 +10,7 @@ u32, field_count u32, dim u32``; then per field ``name_length u32, name
 bytes, count u64, count IEEE-754 doubles`` row-major.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -50,13 +51,26 @@ class EnergyLogWriter:
 
 
 def read_energy_log(path):
-    """Energy log as a dict of column arrays."""
+    """Energy log as a dict of column arrays; a row that is short, long or
+    not numeric raises :class:`StagdynError` naming its line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != ENERGY_COLUMNS:
             raise StagdynError(f"unexpected energy-log header {header}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    cols = {name: np.array([float(r[i]) for r in rows])
+        rows = []
+        for line_no, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                row = [float(v) for v in line.split(",")]
+            except ValueError:
+                row = []
+            if len(row) != len(ENERGY_COLUMNS):
+                raise StagdynError(f"energy log line {line_no}: expected "
+                                   f"{len(ENERGY_COLUMNS)} numbers, got "
+                                   f"{line.strip()!r}")
+            rows.append(row)
+    cols = {name: np.array([r[i] for r in rows])
             for i, name in enumerate(ENERGY_COLUMNS)}
     cols["k"] = cols["k"].astype(int)
     return cols
@@ -77,10 +91,10 @@ def write_snapshot(path, fields, dim):
 
 
 def _read_exact(fh, size, what):
-    buf = fh.read(size)
-    if len(buf) != size:
+    # checked before reading, so a corrupt size allocates nothing
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
         raise StagdynError(f"truncated snapshot: {what}")
-    return buf
+    return fh.read(size)
 
 
 def read_snapshot(path):

@@ -272,6 +272,31 @@ def test_snapshot_truncated_anywhere_raises(tmp_path):
             sdio.read_snapshot(path)
 
 
+def test_snapshot_size_past_the_end_raises_before_reading(tmp_path):
+    # a count or name length asking for more bytes than the file has left
+    # is truncation, found before a buffer of that size is asked for: a
+    # count of 2^60 would overflow the read, a wide one exhaust memory
+    path = tmp_path / "snap.bin"
+    sdio.write_snapshot(path, {"ab": np.array([1.5, -2.0])}, dim=1)
+    raw = path.read_bytes()
+    for offset, fmt, value in [(22, "<Q", 2 ** 60), (22, "<Q", 3),
+                               (16, "<I", len(raw) - 20 + 1)]:
+        bad = bytearray(raw)
+        struct.pack_into(fmt, bad, offset, value)
+        path.write_bytes(bytes(bad))
+        with pytest.raises(StagdynError, match="truncated"):
+            sdio.read_snapshot(path)
+
+
+@pytest.mark.parametrize("row", ["1,0.2,1,2", "1,0.2,1,2,3,4,x,0"])
+def test_malformed_energy_log_row_names_its_line(tmp_path, row):
+    path = tmp_path / "energy.csv"
+    path.write_text(",".join(sdio.ENERGY_COLUMNS) + "\n"
+                    + "0,0,1,2,0,0,1,0\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(StagdynError, match=f"line 3: .*{re.escape(row)}"):
+        sdio.read_energy_log(path)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

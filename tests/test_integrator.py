@@ -433,6 +433,14 @@ def test_cfl_estimate_of_a_broken_stencil_fails_within_its_budget(
     assert len(calls) == budget  # one E per iteration
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_cfl_estimate_rejects_a_budget_below_one(max_iter):
+    d = disc_1d()
+    m = ElasticMaterial()
+    with pytest.raises(ValueError, match="max_iter"):
+        max_stable_timestep(d, m, m.z_init(d), 0.1, max_iter=max_iter)
+
+
 def test_tau_max_scaling_with_modulus():
     d1 = disc_1d(nx=40, h=0.1, c=1.0)
     d4 = disc_1d(nx=40, h=0.1, c=4.0)
@@ -627,58 +635,15 @@ def test_cfl_estimate_costs_no_more_than_the_fixed_schedule(monkeypatch,
     assert checks <= len(fixed) + 1
 
 
-def _top_ritz_sweep(alphas, betas):
-    """Cold ``_top_ritz`` with a vectorized sweep: each multisection sweep
-    tests all 255 shifts at once in numpy and takes the first one above
-    every eigenvalue by argmax.  The bisection must reproduce it bit for
-    bit."""
-    shifts = 255
-    scale = max(a + l + r for a, l, r in
-                zip(alphas, [0.0] + betas, betas + [0.0]))
-    alphas = [a / scale for a in alphas]
-    betas = [b / scale for b in betas]
-    b2 = [b * b for b in betas]
-    lo, hi = max(alphas), 1.0 + 1e-12
-    dmax = np.empty(shifts)
-    while hi - lo > 1e-9 * hi:
-        x = np.linspace(lo, hi, shifts + 2)[1:-1]
-        d = alphas[0] - x
-        dmax[:] = d
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for a, bb in zip(alphas[1:], b2):
-                np.divide(bb, d, out=d)
-                d += x
-                np.subtract(a, d, out=d)
-                np.maximum(dmax, d, out=dmax)
-        above = dmax < 0.0
-        k = int(np.argmax(above))
-        if above[k]:
-            hi = float(x[k])
-            if k:
-                lo = float(x[k - 1])
-        else:
-            lo = float(x[-1])
-    d = alphas[0] - hi
-    g = [-d]
-    for a, bb in zip(alphas[1:], b2):
-        d = a - (hi + bb / d)
-        g.append(-d)
-    y = [1.0] * len(alphas)
-    for _ in range(3):
-        u = y[0]
-        v = [u / g[0]]
-        for yi, b, g_prev, gi in zip(y[1:], betas, g, g[1:]):
-            u = yi + b * u / g_prev
-            v.append(u / gi)
-        w = v[-1]
-        y = [w]
-        for vi, b, gi in zip(v[-2::-1], betas[::-1], g[-2::-1]):
-            w = vi + b * w / gi
-            y.append(w)
-        y.reverse()
-        norm = np.sqrt(sum(yi * yi for yi in y))
-        y = [yi / norm for yi in y]
-    return hi * scale, y
+def _assert_top_eigenpair(alphas, betas, ritz):
+    """``ritz = (theta, y)`` against LAPACK on the dense T: theta bounds
+    the top eigenvalue from above within 1e-9 relative, and |y_last|
+    matches to 1e-9."""
+    theta, y = ritz
+    t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    vals, vecs = np.linalg.eigh(t)
+    assert vals[-1] <= theta <= vals[-1] * (1.0 + 1e-9)
+    assert abs(abs(y[-1]) - abs(vecs[-1, -1])) <= 1e-9
 
 
 def _same_ritz(a, b):
@@ -690,19 +655,13 @@ def _same_ritz(a, b):
 @pytest.mark.parametrize("j", [1, 2, 7, 60, 300])
 def test_top_ritz_matches_dense_eigh(j):
     # random tridiagonal matrices and the clustered, Gershgorin-exact
-    # Laplacian tridiag(1, 2, 1), against LAPACK on the dense matrix and
-    # bit for bit against the vectorized sweep
+    # Laplacian tridiag(1, 2, 1), against LAPACK on the dense matrix
     rng = np.random.default_rng(j)
     cases = [(list(rng.uniform(0.5, 1.5, j)),
               list(rng.uniform(0.1, 0.5, j - 1))),
              ([2.0] * j, [1.0] * (j - 1))]
     for alphas, betas in cases:
-        theta, y = _top_ritz(alphas, betas)
-        assert _same_ritz((theta, y), _top_ritz_sweep(alphas, betas))
-        t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        vals, vecs = np.linalg.eigh(t)
-        assert vals[-1] <= theta <= vals[-1] * (1.0 + 1e-9)
-        assert abs(abs(y[-1]) - abs(vecs[-1, -1])) <= 1e-9
+        _assert_top_eigenpair(alphas, betas, _top_ritz(alphas, betas))
 
 
 @pytest.mark.parametrize("make", [
@@ -714,17 +673,16 @@ def test_top_ritz_matches_dense_eigh(j):
     lambda: (disc_2d(nx=8, ny=8, h=0.125),
              PlasticCreepMaterial(viscosity=0.5, sigma_y=0.05)),
 ], ids=["damage-1d", "biot-1d", "plastic-2d"])
-def test_top_ritz_equals_the_sweep_on_lanczos_tridiagonals(monkeypatch,
-                                                           make):
+def test_top_ritz_matches_dense_eigh_on_lanczos_tridiagonals(monkeypatch,
+                                                             make):
     # every tridiagonal the estimator hands over, at each of its checks,
-    # extracted cold
+    # extracted cold, against LAPACK on the dense matrix
     d, m = make()
     seen = _record_checks(monkeypatch)
     max_stable_timestep(d, m, m.z_init(d), 0.1)
     assert len(seen) >= 2
     for alphas, betas, _ in seen:
-        assert _same_ritz(_top_ritz(alphas, betas),
-                          _top_ritz_sweep(alphas, betas))
+        _assert_top_eigenpair(alphas, betas, _top_ritz(alphas, betas))
 
 
 WARM_CASES = {**SCHEDULE_CASES,
@@ -783,8 +741,8 @@ def test_warm_ritz_check_bounds_a_ghost_top_eigenvalue():
 
 
 def test_warm_ritz_check_past_one_sweep_uses_the_residual_bound():
-    # the top of T_40 lies 1.6e-5 above the leading block's: one sweep's
-    # width above lo is not certified, theta + residual is, and the check
+    # the top of T_40 lies 1.6e-5 above the leading block's: 2.5e-7
+    # above lo is not certified, theta + residual is, and the check
     # still agrees with the cold one
     rng = np.random.default_rng(2)
     alphas, betas = (list(rng.uniform(0.5, 1.5, 40)),
@@ -821,9 +779,9 @@ def test_uncertified_warm_start_falls_back_to_cold():
 
 
 def test_pivot_test_is_monotone_across_the_top_eigenvalue():
-    # bisection finds the sweep's first shift above every eigenvalue only
-    # if the test flips once: consecutive floats around the top, and a
-    # coarser grid across +-1e-9 of it
+    # bisection finds the top eigenvalue only if the test flips once:
+    # consecutive floats around the top, and a coarser grid across +-1e-9
+    # of it
     rng = np.random.default_rng(3)
     cases = [([2.0] * 60, [1.0] * 59),
              (list(rng.uniform(0.5, 1.5, 60)),
@@ -852,7 +810,7 @@ def test_top_ritz_returns_on_degenerate_tridiagonals():
     # a Gershgorin bound at or below 0 (hi < 0, or T = 0) gives (0, [0]):
     # 0 bounds every eigenvalue with no residual, so an estimate on a zero
     # operator gives tau = inf.  A positive bound over a negative top
-    # eigenvalue ends once a sweep cannot narrow the bracket.  In a child
+    # eigenvalue ends once the midpoint rounds to an end.  In a child
     # process, so that a hang fails instead of blocking the suite
     script = (
         "import numpy as np\n"
